@@ -8,6 +8,7 @@ are invalid values; every error names the offending section and key.
 from __future__ import annotations
 
 import hashlib
+import math
 from configparser import ConfigParser, Error as ParserError
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -23,6 +24,7 @@ from .solver import SolverConfig
 SECTIONS = ("domain", "material", "immersion", "force", "solver", "study", "output")
 
 _DOMAIN_KEYS = {"l1": 1.0, "l2": 1.0, "n1": 17, "n2": 17}
+_DEFAULT_T_LIST = (0.2, 0.1, 0.05, 0.025, 0.0)
 _SOLVER_KEYS = ("grad_tol", "max_iter", "memory", "ls_shrink", "ls_c1", "restarts", "seed")
 _FORCE_KEYS = {
     "constant": {"p1", "p2", "p3"},
@@ -134,16 +136,21 @@ def _fail(section: str, key: str, why: str):
     raise ConfigError(f"[{section}] {key}: {why}")
 
 
-def _take_float(sec: dict, section: str, key: str, default=None) -> float:
+def _take_real(sec: dict, section: str, key: str, default=None, many: bool = False):
+    """Pop a finite real, or with many=True a tuple of them from a comma list."""
     if key not in sec:
         if default is None:
             _fail(section, key, "required key is missing")
         return default
     raw = sec.pop(key)
     try:
-        return float(raw)
+        values = tuple(float(p) for p in (raw.split(",") if many else (raw,)))
     except ValueError:
-        _fail(section, key, f"not a real number: {raw!r}")
+        what = "comma list of reals" if many else "real number"
+        _fail(section, key, f"not a {what}: {raw!r}")
+    if not all(math.isfinite(v) for v in values):
+        _fail(section, key, f"not finite: {raw!r}")
+    return values if many else values[0]
 
 
 def _take_int(sec: dict, section: str, key: str, default=None) -> int:
@@ -178,8 +185,8 @@ def parse_config_text(text: str, base_dir: str | Path = ".") -> StudyConfig:
         return dict(parser[name]) if parser.has_section(name) else {}
 
     dom = section("domain")
-    L1 = _take_float(dom, "domain", "l1", _DOMAIN_KEYS["l1"])
-    L2 = _take_float(dom, "domain", "l2", _DOMAIN_KEYS["l2"])
+    L1 = _take_real(dom, "domain", "l1", _DOMAIN_KEYS["l1"])
+    L2 = _take_real(dom, "domain", "l2", _DOMAIN_KEYS["l2"])
     n1 = _take_int(dom, "domain", "n1", _DOMAIN_KEYS["n1"])
     n2 = _take_int(dom, "domain", "n2", _DOMAIN_KEYS["n2"])
     _reject_unknown(dom, "domain")
@@ -189,9 +196,9 @@ def parse_config_text(text: str, base_dir: str | Path = ".") -> StudyConfig:
         _fail("domain", "l1", "side lengths must be positive")
 
     matsec = section("material")
-    lam = _take_float(matsec, "material", "lambda")
-    mu = _take_float(matsec, "material", "mu")
-    eps = _take_float(matsec, "material", "eps")
+    lam = _take_real(matsec, "material", "lambda")
+    mu = _take_real(matsec, "material", "mu")
+    eps = _take_real(matsec, "material", "eps")
     _reject_unknown(matsec, "material")
     try:
         material = Material(lam=lam, mu=mu, eps=eps)
@@ -200,12 +207,7 @@ def parse_config_text(text: str, base_dir: str | Path = ".") -> StudyConfig:
 
     imm = section("immersion")
     kind = imm.pop("kind", "paraboloid")
-    params = {}
-    for key, raw in imm.items():
-        try:
-            params[key] = float(raw)
-        except ValueError:
-            _fail("immersion", key, f"not a real number: {raw!r}")
+    params = {key: _take_real(imm, "immersion", key) for key in list(imm)}
     try:
         Immersion(kind, L1=L1, L2=L2, params=params)
     except ValueError as exc:
@@ -228,17 +230,10 @@ def parse_config_text(text: str, base_dir: str | Path = ".") -> StudyConfig:
         if not Path(force_csv).is_file():
             _fail("force", "path", f"file does not exist: {force_csv}")
     else:
-        for key, raw in frc.items():
-            if key.endswith("_coeffs"):
-                try:
-                    force_params[key] = tuple(float(p) for p in raw.split(","))
-                except ValueError:
-                    _fail("force", key, f"not a comma list of reals: {raw!r}")
-            else:
-                try:
-                    force_params[key] = float(raw)
-                except ValueError:
-                    _fail("force", key, f"not a real number: {raw!r}")
+        force_params = {
+            key: _take_real(frc, "force", key, many=key.endswith("_coeffs"))
+            for key in list(frc)
+        }
         if force_kind == "constant" and not force_params:
             force_params = {"p1": 0.5, "p2": -0.3, "p3": 1.0}
 
@@ -246,11 +241,11 @@ def parse_config_text(text: str, base_dir: str | Path = ".") -> StudyConfig:
     defaults = SolverConfig()
     try:
         solver = SolverConfig(
-            grad_tol=_take_float(sol, "solver", "grad_tol", defaults.grad_tol),
+            grad_tol=_take_real(sol, "solver", "grad_tol", defaults.grad_tol),
             max_iter=_take_int(sol, "solver", "max_iter", defaults.max_iter),
             memory=_take_int(sol, "solver", "memory", defaults.memory),
-            ls_shrink=_take_float(sol, "solver", "ls_shrink", defaults.ls_shrink),
-            ls_c1=_take_float(sol, "solver", "ls_c1", defaults.ls_c1),
+            ls_shrink=_take_real(sol, "solver", "ls_shrink", defaults.ls_shrink),
+            ls_c1=_take_real(sol, "solver", "ls_c1", defaults.ls_c1),
             restarts=_take_int(sol, "solver", "restarts", defaults.restarts),
             seed=_take_int(sol, "solver", "seed", defaults.seed),
         )
@@ -259,11 +254,7 @@ def parse_config_text(text: str, base_dir: str | Path = ".") -> StudyConfig:
     _reject_unknown(sol, "solver")
 
     stu = section("study")
-    raw_ts = stu.pop("t_list", "0.2, 0.1, 0.05, 0.025, 0")
-    try:
-        t_list = [float(p) for p in raw_ts.split(",")]
-    except ValueError:
-        _fail("study", "t_list", f"not a comma list of reals: {raw_ts!r}")
+    t_list = list(_take_real(stu, "study", "t_list", _DEFAULT_T_LIST, many=True))
     _reject_unknown(stu, "study")
     if not t_list or t_list[-1] != 0.0:
         _fail("study", "t_list", "must end at 0")

@@ -139,33 +139,21 @@ def _cell_quadratic(grid: Grid, u3: np.ndarray, v3: np.ndarray) -> np.ndarray:
     return q
 
 
-def _membrane(grid: Grid, u: Displacement, cgeo: SurfaceGeometry | None) -> np.ndarray:
-    E = _cell_symmetric_gradient(grid, u.u1, u.u2)
-    E += 0.5 * _cell_quadratic(grid, u.u3, u.u3)
-    if cgeo is not None:
-        avg = grid.cell_avg_op
-        tang = np.stack((grid.to_cells(avg, u.u1), grid.to_cells(avg, u.u2)))
-        E -= np.einsum("xysab,sxy->xyab", cgeo.gamma, tang)
-        E -= cgeo.b * grid.to_cells(avg, u.u3)[..., None, None]
-    return E
+def _membrane(grid: Grid, u3: np.ndarray, v: Displacement, coeff: float,
+              cgeo: SurfaceGeometry | None) -> np.ndarray:
+    """Membrane strain kernel at cell midpoints, linear in v.
 
-
-def _membrane_variation(
-    grid: Grid, u: Displacement, v: Displacement, cgeo: SurfaceGeometry | None
-) -> np.ndarray:
-    Ep = _cell_symmetric_gradient(grid, v.u1, v.u2)
-    Ep += _cell_quadratic(grid, u.u3, v.u3)
+    With u3 = v.u3 and coeff = 1/2 the nonlinear strain of v; with u3 = u.u3
+    and coeff = 1 the first variation at u in direction v.
+    """
+    E = _cell_symmetric_gradient(grid, v.u1, v.u2)
+    E += coeff * _cell_quadratic(grid, u3, v.u3)
     if cgeo is not None:
         avg = grid.cell_avg_op
         tang = np.stack((grid.to_cells(avg, v.u1), grid.to_cells(avg, v.u2)))
-        Ep -= np.einsum("xysab,sxy->xyab", cgeo.gamma, tang)
-        Ep -= cgeo.b * grid.to_cells(avg, v.u3)[..., None, None]
-    return Ep
-
-
-def _node_grads_interior(grid: Grid, f: np.ndarray):
-    p1, p2 = grid.interior_d1_ops
-    return grid.apply(p1, f), grid.apply(p2, f)
+        E -= np.einsum("xysab,sxy->xyab", cgeo.gamma, tang)
+        E -= cgeo.b * grid.to_cells(avg, v.u3)[..., None, None]
+    return E
 
 
 def _bending(grid: Grid, u3: np.ndarray, geom: SurfaceGeometry | None) -> np.ndarray:
@@ -176,8 +164,8 @@ def _bending(grid: Grid, u3: np.ndarray, geom: SurfaceGeometry | None) -> np.nda
     F[..., 0, 1] = grid.apply(ops[(1, 2)], u3)
     F[..., 1, 0] = F[..., 0, 1]
     if geom is not None:
-        du = _node_grads_interior(grid, u3)
-        F -= np.einsum("xysab,sxy->xyab", geom.gamma, np.stack(du))
+        du = np.stack([grid.apply(p, u3) for p in grid.interior_d1_ops])
+        F -= np.einsum("xysab,sxy->xyab", geom.gamma, du)
     return F
 
 
@@ -189,7 +177,7 @@ def linearized_strain(grid: Grid, u: Displacement) -> np.ndarray:
 def plate_membrane_strain(grid: Grid, u: Displacement) -> np.ndarray:
     """Membrane strain of the flat reference: symmetric gradient plus the
     quadratic transverse term, with no curvature couplings."""
-    return _membrane(grid, u, None)
+    return _membrane(grid, u.u3, u, 0.5, None)
 
 
 def plate_bending_strain(grid: Grid, u3: np.ndarray) -> np.ndarray:
@@ -273,7 +261,7 @@ class EnergyAssembly:
 
     def membrane_strain(self, u: Displacement) -> np.ndarray:
         """Nonlinear membrane strain E[..., alpha, beta] at cell midpoints."""
-        return _membrane(self.grid, u, self.cell_geom)
+        return _membrane(self.grid, u.u3, u, 0.5, self.cell_geom)
 
     def bending_strain(self, u3: np.ndarray) -> np.ndarray:
         """Bending strain F[..., alpha, beta] at nodes (ghost closure)."""
@@ -281,7 +269,7 @@ class EnergyAssembly:
 
     def first_variation(self, u: Displacement, v: Displacement) -> np.ndarray:
         """Derivative of the membrane strain at u in direction v."""
-        return _membrane_variation(self.grid, u, v, self.cell_geom)
+        return _membrane(self.grid, u.u3, v, 1.0, self.cell_geom)
 
     # -- energy, gradient, residual ------------------------------------------
 
@@ -306,9 +294,6 @@ class EnergyAssembly:
             load_abs += float(np.sum(np.abs(prod)))
         return float(quad - load), float(quad + load_abs)
 
-    def _energy_from(self, E: np.ndarray, F: np.ndarray, u: Displacement) -> float:
-        return self._energy_terms(E, F, u)[0]
-
     def energy_and_scale(self, u: Displacement) -> tuple[float, float]:
         return self._energy_terms(self.membrane_strain(u), self.bending_strain(u.u3), u)
 
@@ -324,7 +309,7 @@ class EnergyAssembly:
         return g
 
     def energy(self, u: Displacement) -> float:
-        return self._energy_from(self.membrane_strain(u), self.bending_strain(u.u3), u)
+        return self.energy_and_scale(u)[0]
 
     def gradient(self, u: Displacement) -> Displacement:
         """Coefficient gradient of the energy; zero on boundary nodes.
@@ -333,12 +318,6 @@ class EnergyAssembly:
         clamped v, by construction from the transposed stencils.
         """
         return self._gradient_from(self.membrane_strain(u), self.bending_strain(u.u3), u)
-
-    def value_and_gradient(self, u: Displacement) -> tuple[float, Displacement]:
-        """Energy and gradient sharing one strain evaluation."""
-        E = self.membrane_strain(u)
-        F = self.bending_strain(u.u3)
-        return self._energy_from(E, F, u), self._gradient_from(E, F, u)
 
     def full_evaluation(self, u: Displacement):
         """(energy, energy magnitude, gradient) from one strain evaluation."""
@@ -415,6 +394,7 @@ def make_assembly(
 
 
 def _weighted_residual(grid: Grid, g: Displacement) -> float:
+    """Residual norm of a coefficient gradient: sqrt(sum g^2 / w) over the nodes."""
     w = grid.weights
     return float(np.sqrt(sum(np.sum(c * c / w) for c in g.components())))
 

@@ -6,6 +6,13 @@ closure of the clamped condition for u3, and tensor-product trapezoidal
 quadrature.  All difference operators are assembled once per grid as sparse
 matrices acting on row-major flattened node vectors, so that energy gradients
 can be formed by exact stencil transposition.
+
+Every operator is a Kronecker product of 1-D stencils, or the sum of two.
+Node (i, j) is entry i * n2 + j, so the axis-1 factor is the outer one; the
+factor on the other axis is the identity, or the interior mask where only
+interior rows are filled.  The clamped second derivative along an axis is
+kron(centered, mask) + kron(ghost edge rows, identity), and the clamped
+mixed derivative is c * kron(C, C) with the centered +-1 stencil C.
 """
 
 from __future__ import annotations
@@ -77,44 +84,14 @@ class Grid:
         m[1:-1, 1:-1] = True
         return m
 
-    # -- sparse operator assembly ------------------------------------------
+    # -- sparse operators: Kronecker products of 1-D stencils ----------------
 
-    def _idx(self, i, j):
-        return i * self.n2 + j
-
-    def _assemble(self, entries) -> sp.csr_matrix:
-        rows, cols, vals = entries
-        return sp.csr_matrix(
-            (vals, (rows, cols)), shape=(self.num_nodes, self.num_nodes)
-        )
-
-    def _d1_entries(self, axis, one_sided_edges):
-        n1, n2 = self.n1, self.n2
-        h = self.h1 if axis == 1 else self.h2
-        rows, cols, vals = [], [], []
-
-        def add(i, j, ic, jc, v):
-            rows.append(self._idx(i, j))
-            cols.append(self._idx(ic, jc))
-            vals.append(v)
-
-        for i in range(n1):
-            for j in range(n2):
-                k = i if axis == 1 else j
-                n = n1 if axis == 1 else n2
-
-                def off(d):
-                    return (i + d, j) if axis == 1 else (i, j + d)
-
-                if 0 < k < n - 1:
-                    add(i, j, *off(+1), 0.5 / h)
-                    add(i, j, *off(-1), -0.5 / h)
-                elif one_sided_edges:
-                    s = 1 if k == 0 else -1
-                    add(i, j, i, j, -1.5 * s / h)
-                    add(i, j, *off(s), 2.0 * s / h)
-                    add(i, j, *off(2 * s), -0.5 * s / h)
-        return rows, cols, vals
+    def _along(self, axis: int, stencil, other=np.eye) -> sp.csr_matrix:
+        """kron of stencil(n, h) along `axis` with other(n) on the other axis."""
+        sides = {1: (self.n1, self.h1), 2: (self.n2, self.h2)}
+        n, h = sides[axis]
+        a, b = stencil(n, h), other(sides[3 - axis][0])
+        return sp.kron(a, b, "csr") if axis == 1 else sp.kron(b, a, "csr")
 
     @cached_property
     def d1_ops(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
@@ -123,41 +100,7 @@ class Grid:
         Centered three-point stencils where the node has two neighbours along
         the axis, second-order one-sided stencils on the two edge layers.
         """
-        return (
-            self._assemble(self._d1_entries(1, True)),
-            self._assemble(self._d1_entries(2, True)),
-        )
-
-    def _dss_generic(self, axis) -> sp.csr_matrix:
-        # Plain second derivative, one-sided (2, -5, 4, -1)/h^2 at the edges.
-        n1, n2 = self.n1, self.n2
-        h = self.h1 if axis == 1 else self.h2
-        rows, cols, vals = [], [], []
-
-        def add(i, j, ic, jc, v):
-            rows.append(self._idx(i, j))
-            cols.append(self._idx(ic, jc))
-            vals.append(v)
-
-        for i in range(n1):
-            for j in range(n2):
-                k = i if axis == 1 else j
-                n = n1 if axis == 1 else n2
-
-                def off(d):
-                    return (i + d, j) if axis == 1 else (i, j + d)
-
-                if 0 < k < n - 1:
-                    add(i, j, *off(-1), 1.0 / h**2)
-                    add(i, j, i, j, -2.0 / h**2)
-                    add(i, j, *off(+1), 1.0 / h**2)
-                else:
-                    s = 1 if k == 0 else -1
-                    add(i, j, i, j, 2.0 / h**2)
-                    add(i, j, *off(s), -5.0 / h**2)
-                    add(i, j, *off(2 * s), 4.0 / h**2)
-                    add(i, j, *off(3 * s), -1.0 / h**2)
-        return self._assemble((rows, cols, vals))
+        return self._along(1, _d1_one_sided), self._along(2, _d1_one_sided)
 
     @cached_property
     def d2_ops(self) -> dict[tuple[int, int], sp.csr_matrix]:
@@ -170,8 +113,8 @@ class Grid:
         d1, d2 = self.d1_ops
         mixed = (d1 @ d2).tocsr()
         return {
-            (1, 1): self._dss_generic(1),
-            (2, 2): self._dss_generic(2),
+            (1, 1): self._along(1, _d2_one_sided),
+            (2, 2): self._along(2, _d2_one_sided),
             (1, 2): mixed,
             (2, 1): mixed,
         }
@@ -195,21 +138,6 @@ class Grid:
         c2 = np.linspace(0.5 * self.h2, self.L2 - 0.5 * self.h2, self.n2 - 1)
         return np.outer(c1, np.ones(self.n2 - 1)), np.outer(np.ones(self.n1 - 1), c2)
 
-    def _cell_entries(self, coeffs) -> sp.csr_matrix:
-        # coeffs: weight of the 4 cell corners (i,j), (i,j+1), (i+1,j), (i+1,j+1)
-        rows, cols, vals = [], [], []
-        n2c = self.n2 - 1
-        for i in range(self.n1 - 1):
-            for j in range(n2c):
-                r = i * n2c + j
-                for (di, dj), v in zip(((0, 0), (0, 1), (1, 0), (1, 1)), coeffs):
-                    rows.append(r)
-                    cols.append(self._idx(i + di, j + dj))
-                    vals.append(v)
-        return sp.csr_matrix(
-            (vals, (rows, cols)), shape=(self.num_cells, self.num_nodes)
-        )
-
     @cached_property
     def cell_d1_ops(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
         """First derivatives at cell centers from the four corner values.
@@ -220,14 +148,15 @@ class Grid:
         """
         q1 = 0.5 / self.h1
         q2 = 0.5 / self.h2
-        d1 = self._cell_entries((-q1, -q1, q1, q1))
-        d2 = self._cell_entries((-q2, q2, -q2, q2))
-        return d1, d2
+        return (
+            sp.kron(_cell(self.n1, -q1, q1), _cell(self.n2, 1.0, 1.0), "csr"),
+            sp.kron(_cell(self.n1, 1.0, 1.0), _cell(self.n2, -q2, q2), "csr"),
+        )
 
     @cached_property
     def cell_avg_op(self) -> sp.csr_matrix:
         """Four-corner average onto cell centers (second order)."""
-        return self._cell_entries((0.25, 0.25, 0.25, 0.25))
+        return sp.kron(_cell(self.n1, 0.25, 0.25), _cell(self.n2, 1.0, 1.0), "csr")
 
     @cached_property
     def interior_d1_ops(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
@@ -236,21 +165,7 @@ class Grid:
         These are the strain stencils: strain fields are collocated at
         interior nodes and taken to vanish on the boundary ring.
         """
-        ops = []
-        for axis in (1, 2):
-            rows, cols, vals = [], [], []
-            h = self.h1 if axis == 1 else self.h2
-            for i in range(1, self.n1 - 1):
-                for j in range(1, self.n2 - 1):
-                    if axis == 1:
-                        nb = ((i + 1, j), (i - 1, j))
-                    else:
-                        nb = ((i, j + 1), (i, j - 1))
-                    rows += [self._idx(i, j)] * 2
-                    cols += [self._idx(*nb[0]), self._idx(*nb[1])]
-                    vals += [0.5 / h, -0.5 / h]
-            ops.append(self._assemble((rows, cols, vals)))
-        return tuple(ops)
+        return tuple(self._along(axis, _d1_centered, _interior_mask) for axis in (1, 2))
 
     @cached_property
     def clamped_d2_ops(self) -> dict[tuple[int, int], sp.csr_matrix]:
@@ -265,46 +180,16 @@ class Grid:
         are left empty; the mixed derivative likewise vanishes on the whole
         boundary ring under the ghost closure.
         """
-        n1, n2 = self.n1, self.n2
-
-        def straight(axis):
-            h = self.h1 if axis == 1 else self.h2
-            rows, cols, vals = [], [], []
-            for i in range(1, n1 - 1):
-                for j in range(1, n2 - 1):
-                    if axis == 1:
-                        nb = ((i - 1, j), (i, j), (i + 1, j))
-                    else:
-                        nb = ((i, j - 1), (i, j), (i, j + 1))
-                    rows += [self._idx(i, j)] * 3
-                    cols += [self._idx(*p) for p in nb]
-                    vals += [1.0 / h**2, -2.0 / h**2, 1.0 / h**2]
-            # ghost rows on the edges normal to the axis
-            if axis == 1:
-                for j in range(n2):
-                    rows += [self._idx(0, j), self._idx(n1 - 1, j)]
-                    cols += [self._idx(1, j), self._idx(n1 - 2, j)]
-                    vals += [2.0 / h**2, 2.0 / h**2]
-            else:
-                for i in range(n1):
-                    rows += [self._idx(i, 0), self._idx(i, n2 - 1)]
-                    cols += [self._idx(i, 1), self._idx(i, n2 - 2)]
-                    vals += [2.0 / h**2, 2.0 / h**2]
-            return self._assemble((rows, cols, vals))
-
-        rows, cols, vals = [], [], []
+        straight = [
+            self._along(axis, _d2_centered, _interior_mask) + self._along(axis, _ghost)
+            for axis in (1, 2)
+        ]
         c = 0.25 / (self.h1 * self.h2)
-        for i in range(1, n1 - 1):
-            for j in range(1, n2 - 1):
-                for si in (+1, -1):
-                    for sj in (+1, -1):
-                        rows.append(self._idx(i, j))
-                        cols.append(self._idx(i + si, j + sj))
-                        vals.append(si * sj * c)
-        mixed = self._assemble((rows, cols, vals))
+        mixed = c * sp.kron(_interior_rows(self.n1, -1.0, 0.0, 1.0),
+                            _interior_rows(self.n2, -1.0, 0.0, 1.0), "csr")
         return {
-            (1, 1): straight(1),
-            (2, 2): straight(2),
+            (1, 1): straight[0],
+            (2, 2): straight[1],
             (1, 2): mixed,
             (2, 1): mixed,
         }
@@ -334,6 +219,61 @@ class Grid:
 
     def from_cells(self, op_t: sp.csr_matrix, c: np.ndarray) -> np.ndarray:
         return (op_t @ c.ravel()).reshape(self.shape)
+
+
+# -- 1-D stencils: dense n x n (cells: (n-1) x n); zeros are not stored -------
+
+
+def _interior_rows(n: int, lower: float, center: float, upper: float) -> np.ndarray:
+    """Rows at the n - 2 interior points with weights on (k-1, k, k+1)."""
+    m = np.zeros((n, n))
+    k = np.arange(1, n - 1)
+    m[k, k - 1] = lower
+    m[k, k] = center
+    m[k, k + 1] = upper
+    return m
+
+
+def _interior_mask(n: int) -> np.ndarray:
+    return _interior_rows(n, 0.0, 1.0, 0.0)
+
+
+def _d1_centered(n: int, h: float) -> np.ndarray:
+    return _interior_rows(n, -0.5 / h, 0.0, 0.5 / h)
+
+
+def _d2_centered(n: int, h: float) -> np.ndarray:
+    return _interior_rows(n, 1.0 / h**2, -2.0 / h**2, 1.0 / h**2)
+
+
+def _d1_one_sided(n: int, h: float) -> np.ndarray:
+    m = _d1_centered(n, h)
+    m[0, :3] = -1.5 / h, 2.0 / h, -0.5 / h
+    m[-1, -3:] = 0.5 / h, -2.0 / h, 1.5 / h
+    return m
+
+
+def _d2_one_sided(n: int, h: float) -> np.ndarray:
+    m = _d2_centered(n, h)
+    m[0, :4] = 2.0 / h**2, -5.0 / h**2, 4.0 / h**2, -1.0 / h**2
+    m[-1, -4:] = -1.0 / h**2, 4.0 / h**2, -5.0 / h**2, 2.0 / h**2
+    return m
+
+
+def _ghost(n: int, h: float) -> np.ndarray:
+    """Mirror-ghost edge rows of the clamped second derivative."""
+    m = np.zeros((n, n))
+    m[0, 1] = m[-1, -2] = 2.0 / h**2
+    return m
+
+
+def _cell(n: int, left: float, right: float) -> np.ndarray:
+    """(n-1) x n map from the two ends of each cell to its midpoint."""
+    k = np.arange(n - 1)
+    m = np.zeros((n - 1, n))
+    m[k, k] = left
+    m[k, k + 1] = right
+    return m
 
 
 # -- public difference / quadrature operations -----------------------------

@@ -11,6 +11,7 @@ same run written to two places gives byte-identical files.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -58,14 +59,15 @@ def read_displacement_csv(path, grid: Grid):
     """Read three nodal fields from the displacement export format.
 
     Returns (u1, u2, u3) arrays; also the import path for CSV force
-    densities, which share the format.
+    densities, which share the format.  Every node must appear exactly once
+    with finite values.
     """
     lines = [ln for ln in Path(path).read_text().splitlines() if ln and not ln.startswith("#")]
     header = lines[0]
     if header != "i,j,y1,y2,u1,u2,u3":
         raise ValueError(f"unexpected displacement CSV header: {header!r}")
     fields = tuple(np.zeros(grid.shape) for _ in range(3))
-    seen = 0
+    filled = np.zeros(grid.shape, dtype=bool)
     for ln in lines[1:]:
         parts = ln.split(",")
         if len(parts) != 7:
@@ -73,9 +75,15 @@ def read_displacement_csv(path, grid: Grid):
         i, j = int(parts[0]), int(parts[1])
         if not (0 <= i < grid.n1 and 0 <= j < grid.n2):
             raise ValueError(f"node ({i},{j}) outside grid {grid.n1}x{grid.n2}")
+        if filled[i, j]:
+            raise ValueError(f"duplicate node ({i},{j}) in displacement CSV row: {ln!r}")
+        values = [float(p) for p in parts[4:]]
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError(f"non-finite value in displacement CSV row: {ln!r}")
         for k in range(3):
-            fields[k][i, j] = float(parts[4 + k])
-        seen += 1
+            fields[k][i, j] = values[k]
+        filled[i, j] = True
+    seen = int(filled.sum())
     if seen != grid.num_nodes:
         raise ValueError(
             f"displacement CSV holds {seen} rows, expected {grid.num_nodes}"

@@ -3,8 +3,10 @@
 The minimizer is a limited-memory quasi-Newton descent (two-loop recursion)
 with Armijo backtracking: the energy is a smooth quartic in the displacement
 and the gradient is exact, so no curvature line-search condition is needed;
-updates with unusable curvature are simply skipped.  Everything is
-deterministic given the configuration seed, with fixed reduction order.
+updates with unusable curvature are simply skipped.  Results repeat bitwise
+for a given configuration seed and a fixed BLAS thread count; the thread
+count itself can change the iterates, because the solver's dot products run
+through BLAS (ROADMAP item 2).
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .elasticity import Material, flat_tensor
 from .energy import (
     EnergyAssembly,
     ForceDensity,
+    _weighted_residual,
     make_assembly,
     membrane_functional,
     membrane_functional_gradient,
@@ -103,11 +106,6 @@ def unpack(grid: Grid, x: np.ndarray) -> Displacement:
     return u
 
 
-def _weighted_norm(grid: Grid, g: Displacement) -> float:
-    w = grid.weights
-    return float(np.sqrt(sum(np.sum(c * c / w) for c in g.components())))
-
-
 # -- minimization -------------------------------------------------------------
 
 
@@ -119,22 +117,22 @@ def minimize(
     Returns the first iterate whose weighted residual satisfies the relative
     tolerance.  With restarts > 1, reruns from seeded perturbations of u0 and
     returns the lowest-energy converged result (deterministic given seed).
-    Exceeding max_iter yields a result flagged converged=False; a stalled
-    line search raises LineSearchStallError with diagnostics attached.
+    When no run converges within max_iter, the lowest-energy run is
+    returned, flagged converged=False; a stalled line search raises
+    LineSearchStallError with diagnostics attached.
     """
     require_clamped(u0)
     tol = cfg.grad_tol * (1.0 + asm.load_norm())
     dinv = 1.0 / pack(asm.grid, asm.hessian_diagonal_estimate())
-    best: tuple[Displacement, SolveDiagnostics] | None = None
+    runs: list[tuple[Displacement, SolveDiagnostics]] = []
     for r in range(cfg.restarts):
         x0 = pack(asm.grid, u0)
         if r > 0:
             rng = np.random.default_rng([cfg.seed, r])
             x0 = x0 + 0.01 * rng.standard_normal(x0.size)
-        u, diag = _descend(asm, x0, cfg, tol, dinv)
-        if best is None or diag.final_energy < best[1].final_energy:
-            best = (u, diag)
-    return best
+        runs.append(_descend(asm, x0, cfg, tol, dinv))
+    # converged runs first, then the lowest energy; the earliest run wins ties
+    return min(runs, key=lambda run: (not run[1].converged, run[1].final_energy))
 
 
 _NOISE_ULPS = 16.0
@@ -152,7 +150,7 @@ def _descend(asm, x0, cfg, tol, dinv):
     x = x0
     u, f, fscale, gdisp = evaluate(x)
     g = pack(grid, gdisp)
-    resid = _weighted_norm(grid, gdisp)
+    resid = _weighted_residual(grid, gdisp)
     energies = [f]
     s_hist: list[np.ndarray] = []
     y_hist: list[np.ndarray] = []
@@ -210,7 +208,7 @@ def _descend(asm, x0, cfg, tol, dinv):
                 y_hist.pop(0)
                 rho.pop(0)
         x, u, f, fscale, g, gdisp = x_new, u_new, f_new, fscale_new, g_new, gdisp_new
-        resid = _weighted_norm(grid, gdisp)
+        resid = _weighted_residual(grid, gdisp)
         energies.append(f)
         iterations += 1
         converged = resid <= tol

@@ -195,3 +195,50 @@ def test_displacement_arithmetic(grid9, rng):
     w = 2.0 * u - v
     assert np.allclose(w.u3, 2.0 * u.u3 - v.u3, atol=0)
     assert w.is_clamped()
+
+
+@pytest.mark.parametrize("dims", [(2.0, 1.0, 9, 5), (1.3, 0.7, 17, 33)])
+def test_operators_exact_along_each_axis_on_non_square_grids(dims):
+    """Linears and quadratics along each axis on grids with n1 != n2 and
+    h1 != h2, where a Kronecker factor on the wrong axis cannot pass."""
+    grid = Grid(*dims)
+    y = {1: grid.y1, 2: grid.y2}
+    c = dict(zip((1, 2), grid.cell_centers))
+    h = {1: grid.h1, 2: grid.h2}
+    inner = grid.interior
+    p = grid.interior_d1_ops
+    cell = grid.cell_d1_ops
+
+    def close(a, b):
+        return np.allclose(a, b, rtol=0.0, atol=1e-9)
+
+    for a in (1, 2):
+        b = 3 - a
+        lin, quad = y[a], y[a] ** 2
+        assert close(d1(grid, lin, a), 1.0) and close(d1(grid, lin, b), 0.0)
+        assert close(d1(grid, quad, a), 2.0 * y[a]) and close(d1(grid, quad, b), 0.0)
+        assert close(d2(grid, quad, a, a), 2.0) and close(d2(grid, quad, b, b), 0.0)
+        clamped = d2(grid, quad, a, a, clamped=True)
+        assert close(clamped[inner], 2.0)
+        assert close(d2(grid, quad, b, b, clamped=True)[inner], 0.0)
+        # ghost rows on the two edges normal to axis a, empty rows elsewhere
+        if a == 1:
+            assert close(clamped[0, :], 2.0 * quad[1, :] / h[1] ** 2)
+            assert close(clamped[-1, :], 2.0 * quad[-2, :] / h[1] ** 2)
+            assert np.all(clamped[1:-1, 0] == 0.0) and np.all(clamped[1:-1, -1] == 0.0)
+        else:
+            assert close(clamped[:, 0], 2.0 * quad[:, 1] / h[2] ** 2)
+            assert close(clamped[:, -1], 2.0 * quad[:, -2] / h[2] ** 2)
+            assert np.all(clamped[0, 1:-1] == 0.0) and np.all(clamped[-1, 1:-1] == 0.0)
+        assert close(grid.apply(p[a - 1], quad)[inner], 2.0 * y[a][inner])
+        assert close(grid.apply(p[b - 1], quad), 0.0)
+        assert np.all(grid.apply(p[a - 1], quad)[~inner] == 0.0)
+        assert close(grid.to_cells(cell[a - 1], quad), 2.0 * c[a])
+        assert close(grid.to_cells(cell[b - 1], quad), 0.0)
+        assert close(grid.to_cells(grid.cell_avg_op, lin), c[a])
+    bilinear = grid.y1 * grid.y2
+    assert close(d2(grid, bilinear, 1, 2), 1.0)
+    assert close(d2(grid, bilinear, 1, 2, clamped=True)[inner], 1.0)
+    assert close(grid.to_cells(cell[0], bilinear), c[2])
+    assert close(grid.to_cells(cell[1], bilinear), c[1])
+    assert close(grid.to_cells(grid.cell_avg_op, bilinear), c[1] * c[2])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,24 @@ def test_bad_numbers_rejected():
         parse_config_text(MINIMAL + "[domain]\nn1 = 8.5\n")
 
 
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("[material]\nlambda = 1.0\nmu = nan\neps = 0.1\n", "[material] mu"),
+        ("[material]\nlambda = inf\nmu = 1.0\neps = 0.1\n", "[material] lambda"),
+        (MINIMAL + "[domain]\nl1 = inf\n", "[domain] l1"),
+        (MINIMAL + "[immersion]\nkind = paraboloid\nt = nan\n", "[immersion] t"),
+        (MINIMAL + "[force]\nkind = constant\np1 = nan\n", "[force] p1"),
+        (MINIMAL + "[force]\nkind = polynomial\np3_coeffs = 1, -inf\n", "[force] p3_coeffs"),
+        (MINIMAL + "[solver]\ngrad_tol = nan\n", "[solver] grad_tol"),
+        (MINIMAL + "[study]\nt_list = 0.1, nan, 0\n", "[study] t_list"),
+    ],
+)
+def test_non_finite_values_rejected(text, where):
+    with pytest.raises(ConfigError, match=re.escape(where) + ": not finite"):
+        parse_config_text(text)
+
+
 def test_force_csv_requires_existing_file(tmp_path):
     text = MINIMAL + "[force]\nkind = csv\npath = missing.csv\n"
     with pytest.raises(ConfigError, match="does not exist"):
@@ -182,6 +202,34 @@ def test_displacement_csv_rejects_bad_shape(tmp_path, grid9):
     write_displacement_csv(path, grid9, Displacement.zeros(grid9))
     with pytest.raises(ValueError, match="expected"):
         read_displacement_csv(path, Grid(1.0, 1.0, 17, 17))
+
+
+def _csv_rows(tmp_path, grid):
+    path = tmp_path / "u.csv"
+    write_displacement_csv(path, grid, Displacement.zeros(grid))
+    return path, path.read_text().splitlines()
+
+
+def test_displacement_csv_rejects_duplicate_node(tmp_path):
+    grid = Grid(1.0, 1.0, 5, 5)
+    path, lines = _csv_rows(tmp_path, grid)
+    row = lines[2 + 6]  # node (1,1)
+    lines[2 + 7] = row  # in place of node (1,2), so the row count still fits
+    path.write_text("\n".join(lines) + "\n")
+    message = f"duplicate node (1,1) in displacement CSV row: {row!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_displacement_csv(path, grid)
+
+
+def test_displacement_csv_rejects_non_finite_value(tmp_path):
+    grid = Grid(1.0, 1.0, 5, 5)
+    path, lines = _csv_rows(tmp_path, grid)
+    row = lines[2 + 12].rsplit(",", 1)[0] + ",nan"
+    lines[2 + 12] = row
+    path.write_text("\n".join(lines) + "\n")
+    message = f"non-finite value in displacement CSV row: {row!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_displacement_csv(path, grid)
 
 
 def test_field_and_geometry_csv_headers(tmp_path, grid9):

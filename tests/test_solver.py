@@ -18,7 +18,7 @@ from shallowshell import (
 )
 from shallowshell.energy import membrane_functional
 from shallowshell.grid import l2_norm, random_clamped_displacement
-from shallowshell.solver import NonconvergenceError, pack, unpack
+from shallowshell.solver import NonconvergenceError, SolveDiagnostics, pack, unpack
 
 
 def test_solver_config_validation():
@@ -88,6 +88,33 @@ def test_nonconverged_flagged(grid9, material, general_force):
     u, diag = minimize(asm, Displacement.zeros(grid9), SolverConfig(max_iter=3))
     assert not diag.converged
     assert diag.iterations == 3
+
+
+@pytest.mark.parametrize(
+    "runs, picked, converged",
+    [
+        # an unconverged run with lower energy must not displace a converged one
+        ([(-1.0, True), (-5.0, False), (-2.0, True)], 2, True),
+        ([(-5.0, False), (-1.0, True)], 1, True),
+        # none converged: the lowest-energy run, flagged as such
+        ([(-1.0, False), (-3.0, False), (-2.0, False)], 1, False),
+        # equal energies: the earliest run
+        ([(-2.0, True), (-2.0, True)], 0, True),
+    ],
+)
+def test_restarts_prefer_converged_runs(grid9, material, general_force, monkeypatch,
+                                        runs, picked, converged):
+    script = iter(runs)
+
+    def scripted_descend(asm, x0, cfg, tol, dinv):
+        energy, ok = next(script)
+        return unpack(grid9, x0), SolveDiagnostics(1, energy, 0.0, 0, 0.0, ok)
+
+    monkeypatch.setattr("shallowshell.solver._descend", scripted_descend)
+    asm = make_assembly(grid9, Immersion("plate"), material, general_force(grid9))
+    _, diag = minimize(asm, Displacement.zeros(grid9), SolverConfig(restarts=len(runs)))
+    assert diag.final_energy == runs[picked][0]
+    assert diag.converged is converged
 
 
 def test_symmetric_load_gives_symmetric_solution(material):
