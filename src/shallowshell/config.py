@@ -190,10 +190,12 @@ def parse_config_text(text: str, base_dir: str | Path = ".") -> StudyConfig:
     n1 = _take_int(dom, "domain", "n1", _DOMAIN_KEYS["n1"])
     n2 = _take_int(dom, "domain", "n2", _DOMAIN_KEYS["n2"])
     _reject_unknown(dom, "domain")
-    if min(n1, n2) < 5:
-        _fail("domain", "n1", "grids need at least 5 nodes per side")
-    if L1 <= 0 or L2 <= 0:
-        _fail("domain", "l1", "side lengths must be positive")
+    for key, n in (("n1", n1), ("n2", n2)):
+        if n < 5:
+            _fail("domain", key, "grids need at least 5 nodes per side")
+    for key, L in (("l1", L1), ("l2", L2)):
+        if L <= 0:
+            _fail("domain", key, "side lengths must be positive")
 
     matsec = section("material")
     lam = _take_real(matsec, "material", "lambda")

@@ -344,10 +344,11 @@ class EnergyAssembly:
     def hessian_diagonal_estimate(self) -> Displacement:
         """Positive per-node curvature scales of the quadratic energy part.
 
-        Used as a static diagonal preconditioner by the minimizer: the
-        bending stiffness of u3 exceeds the membrane stiffness of u1, u2 by
-        orders of magnitude, which cripples identity-scaled quasi-Newton
-        steps.  Only the order of magnitude matters here.
+        The bending stiffness of u3 exceeds the membrane stiffness of u1, u2
+        by orders of magnitude; only the order of magnitude matters here.
+        The minimizer no longer uses it (it preconditions with the
+        factorized plate Hessian); the benchmark's tracer still times it by
+        name, so it stays until the benchmark drops it (ROADMAP item 1).
         """
         grid = self.grid
         amean = float(np.mean(self.tensor[..., 0, 0, 0, 0]))

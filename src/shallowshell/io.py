@@ -60,15 +60,27 @@ def read_displacement_csv(path, grid: Grid):
 
     Returns (u1, u2, u3) arrays; also the import path for CSV force
     densities, which share the format.  Every node must appear exactly once
-    with finite values.
+    with finite values.  Where the y1/y2 columns hold numbers, each row must
+    lie at the grid's own coordinates (to 1e-9 of the larger side length),
+    so a file written for another domain is rejected.
     """
     lines = [ln for ln in Path(path).read_text().splitlines() if ln and not ln.startswith("#")]
     header = lines[0]
     if header != "i,j,y1,y2,u1,u2,u3":
         raise ValueError(f"unexpected displacement CSV header: {header!r}")
+    rows = lines[1:]
+    if len(rows) != grid.num_nodes:
+        # checked first: a file for another grid size is named as such
+        raise ValueError(f"displacement CSV holds {len(rows)} rows, expected {grid.num_nodes}")
     fields = tuple(np.zeros(grid.shape) for _ in range(3))
     filled = np.zeros(grid.shape, dtype=bool)
-    for ln in lines[1:]:
+    # The first row decides whether the coordinate columns are compared:
+    # they were never parsed before, and the benchmark's fields257 load
+    # writes numpy reprs such as `np.float64(0.5)` there (ROADMAP item 5).
+    compare = _holds_numbers(rows[0])
+    y1s, y2s = grid.y1[:, 0].tolist(), grid.y2[0, :].tolist()
+    tol = 1e-9 * max(grid.L1, grid.L2)
+    for ln in rows:
         parts = ln.split(",")
         if len(parts) != 7:
             raise ValueError(f"malformed displacement CSV row: {ln!r}")
@@ -77,18 +89,28 @@ def read_displacement_csv(path, grid: Grid):
             raise ValueError(f"node ({i},{j}) outside grid {grid.n1}x{grid.n2}")
         if filled[i, j]:
             raise ValueError(f"duplicate node ({i},{j}) in displacement CSV row: {ln!r}")
+        if compare and not (abs(float(parts[2]) - y1s[i]) <= tol
+                            and abs(float(parts[3]) - y2s[j]) <= tol):
+            raise ValueError(
+                f"coordinates off the grid in displacement CSV row: {ln!r} "
+                f"(node ({i},{j}) lies at ({fmt(y1s[i])}, {fmt(y2s[j])}))"
+            )
         values = [float(p) for p in parts[4:]]
         if not all(math.isfinite(v) for v in values):
             raise ValueError(f"non-finite value in displacement CSV row: {ln!r}")
         for k in range(3):
             fields[k][i, j] = values[k]
         filled[i, j] = True
-    seen = int(filled.sum())
-    if seen != grid.num_nodes:
-        raise ValueError(
-            f"displacement CSV holds {seen} rows, expected {grid.num_nodes}"
-        )
     return fields
+
+
+def _holds_numbers(row: str) -> bool:
+    """Whether the y1 column of a data row holds a number."""
+    try:
+        float(row.split(",")[2])
+    except (IndexError, ValueError):
+        return False
+    return True
 
 
 def write_geometry_csv(path, geom: SurfaceGeometry, meta: str | None = None) -> None:

@@ -3,10 +3,18 @@
 The minimizer is a limited-memory quasi-Newton descent (two-loop recursion)
 with Armijo backtracking: the energy is a smooth quartic in the displacement
 and the gradient is exact, so no curvature line-search condition is needed;
-updates with unusable curvature are simply skipped.  Results repeat bitwise
-for a given configuration seed and a fixed BLAS thread count; the thread
-count itself can change the iterates, because the solver's dot products run
-through BLAS (ROADMAP item 2).
+updates with unusable curvature are simply skipped.  The initial inverse
+Hessian of the recursion is the exact Hessian of the plate energy at u = 0,
+factorized once per solve, so the iteration count does not grow with the
+mesh (Nocedal & Wright, Numerical Optimization, 2nd ed., section 7.2).
+
+Results repeat bitwise for a given configuration seed.  The solver's
+reductions are numpy sums in a fixed order, not BLAS dot products, so they
+do not depend on the BLAS thread count.  The one BLAS-backed step is the
+LAPACK banded Cholesky of H0: up to 65x65 nodes its factor is the same
+under one or two OpenBLAS threads, but at 129x129 the threaded blocked
+updates change its last bits, and with them the last digits of the
+iterates (ROADMAP item 2).
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
+from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .elasticity import Material, flat_tensor
 from .energy import (
@@ -123,14 +131,14 @@ def minimize(
     """
     require_clamped(u0)
     tol = cfg.grad_tol * (1.0 + asm.load_norm())
-    dinv = 1.0 / pack(asm.grid, asm.hessian_diagonal_estimate())
+    h0_solve = _plate_hessian_solve(asm.grid, asm.material)
     runs: list[tuple[Displacement, SolveDiagnostics]] = []
     for r in range(cfg.restarts):
         x0 = pack(asm.grid, u0)
         if r > 0:
             rng = np.random.default_rng([cfg.seed, r])
             x0 = x0 + 0.01 * rng.standard_normal(x0.size)
-        runs.append(_descend(asm, x0, cfg, tol, dinv))
+        runs.append(_descend(asm, x0, cfg, tol, h0_solve))
     # converged runs first, then the lowest energy; the earliest run wins ties
     return min(runs, key=lambda run: (not run[1].converged, run[1].final_energy))
 
@@ -138,7 +146,13 @@ def minimize(
 _NOISE_ULPS = 16.0
 
 
-def _descend(asm, x0, cfg, tol, dinv):
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Inner product as a numpy sum: a fixed summation order, unlike BLAS,
+    whose result depends on the thread count."""
+    return float(np.sum(a * b))
+
+
+def _descend(asm, x0, cfg, tol, h0_solve):
     grid = asm.grid
     start = time.perf_counter()
 
@@ -161,16 +175,16 @@ def _descend(asm, x0, cfg, tol, dinv):
     converged = resid <= tol
 
     while not converged and iterations < cfg.max_iter:
-        d = _two_loop_direction(g, s_hist, y_hist, rho, dinv)
-        gd = float(np.dot(g, d))
+        d = _two_loop_direction(g, s_hist, y_hist, rho, h0_solve)
+        gd = _dot(g, d)
         if gd >= 0.0:
-            # quasi-Newton direction lost descent; fall back to the
-            # preconditioned steepest descent and forget the history
+            # quasi-Newton direction lost descent; forget the history and
+            # take the plate-Newton step -H0^{-1} g
             s_hist.clear()
             y_hist.clear()
             rho.clear()
-            d = -dinv * g
-            gd = float(np.dot(g, d))
+            d = -h0_solve(g)
+            gd = _dot(g, d)
         # Armijo with an fp-noise allowance: the energy is evaluated by
         # summing terms of magnitude `fscale`, so decreases smaller than a
         # few ulps of that scale are unreadable; without the allowance the
@@ -198,8 +212,8 @@ def _descend(asm, x0, cfg, tol, dinv):
         g_new = pack(grid, gdisp_new)
         s = x_new - x
         y = g_new - g
-        sy = float(np.dot(s, y))
-        if sy > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
+        sy = _dot(s, y)
+        if sy > 1e-12 * np.sqrt(_dot(s, s)) * np.sqrt(_dot(y, y)):
             s_hist.append(s)
             y_hist.append(y)
             rho.append(1.0 / sy)
@@ -226,27 +240,101 @@ def _descend(asm, x0, cfg, tol, dinv):
     return u, diag
 
 
-def _two_loop_direction(g, s_hist, y_hist, rho, dinv):
-    """Two-loop recursion with a static diagonal initial inverse Hessian.
+def _two_loop_direction(g, s_hist, y_hist, rho, h0_solve):
+    """Two-loop recursion with the exact plate Hessian at u = 0 as H0.
 
-    H0 = gamma * diag(dinv) with gamma fitted to the newest curvature pair;
-    without history the direction is plain preconditioned steepest descent.
+    h0_solve applies H0^{-1}.  H0 is exact for the plate, so it is not
+    rescaled by the newest curvature pair; without history the direction is
+    the plate-Newton step -H0^{-1} g.
     """
     q = g.copy()
-    if not s_hist:
-        return -dinv * q
     alphas = []
     for s, y, r in zip(reversed(s_hist), reversed(y_hist), reversed(rho)):
-        a = r * np.dot(s, q)
+        a = r * _dot(s, q)
         alphas.append(a)
         q -= a * y
-    y_last = y_hist[-1]
-    gamma = (1.0 / rho[-1]) / float(np.dot(y_last, dinv * y_last))
-    q = (gamma * dinv) * q
+    q = h0_solve(q)
     for (s, y, r), a in zip(zip(s_hist, y_hist, rho), reversed(alphas)):
-        b = r * np.dot(y, q)
+        b = r * _dot(y, q)
         q += (a - b) * s
     return -q
+
+
+# -- the plate Hessian at u = 0: stiffness matrices and their factors ----------
+
+
+def _stiffness(a0: np.ndarray, ops: dict, weight: np.ndarray) -> sp.csr_matrix:
+    """sum over a, b, s, t of a0[a, b, s, t] * ops[a, b]^T W ops[s, t], W = diag(weight)."""
+    w = sp.diags(weight)
+    K = None
+    for (a, b), left in ops.items():
+        for (s, t), right in ops.items():
+            coef = a0[a, b, s, t]
+            if coef == 0.0:
+                continue
+            term = coef * (left.T @ w @ right)
+            K = term if K is None else K + term
+    return K.tocsr()
+
+
+def _bending_matrix(grid: Grid, mat: Material) -> sp.csr_matrix:
+    """Bending stiffness of u3 at the plate, on the interior nodes.
+
+    The quadratic form of the bending energy: the clamped second-derivative
+    stencils against the nodal quadrature weights and the plate tensor.
+    """
+    idx = np.flatnonzero(grid.interior.ravel())
+    ops = grid.clamped_d2_ops
+    C = {(a, b): ops[(a + 1, b + 1)][:, idx] for a in range(2) for b in range(2)}
+    return _stiffness(flat_tensor(mat), C, (mat.eps**3 / 3.0) * grid.weights.ravel())
+
+
+def _membrane_matrix(grid: Grid, mat: Material) -> sp.csr_matrix:
+    """Membrane stiffness of (u1, u2) at the plate and u = 0, on the interior
+    nodes, with u1 and u2 interleaved node by node so that it is banded.
+
+    The quadratic form of the linearized membrane energy: the cell-centred
+    symmetric gradient against the midpoint weights and the plate tensor.
+    """
+    idx = np.flatnonzero(grid.interior.ravel())
+    d = [op[:, idx] for op in grid.cell_d1_ops]
+    comp = (np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]))
+    # grad[a, b]: derivative along a of component b, on the interleaved unknowns
+    grad = {(a, b): sp.kron(d[a], comp[b], "csr") for a in range(2) for b in range(2)}
+    E = {(a, b): 0.5 * (grad[a, b] + grad[b, a]) for a in range(2) for b in range(2)}
+    weight = np.full(grid.num_cells, mat.eps * grid.cell_weight)
+    return _stiffness(flat_tensor(mat), E, weight)
+
+
+def _banded_cholesky(K: sp.csr_matrix):
+    """Factor a sparse symmetric positive definite matrix in lower band
+    storage; returns its solve."""
+    lower = sp.tril(K).tocoo()
+    band = lower.row - lower.col
+    ab = np.zeros((int(band.max()) + 1, K.shape[0]))
+    ab[band, lower.col] = lower.data
+    factor = (cholesky_banded(ab, lower=True), True)
+    return lambda b: cho_solve_banded(factor, b, check_finite=False)
+
+
+def _plate_hessian_solve(grid: Grid, mat: Material):
+    """H0^{-1} of the minimizer: solve by the plate Hessian at u = 0.
+
+    At u = 0 the plate energy decouples into the membrane block of (u1, u2)
+    and the bending block of u3; both are factorized here.  The Hessian
+    depends only on the grid and the material, so the same H0 serves every
+    immersion of a homotopy sweep (each minimize call factorizes it anew).
+    Acts on packed interior vectors.
+    """
+    n = (grid.n1 - 2) * (grid.n2 - 2)
+    membrane = _banded_cholesky(_membrane_matrix(grid, mat))
+    bending = _banded_cholesky(_bending_matrix(grid, mat))
+
+    def solve(g: np.ndarray) -> np.ndarray:
+        uv = membrane(g[: 2 * n].reshape(2, n).T.ravel())
+        return np.concatenate((uv.reshape(n, 2).T.ravel(), bending(g[2 * n :])))
+
+    return solve
 
 
 # -- homotopy continuation along a flattening family --------------------------
@@ -395,31 +483,17 @@ def _project_descend(grid: Grid, u0: Displacement, max_iter: int) -> float:
 
 
 def linear_bending_solve(grid: Grid, mat: Material, p3: np.ndarray) -> np.ndarray:
-    """Direct sparse solve of the flat bending problem (no membrane terms).
+    """Banded Cholesky solve of the flat bending problem (no membrane terms).
 
     Assembles the quadratic bending form with the same clamped stencils and
     quadrature as the energy path and solves it for the interior transverse
-    unknowns.  Serves as the small-load oracle for the nonlinear minimizer.
+    unknowns.  Serves as the small-load oracle for the nonlinear minimizer:
+    it shares the bending matrix with the minimizer's H0, which sets only
+    the minimizer's path, while the minimizer itself converges on the
+    energy gradient.
     """
-    a0 = flat_tensor(mat)
-    ops = grid.clamped_d2_ops
-    w = sp.diags(grid.weights.ravel())
-    scale = mat.eps**3 / 3.0
-    K = None
-    for a in range(2):
-        for b in range(2):
-            for s_ in range(2):
-                for t_ in range(2):
-                    coef = scale * a0[a, b, s_, t_]
-                    if coef == 0.0:
-                        continue
-                    term = coef * (ops[(a + 1, b + 1)].T @ w @ ops[(s_ + 1, t_ + 1)])
-                    K = term if K is None else K + term
-    K = K.tocsr()
     idx = np.flatnonzero(grid.interior.ravel())
-    K_int = K[idx][:, idx]
     rhs = (grid.weights * p3).ravel()[idx]
-    x = spsolve(K_int.tocsc(), rhs)
     u3 = np.zeros(grid.num_nodes)
-    u3[idx] = x
+    u3[idx] = _banded_cholesky(_bending_matrix(grid, mat))(rhs)
     return u3.reshape(grid.shape)

@@ -120,6 +120,20 @@ def test_non_finite_values_rejected(text, where):
         parse_config_text(text)
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("n1", "3", "grids need at least 5 nodes per side"),
+        ("n2", "3", "grids need at least 5 nodes per side"),
+        ("l1", "-1", "side lengths must be positive"),
+        ("l2", "-1", "side lengths must be positive"),
+    ],
+)
+def test_domain_errors_name_the_offending_key(key, value, message):
+    with pytest.raises(ConfigError, match=re.escape(f"[domain] {key}: {message}")):
+        parse_config_text(MINIMAL + f"[domain]\n{key} = {value}\n")
+
+
 def test_force_csv_requires_existing_file(tmp_path):
     text = MINIMAL + "[force]\nkind = csv\npath = missing.csv\n"
     with pytest.raises(ConfigError, match="does not exist"):
@@ -230,6 +244,53 @@ def test_displacement_csv_rejects_non_finite_value(tmp_path):
     message = f"non-finite value in displacement CSV row: {row!r}"
     with pytest.raises(ValueError, match=re.escape(message)):
         read_displacement_csv(path, grid)
+
+
+def test_displacement_csv_rejects_other_domain(tmp_path):
+    # a unit-square file read onto [0,3]x[0,9]: node (0,1) is the first row off
+    path, lines = _csv_rows(tmp_path, Grid(1.0, 1.0, 5, 5))
+    message = f"coordinates off the grid in displacement CSV row: {lines[3]!r} (node (0,1)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_displacement_csv(path, Grid(3.0, 9.0, 5, 5))
+
+
+@pytest.mark.parametrize("column", [2, 3])
+def test_displacement_csv_rejects_one_moved_row(tmp_path, column):
+    # node (2,3) moved to 7.5 along one axis; its indices still fit the grid
+    grid = Grid(3.0, 9.0, 5, 5)
+    path, lines = _csv_rows(tmp_path, grid)
+    parts = lines[2 + 13].split(",")
+    parts[column] = "7.5"
+    row = ",".join(parts)
+    lines[2 + 13] = row
+    path.write_text("\n".join(lines) + "\n")
+    message = f"coordinates off the grid in displacement CSV row: {row!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_displacement_csv(path, grid)
+
+
+def test_displacement_csv_coordinates_compared_with_tolerance(tmp_path):
+    grid = Grid(3.0, 9.0, 5, 5)
+    path, lines = _csv_rows(tmp_path, grid)
+    parts = lines[2 + 13].split(",")
+    parts[3] = repr(float(parts[3]) * (1.0 + 1e-12))
+    lines[2 + 13] = ",".join(parts)
+    path.write_text("\n".join(lines) + "\n")
+    assert all(np.array_equal(f, np.zeros(grid.shape)) for f in read_displacement_csv(path, grid))
+
+
+def test_displacement_csv_text_coordinates_not_compared(tmp_path):
+    # coordinate columns holding text, as numpy reprs do, are read by index
+    grid = Grid(1.0, 1.0, 5, 5)
+    path, lines = _csv_rows(tmp_path, grid)
+    for k in range(2, len(lines)):
+        parts = lines[k].split(",")
+        parts[2:4] = [f"np.float64({x})" for x in parts[2:4]]
+        parts[6] = "0.5"
+        lines[k] = ",".join(parts)
+    path.write_text("\n".join(lines) + "\n")
+    u1, u2, u3 = read_displacement_csv(path, grid)
+    assert np.array_equal(u3, np.full(grid.shape, 0.5))
 
 
 def test_field_and_geometry_csv_headers(tmp_path, grid9):

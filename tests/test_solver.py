@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import shallowshell
 
 from shallowshell import (
     Displacement,
@@ -16,6 +23,7 @@ from shallowshell import (
     rigidity_gap,
     v_norm,
 )
+from shallowshell.config import default_config
 from shallowshell.energy import membrane_functional
 from shallowshell.grid import l2_norm, random_clamped_displacement
 from shallowshell.solver import NonconvergenceError, SolveDiagnostics, pack, unpack
@@ -88,6 +96,51 @@ def test_nonconverged_flagged(grid9, material, general_force):
     u, diag = minimize(asm, Displacement.zeros(grid9), SolverConfig(max_iter=3))
     assert not diag.converged
     assert diag.iterations == 3
+
+
+def _default_plate_assembly(n):
+    cfg = default_config().with_overrides(grid=(n, n))
+    grid = cfg.make_grid()
+    imm = cfg.make_immersion().with_scale(0.0)
+    return make_assembly(grid, imm, cfg.material, cfg.make_force(grid)), cfg.solver
+
+
+@pytest.mark.parametrize("n", [17, 33, 65])
+def test_plate_iterations_do_not_grow_with_the_mesh(n):
+    # the factorized plate Hessian as H0: ~40 iterations at every size
+    # (the diagonal H0 it replaced needed 216 / 897 / 3954)
+    asm, cfg = _default_plate_assembly(n)
+    _, diag = minimize(asm, Displacement.zeros(asm.grid), cfg)
+    assert diag.converged
+    assert diag.iterations <= 60
+
+
+_SOLVE_BYTES = """
+import hashlib
+from shallowshell import Displacement, make_assembly, minimize
+from shallowshell.config import default_config
+cfg = default_config().with_overrides(grid=(65, 65))
+grid = cfg.make_grid()
+imm = cfg.make_immersion().with_scale(0.0)
+asm = make_assembly(grid, imm, cfg.material, cfg.make_force(grid))
+u, diag = minimize(asm, Displacement.zeros(grid), cfg.solver)
+data = b"".join(c.tobytes() for c in u.components())
+print(diag.iterations, repr(diag.final_energy), hashlib.sha256(data).hexdigest())
+"""
+
+
+def test_plate_solve_bytes_do_not_depend_on_blas_threads():
+    # the default 65^2 plate solve under one and two BLAS threads
+    src = str(Path(shallowshell.__file__).parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src)
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = threads
+        run = subprocess.run([sys.executable, "-c", _SOLVE_BYTES], env=env,
+                             capture_output=True, text=True, timeout=300, check=True)
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize(
