@@ -14,7 +14,6 @@ from .energy import (
     ForceDensity,
     linearized_strain,
     make_assembly,
-    membrane_functional,
     plate_bending_strain,
     plate_energy,
     plate_gradient,
@@ -53,7 +52,6 @@ from .solver import (
     homotopy_solve,
     linear_bending_solve,
     minimize,
-    rigidity_gap,
 )
 
 __version__ = "0.1.0"

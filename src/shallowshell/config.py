@@ -84,7 +84,9 @@ class StudyConfig:
         if seed is not None:
             cfg = replace(cfg, solver=replace(cfg.solver, seed=int(seed)))
         if grid is not None:
-            cfg = replace(cfg, n1=int(grid[0]), n2=int(grid[1]))
+            n1, n2 = int(grid[0]), int(grid[1])
+            _require_nodes(min(n1, n2), f"--grid {n1}x{n2}")
+            cfg = replace(cfg, n1=n1, n2=n2)
         if out_dir is not None:
             cfg = replace(cfg, out_dir=str(out_dir))
         return cfg
@@ -134,6 +136,12 @@ class StudyConfig:
 
 def _fail(section: str, key: str, why: str):
     raise ConfigError(f"[{section}] {key}: {why}")
+
+
+def _require_nodes(n: int, where: str):
+    """The node count check shared by [domain] n1/n2 and the --grid override."""
+    if n < 5:
+        raise ConfigError(f"{where}: grids need at least 5 nodes per side")
 
 
 def _take_real(sec: dict, section: str, key: str, default=None, many: bool = False):
@@ -191,8 +199,7 @@ def parse_config_text(text: str, base_dir: str | Path = ".") -> StudyConfig:
     n2 = _take_int(dom, "domain", "n2", _DOMAIN_KEYS["n2"])
     _reject_unknown(dom, "domain")
     for key, n in (("n1", n1), ("n2", n2)):
-        if n < 5:
-            _fail("domain", key, "grids need at least 5 nodes per side")
+        _require_nodes(n, f"[domain] {key}")
     for key, L in (("l1", L1), ("l2", L2)):
         if L <= 0:
             _fail("domain", key, "side lengths must be positive")

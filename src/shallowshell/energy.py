@@ -348,7 +348,7 @@ class EnergyAssembly:
         by orders of magnitude; only the order of magnitude matters here.
         The minimizer no longer uses it (it preconditions with the
         factorized plate Hessian); the benchmark's tracer still times it by
-        name, so it stays until the benchmark drops it (ROADMAP item 1).
+        name, so it stays until the benchmark drops it (ROADMAP item 4).
         """
         grid = self.grid
         amean = float(np.mean(self.tensor[..., 0, 0, 0, 0]))
@@ -431,25 +431,6 @@ def plate_gradient(grid: Grid, mat: Material, force: ForceDensity, u: Displaceme
     g1, g2, g3 = _transpose_membrane(grid, u, SE, None)
     g3 += _transpose_bending(grid, SF, None)
     g = Displacement(g1 - w * force.p1, g2 - w * force.p2, g3 - w * force.p3)
-    for comp in g.components():
-        comp[~grid.interior] = 0.0
-    return g
-
-
-# -- membrane-only functional for the rigidity probe ----------------------------
-
-
-def membrane_functional(grid: Grid, u: Displacement) -> float:
-    """Sum of squared L2 norms of the flat membrane strain components."""
-    E = plate_membrane_strain(grid, u)
-    return float(grid.cell_weight * np.einsum("xyab,xyab->", E, E))
-
-
-def membrane_functional_gradient(grid: Grid, u: Displacement) -> Displacement:
-    E = plate_membrane_strain(grid, u)
-    S = 2.0 * grid.cell_weight * E
-    g1, g2, g3 = _transpose_membrane(grid, u, S, None)
-    g = Displacement(g1, g2, g3)
     for comp in g.components():
         comp[~grid.interior] = 0.0
     return g

@@ -356,7 +356,7 @@ def require_clamped(u: Displacement) -> None:
 def random_clamped_displacement(
     grid: Grid, rng: np.random.Generator, amplitude: float = 0.1, smooth: int = 2
 ) -> Displacement:
-    """Seeded random clamped displacement for checks and probes.
+    """Seeded random clamped displacement for checks and tests.
 
     smooth > 0 applies neighbour-averaging sweeps to the interior, which
     tames the second differences of raw white noise (otherwise they dominate

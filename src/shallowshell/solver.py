@@ -1,4 +1,4 @@
-"""Energy minimization, homotopy continuation, and the rigidity probe.
+"""Energy minimization, homotopy continuation, and the linear bending oracle.
 
 The minimizer is a limited-memory quasi-Newton descent (two-loop recursion)
 with Armijo backtracking: the energy is a smooth quartic in the displacement
@@ -14,7 +14,7 @@ do not depend on the BLAS thread count.  The one BLAS-backed step is the
 LAPACK banded Cholesky of H0: up to 65x65 nodes its factor is the same
 under one or two OpenBLAS threads, but at 129x129 the threaded blocked
 updates change its last bits, and with them the last digits of the
-iterates (ROADMAP item 2).
+iterates (ROADMAP item 5).
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ from .energy import (
     ForceDensity,
     _weighted_residual,
     make_assembly,
-    membrane_functional,
-    membrane_functional_gradient,
 )
 from .geometry import Immersion, c2_distance
 from .grid import Displacement, Grid, require_clamped, v_norm
@@ -410,73 +408,6 @@ def boundedness_certificate(steps: list[HomotopyStep]) -> float:
     if not steps:
         return 0.0
     return max(v_norm(s.assembly.grid, s.u) for s in steps)
-
-
-# -- rigidity probe ------------------------------------------------------------
-
-
-def rigidity_gap(
-    grid: Grid,
-    cfg: SolverConfig,
-    starts: int = 20,
-    max_iter: int = 2000,
-) -> float:
-    """Smallest membrane-functional value found on the unit displacement sphere.
-
-    Projected-gradient descent (gradient step, renormalize, backtrack on the
-    functional) from seeded random clamped starts.  A value bounded away from
-    zero certifies that vanishing flat membrane strain forces the zero
-    displacement at this resolution.
-    """
-    best = np.inf
-    for k in range(starts):
-        rng = np.random.default_rng([cfg.seed, 982451653, k])
-        u = Displacement.zeros(grid)
-        for comp in u.components():
-            comp[1:-1, 1:-1] = rng.standard_normal((grid.n1 - 2, grid.n2 - 2))
-        value = _project_descend(grid, u, max_iter)
-        best = min(best, value)
-    return float(best)
-
-
-def _normalize(grid: Grid, u: Displacement) -> Displacement:
-    nrm = v_norm(grid, u)
-    if nrm == 0.0:
-        raise ValueError("cannot normalize the zero displacement")
-    return u * (1.0 / nrm)
-
-
-def _project_descend(grid: Grid, u0: Displacement, max_iter: int) -> float:
-    u = _normalize(grid, u0)
-    value = membrane_functional(grid, u)
-    step = 1.0
-    stagnant = 0
-    for _ in range(max_iter):
-        g = membrane_functional_gradient(grid, u)
-        gnorm = np.sqrt(sum(np.sum(c * c) for c in g.components()))
-        if gnorm == 0.0:
-            break
-        previous = value
-        improved = False
-        trial_step = step
-        while trial_step > 1e-18:
-            cand = _normalize(grid, u + (-trial_step) * g)
-            cand_value = membrane_functional(grid, cand)
-            if cand_value < value:
-                u, value = cand, cand_value
-                step = trial_step * 2.0
-                improved = True
-                break
-            trial_step *= 0.5
-        if not improved:
-            break
-        if previous - value < 1e-14 * max(previous, 1e-300):
-            stagnant += 1
-            if stagnant > 10:
-                break
-        else:
-            stagnant = 0
-    return value
 
 
 # -- independent linear oracle: clamped bending solve --------------------------

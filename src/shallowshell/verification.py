@@ -91,6 +91,11 @@ def check_geometry_derivatives() -> CheckResult:
     rng = np.random.default_rng(101)
     h = 1e-5
     worst = 0.0
+
+    def rel_err(exact, fd):
+        return np.max(np.linalg.norm(exact - fd, axis=-1)
+                      / np.maximum(1.0, np.linalg.norm(exact, axis=-1)))
+
     for imm in CATALOG_SAMPLES:
         pts = np.column_stack(
             [
@@ -98,31 +103,20 @@ def check_geometry_derivatives() -> CheckResult:
                 rng.uniform(4 * h, imm.L2 - 4 * h, 100),
             ]
         )
-        for y in pts:
-            _, grad, hess = imm.evaluate(y)
-
-            def central(delta, order_arg):
-                vp = imm.evaluate(y + delta)[order_arg]
-                vm = imm.evaluate(y - delta)[order_arg]
-                return (vp - vm) / (2.0 * np.linalg.norm(delta))
-
-            for alpha in range(2):
-                step = np.zeros(2)
-                step[alpha] = h
-                coarse = central(step, 0)
-                fine = central(step / 2, 0)
-                fd = (4.0 * fine - coarse) / 3.0
-                err = np.linalg.norm(grad[alpha] - fd) / max(1.0, np.linalg.norm(grad[alpha]))
-                worst = max(worst, err)
-                # second derivatives from differences of the analytic gradient
-                coarse = central(step, 1)
-                fine = central(step / 2, 1)
-                fd_hess = (4.0 * fine - coarse) / 3.0
-                for beta in range(2):
-                    err = np.linalg.norm(hess[beta, alpha] - fd_hess[beta]) / max(
-                        1.0, np.linalg.norm(hess[beta, alpha])
-                    )
-                    worst = max(worst, err)
+        _, grad, hess = imm.evaluate(pts)
+        for alpha in range(2):
+            # central differences of the value and of the analytic gradient
+            # at steps h and h/2, then one Richardson step
+            diffs = []
+            for step in (h, h / 2):
+                delta = np.zeros(2)
+                delta[alpha] = step
+                vp, gp, _ = imm.evaluate(pts + delta)
+                vm, gm, _ = imm.evaluate(pts - delta)
+                diffs.append(((vp - vm) / (2.0 * step), (gp - gm) / (2.0 * step)))
+            (v_coarse, g_coarse), (v_fine, g_fine) = diffs
+            worst = max(worst, rel_err(grad[:, alpha], (4.0 * v_fine - v_coarse) / 3.0))
+            worst = max(worst, rel_err(hess[:, :, alpha], (4.0 * g_fine - g_coarse) / 3.0))
     return _below("geometry.derivatives_vs_fd", worst, 1e-8)
 
 
@@ -294,28 +288,44 @@ def check_mixed_symmetry() -> CheckResult:
                        0.0 if same else 1.0, 0.0)
 
 
+IDENTITY_TOL = 1e-12
+IDENTITY_GRIDS = ((1.0, 1.0, 9, 9), (2.0, 1.0, 9, 5), (1.3, 0.7, 17, 33))
+
+
+def rigidity_residuals(grid: Grid, fields=None) -> tuple[float, float]:
+    """Worst relative residuals of two exact identities of the cell stencils.
+
+    For clamped u, (K) ||e(u')||^2 = 1/2 ||grad_c u'||^2 + 1/2 ||div_c u'||^2
+    (a^T d is skew on the interior nodes, so the cross terms cancel: the
+    discrete Korn constant is exactly 1/2) and (T) sum_cells |cell| tr E(u)
+    = 1/2 ||grad_c u3||^2 (sum div_c u' telescopes to 0).  With the trivial
+    kernel of grad_c they prove rigidity: E = 0 gives u3 = 0, then
+    e(u') = 0, then u' = 0.  fields defaults to eight seeded clamped ones.
+    """
+    if fields is None:
+        rng = np.random.default_rng(24)
+        fields = [random_clamped_displacement(grid, rng, smooth=s) for s in (0, 2) * 4]
+    w = grid.cell_weight
+    korn = trace = 0.0
+    for u in fields:
+        (g11, g12), (g21, g22), (g31, g32) = (
+            [grid.to_cells(op, c) for op in grid.cell_d1_ops] for c in u.components()
+        )
+        e = linearized_strain(grid, u)
+        strain = w * np.sum(e * e)
+        split = 0.5 * w * np.sum(g11**2 + g12**2 + g21**2 + g22**2 + (g11 + g22) ** 2)
+        korn = max(korn, abs(strain - split) / max(strain, 1e-300))
+        tr = w * np.sum(np.trace(plate_membrane_strain(grid, u), axis1=-2, axis2=-1))
+        slope = 0.5 * w * np.sum(g31**2 + g32**2)
+        trace = max(trace, abs(tr - slope) / max(slope, 1e-300))
+    return float(korn), float(trace)
+
+
 def check_korn() -> CheckResult:
-    rng = np.random.default_rng(24)
-    ratios = {}
-    for n in (9, 17, 33):
-        grid = Grid(1.0, 1.0, n, n)
-        worst = np.inf
-        for _ in range(40):
-            u = random_clamped_displacement(grid, rng, smooth=0)
-            e = linearized_strain(grid, u)
-            strain = float(grid.cell_weight * np.einsum("xyab,xyab->", e, e))
-            d1c, d2c = grid.cell_d1_ops
-            grads = 0.0
-            for comp in (u.u1, u.u2):
-                for op in (d1c, d2c):
-                    g = grid.to_cells(op, comp)
-                    grads += grid.cell_weight * float(np.sum(g * g))
-            worst = min(worst, strain / grads)
-        ratios[n] = worst
-    spread = max(ratios.values()) - min(ratios.values())
-    observed = min(ratios.values())
-    note = " ".join(f"c_K({n})={v:.3f}" for n, v in ratios.items()) + f" spread={spread:.3f}"
-    return _above("discrete.korn_coercivity", observed, 0.3, note)
+    """(K) and (T) of rigidity_residuals to roundoff: Korn constant 1/2."""
+    korn, trace = np.max([rigidity_residuals(Grid(*g)) for g in IDENTITY_GRIDS], axis=0)
+    return _below("discrete.korn_trace_identities", max(korn, trace), IDENTITY_TOL,
+                  f"relative residuals K={korn:.1e} T={trace:.1e}")
 
 
 def check_bubble_h2() -> CheckResult:

@@ -410,8 +410,27 @@ def test_cli_nonconvergence_exit_code(tmp_path, capsys):
 def test_cli_rigidity(tmp_path, capsys):
     cfgfile = tmp_path / "c.ini"
     cfgfile.write_text(MINIMAL + "[domain]\nn1 = 9\nn2 = 9\n")
-    assert main(["rigidity", "--config", str(cfgfile), "--starts", "2"]) == 0
-    assert "rigidity gap" in capsys.readouterr().out
+    assert main(["rigidity", "--config", str(cfgfile)]) == 0
+    out = capsys.readouterr().out
+    assert "Korn constant 1/2 (exact)" in out
+    residuals = [float(line.rsplit(" ", 1)[1]) for line in out.splitlines()
+                 if "relative residual" in line]
+    assert len(residuals) == 2 and max(residuals) <= 1e-12
+    assert "<= sqrt(2|Omega|) ||E(u)|| = 1.41421 ||E(u)||" in out
+    assert main(["rigidity", "--config", str(cfgfile)]) == 0
+    assert capsys.readouterr().out == out
+    with pytest.raises(SystemExit) as exc:
+        main(["rigidity", "--config", str(cfgfile), "--starts", "2"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command, grid", [("solve", "3x3"), ("study", "0x9"), ("verify", "9x4")])
+def test_cli_grid_override_below_five_nodes(tmp_path, capsys, command, grid):
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text(MINIMAL)
+    assert main([command, "--config", str(cfgfile), "--grid", grid]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: --grid {grid}: grids need at least 5 nodes per side" in err
 
 
 def test_cli_study_deterministic_bytes(tmp_path):
