@@ -1,9 +1,11 @@
 """Command-line interface: study, verify, solve, rigidity, geometry.
 
 `rigidity` checks the two exact identities that prove the flat membrane
-rigid on the grid (see `verification.rigidity_residuals`).  Exit codes:
-0 success, 2 configuration error, 3 solver nonconvergence, 4 verification
-failure.
+rigid on the grid (see `verification.rigidity_residuals`).  Every command
+takes the common flags, but a flag that the command does not read (`verify`:
+--out, --seed, --grid; `rigidity`: --out, --seed) is a configuration error.
+Exit codes: 0 success, 2 configuration error, 3 solver nonconvergence,
+4 verification failure.
 """
 
 from __future__ import annotations
@@ -25,6 +27,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NONCONVERGED = 3
 EXIT_VERIFICATION = 4
+
+# Common flags that a command does not read; giving one is a config error.
+UNREAD_FLAGS = {"verify": ("out", "seed", "grid"), "rigidity": ("out", "seed")}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -74,7 +79,12 @@ def _load_config(args) -> StudyConfig:
         except ValueError:
             raise ConfigError(f"--grid expects N1xN2, got {args.grid!r}") from None
         grid_override = (n1, n2)
-    return cfg.with_overrides(seed=args.seed, grid=grid_override, out_dir=args.out)
+    cfg = cfg.with_overrides(seed=args.seed, grid=grid_override, out_dir=args.out)
+    # checked after validation, so a bad value is named as such first
+    for flag in UNREAD_FLAGS.get(args.command, ()):
+        if getattr(args, flag) is not None:
+            raise ConfigError(f"--{flag}: {args.command} does not read it")
+    return cfg
 
 
 def main(argv=None) -> int:

@@ -78,6 +78,13 @@ class Grid:
         return self.h1 * self.h2 * np.outer(w1, w2)
 
     @cached_property
+    def solve_cache(self) -> dict:
+        """Factorized solves built on this grid, keyed by what else they
+        depend on (the solver's plate Hessian keys by Material).  They are
+        freed with the grid, so no module-level cache keeps a grid alive."""
+        return {}
+
+    @cached_property
     def interior(self) -> np.ndarray:
         """Boolean mask, True at nodes with both indices strictly inside."""
         m = np.zeros(self.shape, dtype=bool)

@@ -5,8 +5,9 @@ with Armijo backtracking: the energy is a smooth quartic in the displacement
 and the gradient is exact, so no curvature line-search condition is needed;
 updates with unusable curvature are simply skipped.  The initial inverse
 Hessian of the recursion is the exact Hessian of the plate energy at u = 0,
-factorized once per solve, so the iteration count does not grow with the
-mesh (Nocedal & Wright, Numerical Optimization, 2nd ed., section 7.2).
+factorized once per grid and material and shared by every solve of a
+homotopy sweep, so the iteration count does not grow with the mesh
+(Nocedal & Wright, Numerical Optimization, 2nd ed., section 7.2).
 
 Results repeat bitwise for a given configuration seed.  The solver's
 reductions are numpy sums in a fixed order, not BLAS dot products, so they
@@ -319,11 +320,19 @@ def _plate_hessian_solve(grid: Grid, mat: Material):
     """H0^{-1} of the minimizer: solve by the plate Hessian at u = 0.
 
     At u = 0 the plate energy decouples into the membrane block of (u1, u2)
-    and the bending block of u3; both are factorized here.  The Hessian
-    depends only on the grid and the material, so the same H0 serves every
-    immersion of a homotopy sweep (each minimize call factorizes it anew).
-    Acts on packed interior vectors.
+    and the bending block of u3; `_factor_plate_hessian` factors both.  The
+    Hessian depends only on the grid and the material, so the same H0
+    serves every immersion of a homotopy sweep: it is factorized on the
+    first call and kept in grid.solve_cache under the material.  Acts on
+    packed interior vectors.
     """
+    solve = grid.solve_cache.get(mat)
+    if solve is None:
+        solve = grid.solve_cache[mat] = _factor_plate_hessian(grid, mat)
+    return solve
+
+
+def _factor_plate_hessian(grid: Grid, mat: Material):
     n = (grid.n1 - 2) * (grid.n2 - 2)
     membrane = _banded_cholesky(_membrane_matrix(grid, mat))
     bending = _banded_cholesky(_bending_matrix(grid, mat))

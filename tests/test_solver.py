@@ -322,3 +322,33 @@ def test_rigidity_zero_set_trivial(grid):
     cols = np.flatnonzero(grid.interior.ravel())
     sv = np.linalg.svd(stacked[:, cols], compute_uv=False)
     assert sv.min() > 1e-12
+
+
+# -- the plate Hessian H0 is shared by a sweep ------------------------------------
+
+
+def test_sweep_factorizes_the_plate_hessian_once(grid9, material, general_force,
+                                                 monkeypatch):
+    factored = []
+    factor = shallowshell.solver._factor_plate_hessian
+
+    def counting_factor(grid, mat):
+        factored.append(mat)
+        return factor(grid, mat)
+
+    monkeypatch.setattr("shallowshell.solver._factor_plate_hessian", counting_factor)
+    steps = homotopy_solve(
+        Immersion("paraboloid", params={"t": 0.1}), [0.1, 0.05, 0.0], grid9,
+        material, general_force(grid9), SolverConfig(),
+    )
+    assert factored == [material]
+    # the shared factor gives the bytes of one built afresh on a new grid
+    fresh = Grid(1.0, 1.0, 9, 9)
+    asm = make_assembly(fresh, Immersion("plate"), material, general_force(fresh))
+    u, _ = minimize(asm, Displacement.zeros(fresh), SolverConfig())
+    assert all(np.array_equal(a, b) for a, b in zip(u.components(), steps[-1].u.components()))
+    # another material on the same grid is factorized on its own
+    stiffer = Material(lam=2.0, mu=1.0, eps=0.1)
+    minimize(make_assembly(grid9, Immersion("plate"), stiffer, general_force(grid9)),
+             Displacement.zeros(grid9), SolverConfig())
+    assert factored == [material, material, stiffer]
