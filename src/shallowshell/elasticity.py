@@ -52,8 +52,10 @@ def build_tensor(a_inv: np.ndarray, mat: Material) -> np.ndarray:
     """Elasticity tensor A^{abst} from the inverse metric.
 
     Works pointwise (input shape (2, 2)) or on node fields (..., 2, 2); the
-    result gains four trailing tensor indices.  All 16 components are stored;
-    the symmetries are asserted by tests rather than exploited.
+    result gains four trailing tensor indices.  All 16 components are
+    stored: this is the reference form that the checks and tests compare
+    against.  The energy exploits the symmetries through
+    voigt_coefficients instead.
     """
     c = mat.bulk_factor
     term_bulk = c * np.einsum("...ab,...st->...abst", a_inv, a_inv)
@@ -62,6 +64,25 @@ def build_tensor(a_inv: np.ndarray, mat: Material) -> np.ndarray:
         + np.einsum("...at,...bs->...abst", a_inv, a_inv)
     )
     return term_bulk + term_shear
+
+
+def voigt_coefficients(a_inv: np.ndarray, mat: Material) -> np.ndarray:
+    """The six distinct components of A^{abst}, built straight from a_inv.
+
+    Order (A^{0000}, A^{1111}, A^{0101}, A^{0011}, A^{0001}, A^{1101}): the
+    symmetric 3x3 matrix of the quadratic form A:e:e in the components
+    (e11, e22, 2 e12), stacked on a new leading axis.
+    """
+    c, mu = mat.bulk_factor, mat.mu
+    a00, a11, a01 = a_inv[..., 0, 0], a_inv[..., 1, 1], a_inv[..., 0, 1]
+    return np.stack((
+        (c + 4.0 * mu) * a00 * a00,
+        (c + 4.0 * mu) * a11 * a11,
+        c * a01 * a01 + 2.0 * mu * (a00 * a11 + a01 * a01),
+        c * a00 * a11 + 4.0 * mu * a01 * a01,
+        (c + 4.0 * mu) * a00 * a01,
+        (c + 4.0 * mu) * a11 * a01,
+    ))
 
 
 def flat_tensor(mat: Material) -> np.ndarray:
@@ -106,9 +127,10 @@ def positivity_gap(field: SurfaceGeometry, mat: Material) -> float:
     A^{abst} sqrt(a); a positive value realizes the positive-definiteness
     bound with the area density included.
     """
-    tensor = build_tensor(field.a_inv, mat)
-    weighted = tensor * field.sqrt_a[..., None, None, None, None]
-    eigs = np.linalg.eigvalsh(voigt_matrix(weighted))
+    c00, c11, cs, c01, c0s, c1s = voigt_coefficients(field.a_inv, mat) * field.sqrt_a
+    r2 = np.sqrt(2.0)  # the basis (t11, t22, sqrt(2) t12) of voigt_matrix
+    rows = ((c00, c01, r2 * c0s), (c01, c11, r2 * c1s), (r2 * c0s, r2 * c1s, 2.0 * cs))
+    eigs = np.linalg.eigvalsh(np.stack([np.stack(r, axis=-1) for r in rows], axis=-2))
     gap = float(eigs.min())
     if gap <= 0:
         raise RuntimeError(

@@ -13,19 +13,26 @@ trivial kernel and restore discrete membrane coercivity at second order.
 The gradient is assembled by transposing the very same stencils against the
 stress fields, so the discrete first variation is represented exactly (up to
 roundoff) and is checkable against central differences of the scalar energy.
+
+One kernel evaluates every path, the flat plate included.  Strains and
+stresses are (3, ...) arrays of the components (11, 22, 12), the shear strain
+stored doubled (2 E_12), so the quadratic form A^{abst} E_st E_ab is e . C e
+with the six Voigt coefficients of elasticity.voigt_coefficients, and every
+pairing of a stress with a strain variation is a plain sum of componentwise
+products.  Each stencil is applied once to a column block of all the fields
+that share it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .elasticity import Material, build_tensor, flat_tensor
+from .elasticity import Material, voigt_coefficients
 from .geometry import Immersion, SurfaceGeometry, cell_geometry, geometry_field
 from .grid import Displacement, Grid
-
-_SYM_PAIRS = ((0, 0), (0, 1), (1, 1))
 
 
 @dataclass
@@ -109,118 +116,187 @@ class ForceDensity:
         raise ValueError(f"unknown force kind {kind!r}")
 
 
-# -- strain kernels -----------------------------------------------------------
+# -- the component kernel -------------------------------------------------------
 
 
-def _cell_grads(grid: Grid, f: np.ndarray):
-    d1, d2 = grid.cell_d1_ops
-    return grid.to_cells(d1, f), grid.to_cells(d2, f)
+def _columns(fields) -> np.ndarray:
+    """The fields as the columns of one (n, k) block."""
+    return np.column_stack([f.ravel() for f in fields])
 
 
-def _cell_symmetric_gradient(grid: Grid, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
-    d = (_cell_grads(grid, u1), _cell_grads(grid, u2))
-    e = np.zeros(grid.cell_shape + (2, 2))
-    e[..., 0, 0] = d[0][0]
-    e[..., 1, 1] = d[1][1]
-    e[..., 0, 1] = 0.5 * (d[0][1] + d[1][0])
-    e[..., 1, 0] = e[..., 0, 1]
-    return e
+def _block(op, x: np.ndarray, shape) -> np.ndarray:
+    """op applied to every column of the block x in one sparse product, as a
+    (k, *shape) array of strided rows.  Column k of a block product is op @
+    x[:, k] bit for bit."""
+    return (op @ x).T.reshape((x.shape[1],) + shape)
 
 
-def _cell_quadratic(grid: Grid, u3: np.ndarray, v3: np.ndarray) -> np.ndarray:
-    """Symmetrized product of transverse cell gradients (the geometric
-    nonlinearity of the membrane strain)."""
-    du = _cell_grads(grid, u3)
-    dv = du if v3 is u3 else _cell_grads(grid, v3)
-    q = np.zeros(grid.cell_shape + (2, 2))
-    for a, b in _SYM_PAIRS:
-        q[..., a, b] = 0.5 * (du[a] * dv[b] + dv[a] * du[b])
-    q[..., 1, 0] = q[..., 0, 1]
-    return q
+def _pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pointwise pairing sum_k a_k b_k of two component arrays."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-def _membrane(grid: Grid, u3: np.ndarray, v: Displacement, coeff: float,
-              cgeo: SurfaceGeometry | None) -> np.ndarray:
-    """Membrane strain kernel at cell midpoints, linear in v.
+def _stress(c: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Stress components (S11, S22, S12) = C e from the six coefficient fields."""
+    c11, c22, c33, c12, c13, c23 = c
+    return np.array((
+        c11 * e[0] + c12 * e[1] + c13 * e[2],
+        c12 * e[0] + c22 * e[1] + c23 * e[2],
+        c13 * e[0] + c23 * e[1] + c33 * e[2],
+    ))
 
-    With u3 = v.u3 and coeff = 1/2 the nonlinear strain of v; with u3 = u.u3
-    and coeff = 1 the first variation at u in direction v.
+
+def _as_matrix(e: np.ndarray) -> np.ndarray:
+    """Symmetric (..., 2, 2) matrices from the components (11, 22, 2*12)."""
+    m = np.empty(e.shape[1:] + (2, 2))
+    m[..., 0, 0] = e[0]
+    m[..., 1, 1] = e[1]
+    m[..., 0, 1] = m[..., 1, 0] = 0.5 * e[2]
+    return m
+
+
+def _pull_fields(geom: SurfaceGeometry):
+    """Components (11, 22, 2*12) of Gamma^1, Gamma^2 and b; None when flat."""
+    if geom.is_flat:
+        return None
+    gamma = geom.gamma
+    return tuple(
+        np.stack((m[..., 0, 0], m[..., 1, 1], 2.0 * m[..., 0, 1]))
+        for m in (gamma[..., 0, :, :], gamma[..., 1, :, :], geom.b)
+    )
+
+
+def _membrane(grid: Grid, v: Displacement, pull, coeff: float = 0.5, du=None):
+    """Membrane strain components at cell midpoints, linear in v, and the
+    cell gradient of v.u3.
+
+    du is the cell gradient of a transverse field (default: that of v.u3).
+    With coeff = 1/2 and the default the nonlinear strain of v; with du
+    from u.u3 and coeff = 1 the first variation at u in direction v; with
+    coeff = 0 the linearized strain.  pull holds the geometry fields
+    (_pull_fields), None on a flat reference.
     """
-    E = _cell_symmetric_gradient(grid, v.u1, v.u2)
-    E += coeff * _cell_quadratic(grid, u3, v.u3)
-    if cgeo is not None:
-        avg = grid.cell_avg_op
-        tang = np.stack((grid.to_cells(avg, v.u1), grid.to_cells(avg, v.u2)))
-        E -= np.einsum("xysab,sxy->xyab", cgeo.gamma, tang)
-        E -= cgeo.b * grid.to_cells(avg, v.u3)[..., None, None]
-    return E
+    d1, d2 = grid.cell_d1_ops
+    x = _columns(v.components())
+    g1 = _block(d1, x, grid.cell_shape)
+    g2 = _block(d2, x, grid.cell_shape)
+    dv = (g1[2], g2[2])
+    if du is None:
+        du = dv
+    e = np.array((
+        g1[0] + coeff * (du[0] * dv[0]),
+        g2[1] + coeff * (du[1] * dv[1]),
+        (g2[0] + g1[1]) + coeff * (du[0] * dv[1] + dv[0] * du[1]),
+    ))
+    if pull is not None:
+        avg = _block(grid.cell_avg_op, x, grid.cell_shape)
+        for p, a in zip(pull, avg):
+            e -= p * a
+    return e, dv
 
 
-def _bending(grid: Grid, u3: np.ndarray, geom: SurfaceGeometry | None) -> np.ndarray:
+def _bending(grid: Grid, u3: np.ndarray, pull) -> np.ndarray:
+    """Bending strain components at nodes (ghost closure); pull holds the
+    Christoffel fields, None on a flat reference."""
     ops = grid.clamped_d2_ops
-    F = np.zeros(grid.shape + (2, 2))
-    F[..., 0, 0] = grid.apply(ops[(1, 1)], u3)
-    F[..., 1, 1] = grid.apply(ops[(2, 2)], u3)
-    F[..., 0, 1] = grid.apply(ops[(1, 2)], u3)
-    F[..., 1, 0] = F[..., 0, 1]
-    if geom is not None:
-        du = np.stack([grid.apply(p, u3) for p in grid.interior_d1_ops])
-        F -= np.einsum("xysab,sxy->xyab", geom.gamma, du)
-    return F
+    f = np.array([grid.apply(ops[key], u3) for key in ((1, 1), (2, 2), (1, 2))])
+    f[2] *= 2.0
+    if pull is not None:
+        d1, d2 = (grid.apply(op, u3) for op in grid.interior_d1_ops)
+        f -= pull[0] * d1 + pull[1] * d2
+    return f
+
+
+def _transpose(grid: Grid, s: np.ndarray, du, sf: np.ndarray, memb_pull, bend_pull):
+    """Gradient of the quadratic energy, (3, *shape): the strain stencils
+    transposed against the membrane stress s and the bending stress sf."""
+    tops = grid.transposed_ops
+    s11, s22, s12 = s
+    x1 = _columns((s11, s12, s11 * du[0] + s12 * du[1]))
+    x2 = _columns((s12, s22, s12 * du[0] + s22 * du[1]))
+    g = _block(tops[("cell_d1", 1)], x1, grid.shape) + _block(tops[("cell_d1", 2)], x2, grid.shape)
+    if memb_pull is not None:
+        g -= _block(tops["cell_avg"], _columns([_pair(p, s) for p in memb_pull]), grid.shape)
+    g3 = g[2]
+    g3 += grid.apply(tops[("bend", (1, 1))], sf[0])
+    g3 += grid.apply(tops[("bend", (2, 2))], sf[1])
+    g3 += 2.0 * grid.apply(tops[("bend", (1, 2))], sf[2])
+    if bend_pull is not None:
+        t1, t2 = tops[("int_d1", 1)], tops[("int_d1", 2)]
+        g3 -= grid.apply(t1, _pair(bend_pull[0], sf)) + grid.apply(t2, _pair(bend_pull[1], sf))
+    return g
+
+
+class _Kernel(NamedTuple):
+    """Everything an evaluation reads besides u.
+
+    memb and bend are the Voigt coefficient fields at cell midpoints and at
+    nodes, with the thickness factor, the quadrature weight and the area
+    density folded in; memb_pull (Gamma^1, Gamma^2, b) and bend_pull
+    (Gamma^1, Gamma^2) are None on a flat reference; load is the three
+    weighted load fields.
+    """
+
+    grid: Grid
+    memb: np.ndarray
+    bend: np.ndarray
+    memb_pull: tuple | None
+    bend_pull: tuple | None
+    load: np.ndarray
+
+    def strains(self, u: Displacement):
+        e, du = _membrane(self.grid, u, self.memb_pull)
+        return e, du, _bending(self.grid, u.u3, self.bend_pull)
+
+    def evaluate(self, u: Displacement, with_gradient: bool):
+        """(energy, magnitude of its terms, gradient or None).
+
+        The roundoff of an energy evaluation is a few ulps of the magnitude,
+        not of the (much smaller) value itself; the minimizer needs the
+        magnitude to keep line-search comparisons meaningful near
+        convergence.  Both quadratic forms are nonnegative, so the magnitude
+        is their sum plus the absolute load pairing.
+        """
+        e, du, f = self.strains(u)
+        s = _stress(self.memb, e)
+        sf = _stress(self.bend, f)
+        quad = 0.5 * (np.sum(sf * f) + np.sum(s * e))
+        load = 0.0
+        load_abs = 0.0
+        for lw, ui in zip(self.load, u.components()):
+            prod = lw * ui
+            load += float(np.sum(prod))
+            load_abs += float(np.sum(np.abs(prod)))
+        if not with_gradient:
+            return float(quad - load), float(quad + load_abs), None
+        g = _transpose(self.grid, s, du, sf, self.memb_pull, self.bend_pull)
+        g -= self.load
+        g[:, [0, -1], :] = 0.0
+        g[:, :, [0, -1]] = 0.0
+        return float(quad - load), float(quad + load_abs), Displacement(*g)
+
+
+def _flat_kernel(grid: Grid, mat: Material, force: ForceDensity) -> _Kernel:
+    """The kernel of the flat reference: constant coefficients, no geometry."""
+    a0 = voigt_coefficients(np.eye(2), mat)[:, None, None]
+    w = grid.weights
+    return _Kernel(grid, (mat.eps * grid.cell_weight) * a0, (mat.eps**3 / 3.0 * w) * a0,
+                   None, None, np.stack([w * p for p in force.components()]))
 
 
 def linearized_strain(grid: Grid, u: Displacement) -> np.ndarray:
     """Symmetrized gradient of the tangential components at cell midpoints."""
-    return _cell_symmetric_gradient(grid, u.u1, u.u2)
+    return _as_matrix(_membrane(grid, u, None, 0.0)[0])
 
 
 def plate_membrane_strain(grid: Grid, u: Displacement) -> np.ndarray:
     """Membrane strain of the flat reference: symmetric gradient plus the
     quadratic transverse term, with no curvature couplings."""
-    return _membrane(grid, u.u3, u, 0.5, None)
+    return _as_matrix(_membrane(grid, u, None)[0])
 
 
 def plate_bending_strain(grid: Grid, u3: np.ndarray) -> np.ndarray:
-    return _bending(grid, u3, None)
-
-
-# -- transposed-stencil accumulation ------------------------------------------
-
-
-def _transpose_membrane(grid: Grid, u: Displacement, SE: np.ndarray,
-                        cgeo: SurfaceGeometry | None):
-    tops = grid.transposed_ops
-    t1, t2 = tops[("cell_d1", 1)], tops[("cell_d1", 2)]
-
-    def tgrad(fa, fb):
-        return grid.from_cells(t1, fa) + grid.from_cells(t2, fb)
-
-    g1 = tgrad(SE[..., 0, 0], SE[..., 0, 1])
-    g2 = tgrad(SE[..., 1, 0], SE[..., 1, 1])
-    du = _cell_grads(grid, u.u3)
-    g3 = tgrad(
-        SE[..., 0, 0] * du[0] + SE[..., 1, 0] * du[1],
-        SE[..., 0, 1] * du[0] + SE[..., 1, 1] * du[1],
-    )
-    if cgeo is not None:
-        tavg = tops["cell_avg"]
-        pulled = np.einsum("xysab,xyab->sxy", cgeo.gamma, SE)
-        g1 -= grid.from_cells(tavg, pulled[0])
-        g2 -= grid.from_cells(tavg, pulled[1])
-        g3 -= grid.from_cells(tavg, np.einsum("xyab,xyab->xy", cgeo.b, SE))
-    return g1, g2, g3
-
-
-def _transpose_bending(grid: Grid, SF: np.ndarray, geom: SurfaceGeometry | None):
-    tops = grid.transposed_ops
-    g3 = grid.apply(tops[("bend", (1, 1))], SF[..., 0, 0])
-    g3 += grid.apply(tops[("bend", (2, 2))], SF[..., 1, 1])
-    g3 += 2.0 * grid.apply(tops[("bend", (1, 2))], SF[..., 0, 1])
-    if geom is not None:
-        pulled = np.einsum("xysab,xyab->sxy", geom.gamma, SF)
-        t1, t2 = tops[("int_d1", 1)], tops[("int_d1", 2)]
-        g3 -= grid.apply(t1, pulled[0]) + grid.apply(t2, pulled[1])
-    return g3
+    return _as_matrix(_bending(grid, u3, None))
 
 
 # -- the immersion-bound evaluator ---------------------------------------------
@@ -230,9 +306,9 @@ def _transpose_bending(grid: Grid, SF: np.ndarray, geom: SurfaceGeometry | None)
 class EnergyAssembly:
     """Immersion-bound evaluator of the shell energy and its gradient.
 
-    Immutable after construction; caches the elasticity tensor at both
-    collocation sets, the quadrature-times-area weights, and the weighted
-    load fields.
+    Immutable after construction; caches the six Voigt coefficient fields
+    at both collocation sets (weights folded in), the geometry fields the
+    strains subtract, and the weighted load fields.
     """
 
     grid: Grid
@@ -240,73 +316,42 @@ class EnergyAssembly:
     cell_geom: SurfaceGeometry           # midpoint quantities (membrane)
     material: Material
     force: ForceDensity
-    tensor: np.ndarray = field(init=False)
     wsa: np.ndarray = field(init=False)
-    _bend_w: np.ndarray = field(init=False)
-    _memb_w: np.ndarray = field(init=False)
-    _load_w: tuple = field(init=False)
+    _kernel: _Kernel = field(init=False)
 
     def __post_init__(self):
-        self.tensor = build_tensor(self.geometry.a_inv, self.material)
+        mat = self.material
         self.wsa = self.grid.weights * self.geometry.sqrt_a
-        self._bend_w = (self.material.eps**3 / 3.0) * (
-            self.wsa[..., None, None, None, None] * self.tensor
-        )
-        cell_tensor = build_tensor(self.cell_geom.a_inv, self.material)
         cw = self.grid.cell_weight * self.cell_geom.sqrt_a
-        self._memb_w = self.material.eps * (cw[..., None, None, None, None] * cell_tensor)
-        self._load_w = tuple(self.wsa * p for p in self.force.components())
+        bend_pull = _pull_fields(self.geometry)
+        self._kernel = _Kernel(
+            self.grid,
+            (mat.eps * cw) * voigt_coefficients(self.cell_geom.a_inv, mat),
+            (mat.eps**3 / 3.0 * self.wsa) * voigt_coefficients(self.geometry.a_inv, mat),
+            _pull_fields(self.cell_geom),
+            None if bend_pull is None else bend_pull[:2],
+            np.stack([self.wsa * p for p in self.force.components()]),
+        )
 
     # -- strain fields ------------------------------------------------------
 
     def membrane_strain(self, u: Displacement) -> np.ndarray:
         """Nonlinear membrane strain E[..., alpha, beta] at cell midpoints."""
-        return _membrane(self.grid, u.u3, u, 0.5, self.cell_geom)
+        return _as_matrix(_membrane(self.grid, u, self._kernel.memb_pull)[0])
 
     def bending_strain(self, u3: np.ndarray) -> np.ndarray:
         """Bending strain F[..., alpha, beta] at nodes (ghost closure)."""
-        return _bending(self.grid, u3, self.geometry)
+        return _as_matrix(_bending(self.grid, u3, self._kernel.bend_pull))
 
     def first_variation(self, u: Displacement, v: Displacement) -> np.ndarray:
         """Derivative of the membrane strain at u in direction v."""
-        return _membrane(self.grid, u.u3, v, 1.0, self.cell_geom)
+        du = tuple(self.grid.to_cells(op, u.u3) for op in self.grid.cell_d1_ops)
+        return _as_matrix(_membrane(self.grid, v, self._kernel.memb_pull, 1.0, du)[0])
 
     # -- energy, gradient, residual ------------------------------------------
 
-    def _energy_terms(self, E: np.ndarray, F: np.ndarray, u: Displacement):
-        """Energy value plus the magnitude of its terms before cancellation.
-
-        The roundoff of an energy evaluation is a few ulps of the magnitude,
-        not of the (much smaller) value itself; the minimizer needs the
-        magnitude to keep line-search comparisons meaningful near
-        convergence.  Both quadratic forms are nonnegative, so the magnitude
-        is their sum plus the absolute load pairing.
-        """
-        quad = 0.5 * (
-            np.einsum("xyabst,xyst,xyab->", self._bend_w, F, F)
-            + np.einsum("xyabst,xyst,xyab->", self._memb_w, E, E)
-        )
-        load = 0.0
-        load_abs = 0.0
-        for lw, ui in zip(self._load_w, u.components()):
-            prod = lw * ui
-            load += float(np.sum(prod))
-            load_abs += float(np.sum(np.abs(prod)))
-        return float(quad - load), float(quad + load_abs)
-
     def energy_and_scale(self, u: Displacement) -> tuple[float, float]:
-        return self._energy_terms(self.membrane_strain(u), self.bending_strain(u.u3), u)
-
-    def _gradient_from(self, E: np.ndarray, F: np.ndarray, u: Displacement) -> Displacement:
-        grid = self.grid
-        SE = np.einsum("xyabst,xyst->xyab", self._memb_w, E)
-        SF = np.einsum("xyabst,xyst->xyab", self._bend_w, F)
-        g1, g2, g3 = _transpose_membrane(grid, u, SE, self.cell_geom)
-        g3 += _transpose_bending(grid, SF, self.geometry)
-        g = Displacement(g1 - self._load_w[0], g2 - self._load_w[1], g3 - self._load_w[2])
-        for comp in g.components():
-            comp[~grid.interior] = 0.0
-        return g
+        return self._kernel.evaluate(u, False)[:2]
 
     def energy(self, u: Displacement) -> float:
         return self.energy_and_scale(u)[0]
@@ -317,24 +362,20 @@ class EnergyAssembly:
         Satisfies <g, v> = dJ(u)[v] in the plain dot product for every
         clamped v, by construction from the transposed stencils.
         """
-        return self._gradient_from(self.membrane_strain(u), self.bending_strain(u.u3), u)
+        return self._kernel.evaluate(u, True)[2]
 
     def full_evaluation(self, u: Displacement):
         """(energy, energy magnitude, gradient) from one strain evaluation."""
-        E = self.membrane_strain(u)
-        F = self.bending_strain(u.u3)
-        f, scale = self._energy_terms(E, F, u)
-        return f, scale, self._gradient_from(E, F, u)
+        return self._kernel.evaluate(u, True)
 
     def directional_derivative(self, u: Displacement, v: Displacement) -> float:
         """First variation of the energy at u in direction v (direct form)."""
-        E = self.membrane_strain(u)
-        F = self.bending_strain(u.u3)
-        Ep = self.first_variation(u, v)
-        Fv = self.bending_strain(v.u3)
-        val = np.einsum("xyabst,xyst,xyab->", self._bend_w, F, Fv)
-        val += np.einsum("xyabst,xyst,xyab->", self._memb_w, E, Ep)
-        val -= sum(np.sum(lw * vi) for lw, vi in zip(self._load_w, v.components()))
+        k = self._kernel
+        e, du, f = k.strains(u)
+        ep, _ = _membrane(self.grid, v, k.memb_pull, 1.0, du)
+        fv = _bending(self.grid, v.u3, k.bend_pull)
+        val = np.sum(_stress(k.bend, f) * fv) + np.sum(_stress(k.memb, e) * ep)
+        val -= sum(np.sum(lw * vi) for lw, vi in zip(k.load, v.components()))
         return float(val)
 
     def residual_norm(self, u: Displacement) -> float:
@@ -351,19 +392,21 @@ class EnergyAssembly:
         name, so it stays until the benchmark drops it (ROADMAP item 4).
         """
         grid = self.grid
-        amean = float(np.mean(self.tensor[..., 0, 0, 0, 0]))
+        mat = self.material
+        a00 = self.geometry.a_inv[..., 0, 0]
+        amean = float(np.mean((mat.bulk_factor + 4.0 * mat.mu) * a00 * a00))  # A^{0000}
         cw = grid.cell_weight * self.cell_geom.sqrt_a
         d1c, d2c = grid.cell_d1_ops
         memb = np.zeros(grid.num_nodes)
         for op in (d1c, d2c):
             memb += op.power(2).T @ cw.ravel()
-        memb *= self.material.eps * amean
+        memb *= mat.eps * amean
         bend = np.zeros(grid.num_nodes)
         ops = grid.clamped_d2_ops
         wsa = self.wsa.ravel()
         for key, mult in (((1, 1), 1.0), ((2, 2), 1.0), ((1, 2), 2.0)):
             bend += mult * (ops[key].power(2).T @ wsa)
-        bend *= (self.material.eps**3 / 3.0) * amean
+        bend *= (mat.eps**3 / 3.0) * amean
         d = Displacement(
             memb.reshape(grid.shape).copy(),
             memb.reshape(grid.shape).copy(),
@@ -409,28 +452,8 @@ def plate_energy(grid: Grid, mat: Material, force: ForceDensity, u: Displacement
     Same stencils and quadrature as the shell path; this is the reduction
     target the shell energy must reproduce at the plate immersion.
     """
-    a0 = flat_tensor(mat)
-    E = plate_membrane_strain(grid, u)
-    F = plate_bending_strain(grid, u.u3)
-    w = grid.weights
-    quad = 0.5 * (
-        (mat.eps**3 / 3.0) * np.einsum("xy,abst,xyst,xyab->", w, a0, F, F)
-        + mat.eps * grid.cell_weight * np.einsum("abst,xyst,xyab->", a0, E, E)
-    )
-    load = sum(np.sum(w * p * ui) for p, ui in zip(force.components(), u.components()))
-    return float(quad - load)
+    return _flat_kernel(grid, mat, force).evaluate(u, False)[0]
 
 
 def plate_gradient(grid: Grid, mat: Material, force: ForceDensity, u: Displacement) -> Displacement:
-    a0 = flat_tensor(mat)
-    w = grid.weights
-    E = plate_membrane_strain(grid, u)
-    F = plate_bending_strain(grid, u.u3)
-    SE = mat.eps * grid.cell_weight * np.einsum("abst,xyst->xyab", a0, E)
-    SF = (mat.eps**3 / 3.0) * np.einsum("xy,abst,xyst->xyab", w, a0, F)
-    g1, g2, g3 = _transpose_membrane(grid, u, SE, None)
-    g3 += _transpose_bending(grid, SF, None)
-    g = Displacement(g1 - w * force.p1, g2 - w * force.p2, g3 - w * force.p3)
-    for comp in g.components():
-        comp[~grid.interior] = 0.0
-    return g
+    return _flat_kernel(grid, mat, force).evaluate(u, True)[2]

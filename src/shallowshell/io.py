@@ -10,12 +10,14 @@ same run written to two places gives byte-identical files.
 
 Node files are streamed to the open file one grid line (fixed i) at a time,
 so no copy of the whole table is ever held in memory.  Reads are vectorized:
-one np.loadtxt parses the data rows, every row check is a mask over all
-rows, and the first faulting row in file order is the one reported.
+one np.loadtxt parses the data lines of the open file, every row check is a
+mask over all rows, and the first faulting row in file order is the one
+reported (its text is read again to quote it).
 """
 
 from __future__ import annotations
 
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +60,20 @@ def write_displacement_csv(path, grid: Grid, u: Displacement, meta: str | None =
     _write_table(path, grid, "i,j,y1,y2,u1,u2,u3", u.components(), meta)
 
 
+def _data_lines(fh):
+    """The lines of an open export file that are neither empty nor comments."""
+    for ln in fh:
+        ln = ln.rstrip("\n")
+        if ln and not ln.startswith("#"):
+            yield ln
+
+
+def _data_row(path, r: int) -> str:
+    """Data row r of an export file, read again to quote it in an error."""
+    with open(path) as fh:
+        return next(itertools.islice(_data_lines(fh), r + 1, None))
+
+
 def read_displacement_csv(path, grid: Grid):
     """Read three nodal fields from the displacement export format.
 
@@ -66,52 +82,65 @@ def read_displacement_csv(path, grid: Grid):
     with finite values.  Where the y1/y2 columns hold numbers, each row must
     lie at the grid's own coordinates (to 1e-9 of the larger side length),
     so a file written for another domain is rejected.  Of several faulty
-    rows the first in file order is reported.
+    rows the first in file order is reported.  Empty and comment lines are
+    skipped anywhere.  One pass over the lines finds the header and the
+    rows; np.loadtxt then parses the data lines of the open file up to the
+    first row that does not hold seven fields.  No copy of the text is kept.
     """
-    lines = [ln for ln in Path(path).read_text().splitlines() if ln and not ln.startswith("#")]
-    header = lines[0]
+    with open(path) as fh:
+        lines = _data_lines(fh)
+        header = next(lines, None)
+        commas = np.fromiter((ln.count(",") for ln in lines), np.int32)
     if header != "i,j,y1,y2,u1,u2,u3":
         raise ValueError(f"unexpected displacement CSV header: {header!r}")
-    rows = lines[1:]
-    if len(rows) != grid.num_nodes:
+    if len(commas) != grid.num_nodes:
         # checked first: a file for another grid size is named as such
-        raise ValueError(f"displacement CSV holds {len(rows)} rows, expected {grid.num_nodes}")
-    malformed = next((r for r, ln in enumerate(rows) if ln.count(",") != 6), len(rows))
+        raise ValueError(f"displacement CSV holds {len(commas)} rows, expected {grid.num_nodes}")
+    malformed = int(next(iter(np.flatnonzero(commas != 6)), len(commas)))
     # the rows before the first malformed one are checked first: a fault
     # among them comes earlier in file order
-    fields = _parse_rows(rows[:malformed], grid) if malformed else None
-    if malformed < len(rows):
-        raise ValueError(f"malformed displacement CSV row: {rows[malformed]!r}")
+    fields = None
+    if malformed:
+        # The first row decides whether the coordinate columns are compared:
+        # the benchmark's fields257 load writes numpy reprs such as
+        # `np.float64(0.5)` there (ROADMAP item 5).
+        compare = _holds_numbers(_data_row(path, 0))
+        with open(path) as fh:
+            lines = _data_lines(fh)
+            next(lines)  # the header
+            data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, max_rows=malformed,
+                              usecols=range(7) if compare else (0, 1, 4, 5, 6))
+        fields = _check_rows(data, compare, grid, path)
+    if malformed < len(commas):
+        raise ValueError(f"malformed displacement CSV row: {_data_row(path, malformed)!r}")
     return fields
 
 
-def _parse_rows(rows: list[str], grid: Grid):
-    """(u1, u2, u3) from well-formed data rows; raises on the first faulting row."""
-    # The first row decides whether the coordinate columns are compared:
-    # the benchmark's fields257 load writes numpy reprs such as
-    # `np.float64(0.5)` there (ROADMAP item 5).
-    compare = _holds_numbers(rows[0])
-    data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2,
-                      usecols=range(7) if compare else (0, 1, 4, 5, 6))
+def _check_rows(data: np.ndarray, compare: bool, grid: Grid, path):
+    """(u1, u2, u3) from the parsed data rows; raises on the first faulting row."""
+    n = len(data)
     index, values = data[:, :2], data[:, -3:]
     integral = (np.isfinite(index) & (index == np.rint(index))).all(axis=1)
     in_range = integral & (index >= 0).all(axis=1) & (index < grid.shape).all(axis=1)
-    i, j = np.where(in_range[:, None], index, 0).astype(np.intp).T
-    # rows whose node is unknown get distinct negative keys
-    key = np.where(in_range, i * grid.n2 + j, -1 - np.arange(len(rows)))
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    duplicate = first[inverse] != np.arange(len(rows))
+    i, j = (np.where(in_range, col, 0).astype(np.intp) for col in index.T)
     y1s, y2s = grid.y1[:, 0], grid.y2[0, :]
     tol = 1e-9 * max(grid.L1, grid.L2)
     off_grid = (
         ~((np.abs(data[:, 2] - y1s[i]) <= tol) & (np.abs(data[:, 3] - y2s[j]) <= tol))
-        if compare else np.zeros(len(rows), dtype=bool)
+        if compare else np.zeros(n, dtype=bool)
     )
+    key = i * grid.n2 + j
+    del i, j  # freed early: a read peaks below twice its parsed columns
+    # a node belongs to the first row that names it, in file order
+    owner = np.full(grid.num_nodes, n)
+    np.minimum.at(owner, key[in_range], np.flatnonzero(in_range))
+    duplicate = in_range & (owner[key] != np.arange(n))
+    del owner
     finite = np.isfinite(values).all(axis=1)
     fault = ~in_range | duplicate | off_grid | ~finite
     if fault.any():
         r = int(fault.argmax())
-        ln = rows[r]
+        ln = _data_row(path, r)
         if not integral[r]:
             raise ValueError(f"node index not an integer in displacement CSV row: {ln!r}")
         ni, nj = (int(x) for x in index[r])
@@ -127,7 +156,7 @@ def _parse_rows(rows: list[str], grid: Grid):
         raise ValueError(f"non-finite value in displacement CSV row: {ln!r}")
     fields = tuple(np.zeros(grid.shape) for _ in range(3))
     for k in range(3):
-        fields[k][i, j] = values[:, k]
+        fields[k].ravel()[key] = values[:, k]
     return fields
 
 

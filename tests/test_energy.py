@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from shallowshell import (
     Displacement,
@@ -13,6 +14,7 @@ from shallowshell import (
     plate_gradient,
     plate_membrane_strain,
 )
+from shallowshell.elasticity import build_tensor
 from shallowshell.energy import plate_bending_strain
 from shallowshell.grid import random_clamped_displacement
 
@@ -265,3 +267,145 @@ def test_hessian_diagonal_estimate_positive(shell_assembly):
         assert np.min(comp) > 0.0
     # transverse stiffness dominates the tangential one
     assert np.median(d.u3) > np.median(d.u1)
+
+
+# -- the component kernel against the 16-component reference ---------------------
+
+
+def _reference_evaluation(asm, u, v):
+    """Energy, energy scale, gradient and first variation at u (direction v)
+    from the full tensor of build_tensor contracted with einsum, one sparse
+    product per field and stencil, and strains as (..., 2, 2) matrices."""
+    grid, cg, ng, mat = asm.grid, asm.cell_geom, asm.geometry, asm.material
+    cells, back = grid.to_cells, grid.from_cells
+    d1c, d2c = grid.cell_d1_ops
+    avg = grid.cell_avg_op
+
+    def cgrad(f):
+        return np.stack([cells(d1c, f), cells(d2c, f)])
+
+    def membrane(w, du, coeff):
+        gw = [cgrad(w.u1), cgrad(w.u2)]
+        dw = cgrad(w.u3)
+        E = np.empty(grid.cell_shape + (2, 2))
+        for a in range(2):
+            for b in range(2):
+                E[..., a, b] = 0.5 * (gw[a][b] + gw[b][a]) + coeff * 0.5 * (
+                    du[a] * dw[b] + dw[a] * du[b])
+        tang = np.stack([cells(avg, w.u1), cells(avg, w.u2)])
+        E -= np.einsum("xysab,sxy->xyab", cg.gamma, tang)
+        E -= cg.b * cells(avg, w.u3)[..., None, None]
+        return E
+
+    ops = grid.clamped_d2_ops
+    F = np.empty(grid.shape + (2, 2))
+    for a in range(2):
+        for b in range(2):
+            F[..., a, b] = grid.apply(ops[(a + 1, b + 1)], u.u3)
+    dn = np.stack([grid.apply(op, u.u3) for op in grid.interior_d1_ops])
+    F -= np.einsum("xysab,sxy->xyab", ng.gamma, dn)
+
+    du = cgrad(u.u3)
+    E = membrane(u, du, 0.5)
+    A_cell = build_tensor(cg.a_inv, mat)
+    A_node = build_tensor(ng.a_inv, mat)
+    cw = mat.eps * grid.cell_weight * cg.sqrt_a
+    bw = mat.eps**3 / 3.0 * grid.weights * ng.sqrt_a
+    quad = 0.5 * (np.einsum("xy,xyabst,xyst,xyab->", bw, A_node, F, F)
+                  + np.einsum("xy,xyabst,xyst,xyab->", cw, A_cell, E, E))
+    wsa = grid.weights * ng.sqrt_a
+    pairs = [wsa * p * c for p, c in zip(asm.force.components(), u.components())]
+    energy = quad - sum(np.sum(p) for p in pairs)
+    scale = quad + sum(np.sum(np.abs(p)) for p in pairs)
+
+    SE = cw[..., None, None] * np.einsum("xyabst,xyst->xyab", A_cell, E)
+    SF = bw[..., None, None] * np.einsum("xyabst,xyst->xyab", A_node, F)
+    tops = grid.transposed_ops
+    t1, t2, tavg = tops[("cell_d1", 1)], tops[("cell_d1", 2)], tops["cell_avg"]
+    pulled = np.einsum("xysab,xyab->sxy", cg.gamma, SE)
+    g = [back(t1, SE[..., k, 0]) + back(t2, SE[..., k, 1]) - back(tavg, pulled[k])
+         for k in range(2)]
+    g3 = (back(t1, SE[..., 0, 0] * du[0] + SE[..., 1, 0] * du[1])
+          + back(t2, SE[..., 0, 1] * du[0] + SE[..., 1, 1] * du[1])
+          - back(tavg, np.einsum("xyab,xyab->xy", cg.b, SE)))
+    for a in range(2):
+        for b in range(2):
+            g3 += grid.apply(tops[("bend", (min(a, b) + 1, max(a, b) + 1))], SF[..., a, b])
+    pulled = np.einsum("xysab,xyab->sxy", ng.gamma, SF)
+    g3 -= grid.apply(tops[("int_d1", 1)], pulled[0]) + grid.apply(tops[("int_d1", 2)], pulled[1])
+    grad = []
+    for gk, p in zip(g + [g3], asm.force.components()):
+        gk = gk - wsa * p
+        gk[~grid.interior] = 0.0
+        grad.append(gk)
+    return energy, scale, grad, membrane(v, du, 1.0), E, F
+
+
+def _relative(a, b):
+    return float(np.max(np.abs(np.asarray(a) - np.asarray(b))) / np.max(np.abs(b)))
+
+
+KERNEL_GRIDS = {"9x5": (2.0, 1.0, 9, 5), "17x33": (1.3, 0.7, 17, 33)}
+KERNEL_SHAPES = ("plate", "paraboloid", "cylinder_patch", "sinusoidal_bump")
+
+
+@pytest.mark.parametrize("kind", KERNEL_SHAPES)
+@pytest.mark.parametrize("dims", KERNEL_GRIDS.values(), ids=KERNEL_GRIDS.keys())
+def test_component_kernel_matches_full_tensor_reference(dims, kind, material):
+    grid = Grid(*dims)
+    params = {} if kind == "plate" else {"t": 0.3}
+    force = ForceDensity.polynomial(
+        grid, ((0.5, 0.2), (-0.3, 0.0, 0.4), (1.0, 0.1, -0.2, 0.3)))
+    asm = make_assembly(grid, Immersion(kind, grid.L1, grid.L2, params), material, force)
+    rng = np.random.default_rng(8)
+    for _ in range(3):
+        u = random_clamped_displacement(grid, rng, amplitude=0.3)
+        v = random_clamped_displacement(grid, rng, amplitude=0.3)
+        energy, scale, grad, ep, E, F = _reference_evaluation(asm, u, v)
+        f, fscale, g = asm.full_evaluation(u)
+        assert abs(f - energy) <= 1e-13 * scale
+        assert abs(fscale - scale) <= 1e-13 * scale
+        assert asm.energy_and_scale(u) == (f, fscale)
+        assert _relative(np.stack(g.components()), np.stack(grad)) <= 1e-13
+        assert _relative(asm.first_variation(u, v), ep) <= 1e-13
+        assert _relative(asm.membrane_strain(u), E) <= 1e-13
+        assert _relative(asm.bending_strain(u.u3), F) <= 1e-13
+        if kind == "plate":
+            assert abs(plate_energy(grid, material, force, u) - energy) <= 1e-13 * scale
+            gp = plate_gradient(grid, material, force, u)
+            assert _relative(np.stack(gp.components()), np.stack(grad)) <= 1e-13
+
+
+def test_sparse_products_per_evaluation(monkeypatch, shell_assembly, grid17, rng):
+    """One sparse product per stencil and column block: at most 16 for a
+    full evaluation and 8 for the energy alone, on a curved shell."""
+    u = random_clamped_displacement(grid17, rng)
+    shell_assembly.full_evaluation(u)  # builds every lazy operator first
+    calls = []
+    matmul = sp.csr_matrix.__matmul__
+
+    def counting(op, other):
+        calls.append(op)
+        return matmul(op, other)
+
+    monkeypatch.setattr(sp.csr_matrix, "__matmul__", counting)
+    shell_assembly.full_evaluation(u)
+    full = len(calls)
+    calls.clear()
+    shell_assembly.energy(u)
+    assert 0 < len(calls) <= 8
+    assert full <= 16
+
+
+def test_assembly_holds_no_full_tensor(shell_assembly):
+    """The assembly keeps component fields, never a 16-component tensor."""
+
+    def arrays(obj):
+        if isinstance(obj, np.ndarray):
+            yield obj
+        elif isinstance(obj, tuple):
+            for item in obj:
+                yield from arrays(item)
+
+    held = [a for value in vars(shell_assembly).values() for a in arrays(value)]
+    assert held and max(a.ndim for a in held) <= 3

@@ -74,6 +74,22 @@ def test_geometry_writer_memory_stays_below_its_columns(tmp_path):
     assert peak < 1.5 * column_bytes
 
 
+def test_reader_peak_memory_below_twice_its_columns(tmp_path):
+    # parsed straight from the open file: no copy of the text is held
+    grid = Grid(1.0, 1.0, 129, 129)
+    path = tmp_path / "u.csv"
+    write_displacement_csv(path, grid, random_clamped_displacement(grid, np.random.default_rng(5)))
+    read_displacement_csv(path, grid)  # builds the grid's cached coordinates unmeasured
+    tracemalloc.start()
+    try:
+        read_displacement_csv(path, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    column_bytes = 7 * 8 * grid.num_nodes  # seven float64 columns
+    assert peak < 2.0 * column_bytes
+
+
 def _rows(tmp_path, grid):
     path = tmp_path / "u.csv"
     write_displacement_csv(path, grid, Displacement.zeros(grid))
@@ -129,7 +145,25 @@ def test_reader_reports_a_fault_before_a_later_malformed_row(tmp_path):
     _read_fails(path, lines, grid, f"non-finite value in displacement CSV row: {early!r}")
 
 
-_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e308, -1e308,
+def test_reader_skips_comment_and_blank_lines_among_the_rows(tmp_path):
+    grid = Grid(1.0, 1.0, 5, 5)
+    u = random_clamped_displacement(grid, np.random.default_rng(3))
+    path = tmp_path / "u.csv"
+    write_displacement_csv(path, grid, u)
+    lines = path.read_text().splitlines()
+    lines[2 + 7:2 + 7] = ["# a note", ""]
+    lines[2 + 16:2 + 16] = ["", "#"]
+    path.write_text("\n".join(lines) + "\n")
+    for read, written in zip(read_displacement_csv(path, grid), u.components()):
+        assert np.array_equal(read, written)
+
+    # a faulting row after them is still the one quoted
+    bad = lines[2 + 12].rsplit(",", 1)[0] + ",nan"
+    lines[2 + 12] = bad
+    _read_fails(path, lines, grid, f"non-finite value in displacement CSV row: {bad!r}")
+
+
+_SPECIAL =[0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e308, -1e308,
             1.7976931348623157e308, 0.1, 1.0 / 3.0]
 _VALUES = st.one_of(st.sampled_from(_SPECIAL),
                     st.floats(allow_nan=False, allow_infinity=False))
