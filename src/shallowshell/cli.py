@@ -3,7 +3,9 @@
 `rigidity` checks the two exact identities that prove the flat membrane
 rigid on the grid (see `verification.rigidity_residuals`).  Every command
 takes the common flags, but a flag that the command does not read (`verify`:
---out, --seed, --grid; `rigidity`: --out, --seed) is a configuration error.
+--out, --seed, --grid, --config; `rigidity`: --out, --seed) is a configuration
+error.  A config file given to `verify` is still parsed first, so a bad one is
+reported as such.
 Exit codes: 0 success, 2 configuration error, 3 solver nonconvergence,
 4 verification failure.
 """
@@ -29,7 +31,7 @@ EXIT_NONCONVERGED = 3
 EXIT_VERIFICATION = 4
 
 # Common flags that a command does not read; giving one is a config error.
-UNREAD_FLAGS = {"verify": ("out", "seed", "grid"), "rigidity": ("out", "seed")}
+UNREAD_FLAGS = {"verify": ("out", "seed", "grid", "config"), "rigidity": ("out", "seed")}
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -5,6 +5,17 @@ partial derivatives, so all downstream geometric quantities (metric, second
 fundamental form, Christoffel symbols, Gaussian curvature, area density) are
 free of numerical differentiation error.  The flat plate is the exact
 reference configuration: its geometry evaluates bitwise to 0 and 1.
+
+The derivatives form one table, `Immersion._planes`: the value, gradient
+and Hessian as nested tuples of component planes, each an array over the
+points.  Entries that are constant for a family (the plate's tangents, the
+vanishing Hessian components) are held as the Python floats 0.0 and 1.0, so
+the arithmetic on them is scalar.  The metric, b, Gamma, sqrt(a) and K are
+formed plane by plane with elementwise products.  Each contraction adds its
+terms in the order np.einsum does over an axis of two or three components,
+and like einsum never returns -0.0, so the values are bitwise those of the
+einsum formulas, sign bits included.  `christoffel_from_metric` keeps the
+einsum Koszul formula as the independent check of `christoffel`.
 """
 
 from __future__ import annotations
@@ -93,56 +104,62 @@ class Immersion:
         with both index orders filled from the same analytic expression, so
         hess[..., 0, 1, :] == hess[..., 1, 0, :] holds identically.
         """
+        y = np.asarray(y, dtype=float)
         self.check_point(y)
-        return self._evaluate_unchecked(np.asarray(y, dtype=float))
-
-    def _evaluate_unchecked(self, y: np.ndarray):
-        y1, y2 = y[..., 0], y[..., 1]
         base = y.shape[:-1]
-        value = np.zeros(base + (3,))
-        grad = np.zeros(base + (2, 3))
-        hess = np.zeros(base + (2, 2, 3))
-        value[..., 0] = y1
-        value[..., 1] = y2
-        grad[..., 0, 0] = 1.0
-        grad[..., 1, 1] = 1.0
+        return tuple(_stack(p, base) for p in self._planes(y[..., 0], y[..., 1]))
+
+    def _planes(self, y1: np.ndarray, y2: np.ndarray):
+        """The derivative table: (value, grad, hess) as nested tuples of planes.
+
+        value[k], grad[alpha][k] and hess[alpha][beta][k] are the components
+        at the points (y1, y2); hess[1][0] is the hess[0][1] object.  Entries
+        that are constant for the family are the Python floats 0.0 and 1.0.
+        """
+        value = [y1, y2, 0.0]
+        grad = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+        h00 = [0.0, 0.0, 0.0]
+        h01 = [0.0, 0.0, 0.0]
+        h11 = [0.0, 0.0, 0.0]
         p = self.params
 
         if self.kind == "plate":
             pass
         elif self.kind == "paraboloid":
             t, k1, k2 = p["t"], p["kappa1"], p["kappa2"]
-            value[..., 2] = 0.5 * t * (k1 * y1**2 + k2 * y2**2)
-            grad[..., 0, 2] = t * k1 * y1
-            grad[..., 1, 2] = t * k2 * y2
-            hess[..., 0, 0, 2] = t * k1
-            hess[..., 1, 1, 2] = t * k2
+            value[2] = 0.5 * t * (k1 * y1**2 + k2 * y2**2)
+            grad[0][2] = t * k1 * y1
+            grad[1][2] = t * k2 * y2
+            h00[2] = t * k1
+            h11[2] = t * k2
         elif self.kind == "cylinder_patch":
             t = p["t"]
             if t > 0:
                 # sin(t y)/t and (1 - cos(t y))/t written via sinc for a
                 # smooth limit into the plate at t = 0
-                value[..., 0] = y1 * np.sinc(t * y1 / np.pi)
-                value[..., 2] = 0.5 * t * y1**2 * np.sinc(0.5 * t * y1 / np.pi) ** 2
-                grad[..., 0, 0] = np.cos(t * y1)
-                grad[..., 0, 2] = np.sin(t * y1)
-                hess[..., 0, 0, 0] = -t * np.sin(t * y1)
-                hess[..., 0, 0, 2] = t * np.cos(t * y1)
+                value[0] = y1 * np.sinc(t * y1 / np.pi)
+                value[2] = 0.5 * t * y1**2 * np.sinc(0.5 * t * y1 / np.pi) ** 2
+                c, s = np.cos(t * y1), np.sin(t * y1)
+                grad[0][0] = c
+                grad[0][2] = s
+                h00[0] = -t * s
+                h00[2] = t * c
         elif self.kind == "sinusoidal_bump":
             t, m1, m2 = p["t"], p["m1"], p["m2"]
             k1 = m1 * np.pi / self.L1
             k2 = m2 * np.pi / self.L2
             s1, c1 = np.sin(k1 * y1), np.cos(k1 * y1)
             s2, c2 = np.sin(k2 * y2), np.cos(k2 * y2)
-            value[..., 2] = t * s1 * s2
-            grad[..., 0, 2] = t * k1 * c1 * s2
-            grad[..., 1, 2] = t * k2 * s1 * c2
-            hess[..., 0, 0, 2] = -t * k1**2 * s1 * s2
-            hess[..., 0, 1, 2] = t * k1 * k2 * c1 * c2
-            hess[..., 1, 0, 2] = hess[..., 0, 1, 2]
-            hess[..., 1, 1, 2] = -t * k2**2 * s1 * s2
+            value[2] = t * s1 * s2
+            grad[0][2] = t * k1 * c1 * s2
+            grad[1][2] = t * k2 * s1 * c2
+            h00[2] = -t * k1**2 * s1 * s2
+            h01[2] = t * k1 * k2 * c1 * c2
+            h11[2] = -t * k2**2 * s1 * s2
 
-        return value, grad, hess
+        h01 = tuple(h01)
+        return (tuple(value), tuple(map(tuple, grad)),
+                ((tuple(h00), h01), (h01, tuple(h11))))
 
 
 def eval_immersion(imm: Immersion, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -150,19 +167,112 @@ def eval_immersion(imm: Immersion, y) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return imm.evaluate(np.asarray(y, dtype=float))
 
 
-def unit_normal(grad: np.ndarray) -> np.ndarray:
-    """Positively oriented unit normal from the two tangent vectors.
+# -- component planes ----------------------------------------------------------
 
-    Raises ImmersionError when the tangents are (numerically) parallel.
-    """
-    cross = np.cross(grad[..., 0, :], grad[..., 1, :])
-    norm = np.linalg.norm(cross, axis=-1)
+
+def _split(x: np.ndarray, depth: int):
+    """The trailing `depth` axes of x as nested tuples of planes (views)."""
+    return _nest(np.moveaxis(x, range(x.ndim - depth, x.ndim), range(depth)), depth)
+
+
+def _nest(x, depth: int):
+    return x if depth == 0 else tuple(_nest(x[i, ...], depth - 1) for i in range(len(x)))
+
+
+def _stack(planes, base: tuple) -> np.ndarray:
+    """A fresh (*base, *dims) array holding the nested tuple of planes."""
+    dims = []
+    entry = planes
+    while isinstance(entry, tuple):
+        dims.append(len(entry))
+        entry = entry[0]
+    out = np.empty(base + tuple(dims))
+    _put(np.moveaxis(out, range(len(base), out.ndim), range(len(dims))), planes)
+    return out if out.ndim else out[()]
+
+
+def _put(view: np.ndarray, planes) -> None:
+    if isinstance(planes, tuple):
+        for i, entry in enumerate(planes):
+            _put(view[i, ...], entry)
+    else:
+        view[...] = planes
+
+
+def _sum(p0, p1, p2=None):
+    """Sum of two or three products, as np.einsum adds them over an axis of
+    that length (two-lane accumulators from +0.0): (p0 + p2) + p1, never -0.0."""
+    s = p0 if p2 is None else p0 + p2
+    return (s + p1) + 0.0
+
+
+def _table(entry, symmetric: bool):
+    """The 2x2 table of entry(alpha, beta); when symmetric, (1, 0) is (0, 1)."""
+    upper = entry(0, 1)
+    return ((entry(0, 0), upper), (upper if symmetric else entry(1, 0), entry(1, 1)))
+
+
+def _cross(g):
+    (g0, g1, g2), (h0, h1, h2) = g
+    return (g1 * h2 - g2 * h1, g2 * h0 - g0 * h2, g0 * h1 - g1 * h0)
+
+
+def _length(c):
+    return np.sqrt((c[0] * c[0] + c[1] * c[1]) + c[2] * c[2])
+
+
+def _normal(g):
+    """(unit normal planes, |d1 theta x d2 theta|)."""
+    cross = _cross(g)
+    norm = _length(cross)
     if np.any(norm < DEGENERACY_THRESHOLD):
         raise ImmersionError(
             "degenerate immersion: |d1 theta x d2 theta| below "
             f"{DEGENERACY_THRESHOLD:g}"
         )
-    return cross / norm[..., None]
+    return tuple(c / norm for c in cross), norm
+
+
+def _metric(g):
+    return _table(lambda a, b: _sum(*(g[a][k] * g[b][k] for k in range(3))), True)
+
+
+def _inverse(a):
+    det = a[0][0] * a[1][1] - a[0][1] * a[1][0]
+    if np.any(det <= DEGENERACY_THRESHOLD**2):
+        raise ImmersionError("singular metric: det(a) not positive")
+    return ((a[1][1] / det, -a[0][1] / det), (-a[1][0] / det, a[0][0] / det))
+
+
+def _second_form(n, h):
+    return _table(lambda a, b: _sum(*(n[k] * h[a][b][k] for k in range(3))),
+                  h[1][0] is h[0][1])
+
+
+def _christoffel(g, h, a_inv):
+    symmetric = h[1][0] is h[0][1]
+    tangent_dot_hess = [
+        _table(lambda a, b: _sum(*(g[m][k] * h[a][b][k] for k in range(3))), symmetric)
+        for m in range(2)
+    ]
+    return tuple(
+        _table(lambda a, b: _sum(*(a_inv[s][m] * tangent_dot_hess[m][a][b]
+                                   for m in range(2))), symmetric)
+        for s in range(2)
+    )
+
+
+def _curvature(a_inv, b):
+    m = _table(lambda a, c: _sum(*(a_inv[a][s] * b[s][c] for s in range(2))), False)
+    return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+
+
+def unit_normal(grad: np.ndarray) -> np.ndarray:
+    """Positively oriented unit normal from the two tangent vectors.
+
+    Raises ImmersionError when the tangents are (numerically) parallel.
+    """
+    return _stack(_normal(_split(grad, 2))[0], grad.shape[:-2])
 
 
 def fundamental_forms(grad: np.ndarray, hess: np.ndarray, normal: np.ndarray):
@@ -172,19 +282,13 @@ def fundamental_forms(grad: np.ndarray, hess: np.ndarray, normal: np.ndarray):
     a_inv its exact 2x2 inverse, sqrt_a = |d1 theta x d2 theta|, and
     b[..., alpha, beta] the normal projection of the Hessian.
     """
-    a = np.einsum("...ak,...bk->...ab", grad, grad)
-    det = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
-    if np.any(det <= DEGENERACY_THRESHOLD**2):
-        raise ImmersionError("singular metric: det(a) not positive")
-    a_inv = np.empty_like(a)
-    a_inv[..., 0, 0] = a[..., 1, 1] / det
-    a_inv[..., 1, 1] = a[..., 0, 0] / det
-    a_inv[..., 0, 1] = -a[..., 0, 1] / det
-    a_inv[..., 1, 0] = -a[..., 1, 0] / det
-    cross = np.cross(grad[..., 0, :], grad[..., 1, :])
-    sqrt_a = np.linalg.norm(cross, axis=-1)
-    b = np.einsum("...k,...abk->...ab", normal, hess)
-    return a, a_inv, sqrt_a, b
+    g = _split(grad, 2)
+    a = _metric(g)
+    a_inv = _inverse(a)
+    b = _second_form(_split(normal, 1), _split(hess, 3))
+    base = grad.shape[:-2]
+    return (_stack(a, base), _stack(a_inv, base), _stack(_length(_cross(g)), base),
+            _stack(b, base))
 
 
 def christoffel(grad: np.ndarray, hess: np.ndarray, a_inv: np.ndarray) -> np.ndarray:
@@ -194,8 +298,8 @@ def christoffel(grad: np.ndarray, hess: np.ndarray, a_inv: np.ndarray) -> np.nda
     theta against the Hessian; symmetry in (alpha, beta) is inherited from
     the Hessian.
     """
-    tangent_dot_hess = np.einsum("...nk,...abk->...nab", grad, hess)
-    return np.einsum("...sn,...nab->...sab", a_inv, tangent_dot_hess)
+    gamma = _christoffel(_split(grad, 2), _split(hess, 3), _split(a_inv, 2))
+    return _stack(gamma, grad.shape[:-2])
 
 
 def christoffel_from_metric(grad: np.ndarray, hess: np.ndarray, a_inv: np.ndarray) -> np.ndarray:
@@ -217,8 +321,7 @@ def christoffel_from_metric(grad: np.ndarray, hess: np.ndarray, a_inv: np.ndarra
 
 def gaussian_curvature(a_inv: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Gaussian curvature as the determinant of the shape-operator matrix."""
-    m = np.einsum("...as,...sb->...ab", a_inv, b)
-    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+    return _stack(_curvature(_split(a_inv, 2), _split(b, 2)), a_inv.shape[:-2])
 
 
 @dataclass
@@ -249,18 +352,23 @@ def surface_quantities(imm: Immersion, y: np.ndarray):
     y; raises ImmersionError naming the first offending point index when the
     tangents degenerate.
     """
-    _, grad, hess = imm.evaluate(y)
+    y = np.asarray(y, dtype=float)
+    imm.check_point(y)
+    base = y.shape[:-1]
+    _, g, h = imm._planes(y[..., 0], y[..., 1])
     try:
-        normal = unit_normal(grad)
-        a, a_inv, sqrt_a, b = fundamental_forms(grad, hess, normal)
+        normal, sqrt_a = _normal(g)
+        a = _metric(g)
+        a_inv = _inverse(a)
     except ImmersionError as exc:
-        cross = np.cross(grad[..., 0, :], grad[..., 1, :])
-        bad = np.argwhere(np.linalg.norm(cross, axis=-1) < DEGENERACY_THRESHOLD)
+        norm = np.broadcast_to(_length(_cross(g)), base)
+        bad = np.argwhere(norm < DEGENERACY_THRESHOLD)
         where = tuple(bad[0]) if len(bad) else "unknown"
         raise ImmersionError(f"{exc} at node {where}") from None
-    gamma = christoffel(grad, hess, a_inv)
-    K = gaussian_curvature(a_inv, b)
-    return a, a_inv, b, gamma, sqrt_a, K
+    b = _second_form(normal, h)
+    gamma = _christoffel(g, h, a_inv)
+    K = _curvature(a_inv, b)
+    return tuple(_stack(q, base) for q in (a, a_inv, b, gamma, sqrt_a, K))
 
 
 def geometry_field(imm: Immersion, grid: Grid) -> SurfaceGeometry:

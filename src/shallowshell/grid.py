@@ -203,19 +203,25 @@ class Grid:
 
     @cached_property
     def transposed_ops(self) -> dict:
-        """CSR transposes of every assembled operator, cached for gradients."""
+        """Transposes of the strain stencils, for gradients.
+
+        Each value is the copy-free CSC view `op.T`, sharing its arrays with
+        the forward operator.  A CSC product adds each output entry's terms in
+        the column order that the CSR copy of the transpose adds them, so the
+        products are bitwise those of `op.T.tocsr()`.
+        """
         d1i = self.interior_d1_ops
         bend = self.clamped_d2_ops
         cell = self.cell_d1_ops
         out = {
-            ("int_d1", 1): d1i[0].T.tocsr(),
-            ("int_d1", 2): d1i[1].T.tocsr(),
-            ("cell_d1", 1): cell[0].T.tocsr(),
-            ("cell_d1", 2): cell[1].T.tocsr(),
-            "cell_avg": self.cell_avg_op.T.tocsr(),
+            ("int_d1", 1): d1i[0].T,
+            ("int_d1", 2): d1i[1].T,
+            ("cell_d1", 1): cell[0].T,
+            ("cell_d1", 2): cell[1].T,
+            "cell_avg": self.cell_avg_op.T,
         }
         for key in ((1, 1), (2, 2), (1, 2)):
-            out[("bend", key)] = bend[key].T.tocsr()
+            out[("bend", key)] = bend[key].T
         return out
 
     def apply(self, op: sp.csr_matrix, f: np.ndarray) -> np.ndarray:
@@ -224,7 +230,7 @@ class Grid:
     def to_cells(self, op: sp.csr_matrix, f: np.ndarray) -> np.ndarray:
         return (op @ f.ravel()).reshape(self.cell_shape)
 
-    def from_cells(self, op_t: sp.csr_matrix, c: np.ndarray) -> np.ndarray:
+    def from_cells(self, op_t: sp.spmatrix, c: np.ndarray) -> np.ndarray:
         return (op_t @ c.ravel()).reshape(self.shape)
 
 

@@ -504,8 +504,8 @@ def run_verification(cfg: StudyConfig | None = None,
                      corrupt_gradient: bool = False) -> list[CheckResult]:
     """Run the full invariant suite.
 
-    The checks are fixed: cfg is accepted but not read.  `shallowshell
-    verify --config FILE` still parses and validates FILE first.
+    The checks are fixed: cfg is accepted but not read, and `shallowshell
+    verify` rejects --config after parsing and validating FILE.
     """
     checks = [
         check_geometry_derivatives(),

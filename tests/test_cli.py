@@ -28,3 +28,18 @@ def test_cli_rejects_flags_the_command_does_not_read(tmp_path, capsys, command, 
     assert captured.err == f"config error: {flag}: {command} does not read it\n"
     assert captured.out == ""
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_verify_rejects_config_after_validating_it(tmp_path, capsys):
+    """verify reads no config: a good file is refused like the other unread
+    flags, and a bad one still fails with its own message."""
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text(CONFIG)
+    assert main(["verify", "--config", str(cfgfile)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "config error: --config: verify does not read it\n"
+    assert captured.out == ""
+    bad = tmp_path / "bad.ini"
+    bad.write_text("[material]\nlambda = 1.0\neps = 0.1\n")
+    assert main(["verify", "--config", str(bad)]) == 2
+    assert capsys.readouterr().err == "config error: [material] mu: required key is missing\n"

@@ -409,3 +409,23 @@ def test_assembly_holds_no_full_tensor(shell_assembly):
 
     held = [a for value in vars(shell_assembly).values() for a in arrays(value)]
     assert held and max(a.ndim for a in held) <= 3
+
+
+def test_sparse_products_per_evaluation_with_transposes(monkeypatch, shell_assembly, grid17, rng):
+    """Counted through CSR and CSC alike, so the products through the
+    transposed views count too: 16 for a full evaluation, 8 for the energy."""
+    u = random_clamped_displacement(grid17, rng)
+    shell_assembly.full_evaluation(u)  # builds every lazy operator first
+    calls = []
+    for cls in (sp.csr_matrix, sp.csc_matrix):
+        def counting(op, other, matmul=cls.__matmul__):
+            calls.append(op)
+            return matmul(op, other)
+
+        monkeypatch.setattr(cls, "__matmul__", counting)
+    shell_assembly.full_evaluation(u)
+    full = len(calls)
+    calls.clear()
+    shell_assembly.energy(u)
+    assert 0 < len(calls) <= 8
+    assert 8 < full <= 16

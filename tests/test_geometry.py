@@ -6,6 +6,7 @@ from shallowshell import (
     Immersion,
     ImmersionError,
     c2_distance,
+    cell_geometry,
     christoffel,
     christoffel_from_metric,
     eval_immersion,
@@ -227,3 +228,155 @@ def test_with_scale_family_and_plate_guard():
     with pytest.raises(ValueError):
         Immersion("plate").with_scale(0.1)
     assert Immersion("plate").with_scale(0.0).kind == "plate"
+
+
+# -- the plane code against the einsum formulas, bit for bit ---------------------
+
+
+def _reference_evaluate(imm, y):
+    """(value, grad, hess) filled into zeroed arrays from the analytic
+    expressions, as the array path of the catalog wrote them."""
+    y1, y2 = y[..., 0], y[..., 1]
+    base = y.shape[:-1]
+    value, grad, hess = np.zeros(base + (3,)), np.zeros(base + (2, 3)), np.zeros(base + (2, 2, 3))
+    value[..., 0], value[..., 1] = y1, y2
+    grad[..., 0, 0] = grad[..., 1, 1] = 1.0
+    p = imm.params
+    if imm.kind == "paraboloid":
+        t, k1, k2 = p["t"], p["kappa1"], p["kappa2"]
+        value[..., 2] = 0.5 * t * (k1 * y1**2 + k2 * y2**2)
+        grad[..., 0, 2] = t * k1 * y1
+        grad[..., 1, 2] = t * k2 * y2
+        hess[..., 0, 0, 2] = t * k1
+        hess[..., 1, 1, 2] = t * k2
+    elif imm.kind == "cylinder_patch" and p["t"] > 0:
+        t = p["t"]
+        value[..., 0] = y1 * np.sinc(t * y1 / np.pi)
+        value[..., 2] = 0.5 * t * y1**2 * np.sinc(0.5 * t * y1 / np.pi) ** 2
+        grad[..., 0, 0] = np.cos(t * y1)
+        grad[..., 0, 2] = np.sin(t * y1)
+        hess[..., 0, 0, 0] = -t * np.sin(t * y1)
+        hess[..., 0, 0, 2] = t * np.cos(t * y1)
+    elif imm.kind == "sinusoidal_bump":
+        t = p["t"]
+        k1, k2 = p["m1"] * np.pi / imm.L1, p["m2"] * np.pi / imm.L2
+        s1, c1 = np.sin(k1 * y1), np.cos(k1 * y1)
+        s2, c2 = np.sin(k2 * y2), np.cos(k2 * y2)
+        value[..., 2] = t * s1 * s2
+        grad[..., 0, 2] = t * k1 * c1 * s2
+        grad[..., 1, 2] = t * k2 * s1 * c2
+        hess[..., 0, 0, 2] = -t * k1**2 * s1 * s2
+        hess[..., 0, 1, 2] = hess[..., 1, 0, 2] = t * k1 * k2 * c1 * c2
+        hess[..., 1, 1, 2] = -t * k2**2 * s1 * s2
+    return value, grad, hess
+
+
+def _reference_geometry(imm, y):
+    """(a, a_inv, b, gamma, sqrt_a, K) by the einsum contractions."""
+    _, grad, hess = _reference_evaluate(imm, y)
+    cross = np.cross(grad[..., 0, :], grad[..., 1, :])
+    sqrt_a = np.linalg.norm(cross, axis=-1)
+    normal = cross / sqrt_a[..., None]
+    a = np.einsum("...ak,...bk->...ab", grad, grad)
+    det = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+    a_inv = np.empty_like(a)
+    a_inv[..., 0, 0] = a[..., 1, 1] / det
+    a_inv[..., 1, 1] = a[..., 0, 0] / det
+    a_inv[..., 0, 1] = -a[..., 0, 1] / det
+    a_inv[..., 1, 0] = -a[..., 1, 0] / det
+    b = np.einsum("...k,...abk->...ab", normal, hess)
+    tangent_dot_hess = np.einsum("...nk,...abk->...nab", grad, hess)
+    gamma = np.einsum("...sn,...nab->...sab", a_inv, tangent_dot_hess)
+    m = np.einsum("...as,...sb->...ab", a_inv, b)
+    K = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+    return a, a_inv, b, gamma, sqrt_a, K
+
+
+def _same_bits(x, y):
+    """Equal values and equal sign bits: the geometry CSV prints -0.0 as -0."""
+    return (np.shape(x) == np.shape(y) and np.array_equal(x, y)
+            and np.array_equal(np.signbit(x), np.signbit(y)))
+
+
+REFERENCE_CASES = {
+    "plate": ("plate", {}),
+    "paraboloid-1-1": ("paraboloid", {"t": 0.3, "kappa1": 1.0, "kappa2": 1.0}),
+    "paraboloid-1.3--0.7": ("paraboloid", {"t": 0.3, "kappa1": 1.3, "kappa2": -0.7}),
+    "cylinder-0": ("cylinder_patch", {"t": 0.0}),
+    "cylinder-0.4": ("cylinder_patch", {"t": 0.4}),
+    "bump-2-1": ("sinusoidal_bump", {"t": 0.3, "m1": 2.0, "m2": 1.0}),
+}
+REFERENCE_GRIDS = {"9x5": (2.0, 1.0, 9, 5), "17x33": (1.3, 0.7, 17, 33)}
+
+
+@pytest.mark.parametrize("case", REFERENCE_CASES.values(), ids=REFERENCE_CASES.keys())
+@pytest.mark.parametrize("dims", REFERENCE_GRIDS.values(), ids=REFERENCE_GRIDS.keys())
+def test_geometry_bitwise_equal_to_einsum_reference(dims, case):
+    grid = Grid(*dims)
+    imm = Immersion(case[0], grid.L1, grid.L2, case[1])
+    names = ("a", "a_inv", "b", "gamma", "sqrt_a", "K")
+    for field, centers in ((geometry_field, (grid.y1, grid.y2)),
+                           (cell_geometry, grid.cell_centers)):
+        y = np.stack(centers, axis=-1)
+        geom = field(imm, grid)
+        for name, ref in zip(names, _reference_geometry(imm, y)):
+            assert _same_bits(getattr(geom, name), ref), (field.__name__, name)
+        for got, ref in zip(imm.evaluate(y), _reference_evaluate(imm, y)):
+            assert _same_bits(got, ref)
+
+
+def test_immersion_error_messages(monkeypatch):
+    # parallel tangents, handed straight to the fundamental forms
+    grad = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
+    with pytest.raises(ImmersionError) as exc:
+        fundamental_forms(grad, np.zeros((2, 2, 3)), np.array([0.0, 0.0, 1.0]))
+    assert str(exc.value) == "singular metric: det(a) not positive"
+
+    # a plate whose second tangent turns into the first at node (3, 2)
+    planes = Immersion._planes
+    grid = Grid(1.0, 1.0, 9, 9)
+
+    def degenerate(self, y1, y2):
+        value, grad, hess = planes(self, y1, y2)
+        bad = ((y1 == grid.y1[3, 2]) & (y2 == grid.y2[3, 2])).astype(float)
+        return value, (grad[0], (bad, 1.0 - bad, 0.0)), hess
+
+    monkeypatch.setattr(Immersion, "_planes", degenerate)
+    with pytest.raises(ImmersionError) as exc:
+        geometry_field(Immersion("plate"), grid)
+    assert str(exc.value) == ("degenerate immersion: |d1 theta x d2 theta| below 1e-12 "
+                              "at node (np.int64(3), np.int64(2))")
+
+
+def test_public_contractions_bitwise_on_signed_zeros():
+    """unit_normal, fundamental_forms, christoffel and gaussian_curvature
+    against the einsum formulas on random tangents and Hessians, a third of
+    whose entries are zeros of either sign: the sums come out as einsum's,
+    and a sum of zeros as +0.0."""
+    rng = np.random.default_rng(11)
+
+    def signed_zeros(shape):
+        x = rng.standard_normal(shape)
+        x[rng.random(shape) < 0.35] = -0.0
+        x[rng.random(shape) < 0.15] = 0.0
+        return x
+
+    grad = signed_zeros((40, 50, 2, 3))
+    grad[..., 0, 0] += 3.0  # keep the tangents apart
+    grad[..., 1, 1] += 3.0
+    hess = signed_zeros((40, 50, 2, 2, 3))
+    hess[..., 1, 0, :] = hess[..., 0, 1, :]
+    cross = np.cross(grad[..., 0, :], grad[..., 1, :])
+    normal = cross / np.linalg.norm(cross, axis=-1)[..., None]
+    assert _same_bits(unit_normal(grad), normal)
+    a, a_inv, sqrt_a, b = fundamental_forms(grad, hess, normal)
+    assert _same_bits(a, np.einsum("...ak,...bk->...ab", grad, grad))
+    assert _same_bits(sqrt_a, np.linalg.norm(cross, axis=-1))
+    assert _same_bits(b, np.einsum("...k,...abk->...ab", normal, hess))
+    a_inv = signed_zeros((40, 50, 2, 2))
+    gamma = np.einsum("...sn,...nab->...sab", a_inv,
+                      np.einsum("...nk,...abk->...nab", grad, hess))
+    assert _same_bits(christoffel(grad, hess, a_inv), gamma)
+    m = np.einsum("...as,...sb->...ab", a_inv, b)
+    K = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+    assert _same_bits(gaussian_curvature(a_inv, b), K)

@@ -242,3 +242,34 @@ def test_operators_exact_along_each_axis_on_non_square_grids(dims):
     assert close(grid.to_cells(cell[0], bilinear), c[2])
     assert close(grid.to_cells(cell[1], bilinear), c[1])
     assert close(grid.to_cells(grid.cell_avg_op, bilinear), c[1] * c[2])
+
+
+def _forward_ops(grid):
+    """The operator behind each transposed_ops key."""
+    ops = {"cell_avg": grid.cell_avg_op}
+    for axis in (1, 2):
+        ops[("int_d1", axis)] = grid.interior_d1_ops[axis - 1]
+        ops[("cell_d1", axis)] = grid.cell_d1_ops[axis - 1]
+    for key in ((1, 1), (2, 2), (1, 2)):
+        ops[("bend", key)] = grid.clamped_d2_ops[key]
+    return ops
+
+
+@pytest.mark.parametrize("dims", [(2.0, 1.0, 9, 5), (1.3, 0.7, 17, 33)])
+def test_transposed_ops_are_views_with_bitwise_products(dims, rng):
+    """Every transpose shares its arrays with the forward operator, and its
+    vector and 3-column block products are those of the CSR copy byte for byte."""
+    grid = Grid(*dims)
+    forward = _forward_ops(grid)
+    assert forward.keys() == grid.transposed_ops.keys()
+    for key, op_t in grid.transposed_ops.items():
+        op = forward[key]
+        assert op_t.shape == op.shape[::-1]
+        for name in ("data", "indices", "indptr"):
+            assert np.shares_memory(getattr(op_t, name), getattr(op, name)), (key, name)
+        copy = op.T.tocsr()
+        x = rng.standard_normal(op_t.shape[1])
+        x[::7] = -0.0
+        block = np.column_stack([x, rng.standard_normal(x.size), -x])
+        for v in (x, block):
+            assert (op_t @ v).tobytes() == (copy @ v).tobytes(), key

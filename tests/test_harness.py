@@ -362,7 +362,7 @@ def test_cli_geometry_and_verify(tmp_path, capsys):
     assert "geometry field written" in out
     assert (tmp_path / "study_geometry.csv").exists()
 
-    assert main(["verify", "--config", str(cfgfile)]) == 0
+    assert main(["verify"]) == 0
     out = capsys.readouterr().out
     assert "checks passed" in out and "FAIL" not in out
 
