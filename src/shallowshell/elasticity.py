@@ -66,12 +66,17 @@ def build_tensor(a_inv: np.ndarray, mat: Material) -> np.ndarray:
     return term_bulk + term_shear
 
 
+# voigt_coefficients(a_inv, mat)[VOIGT_SYMMETRIC] is the symmetric 3x3 matrix.
+VOIGT_SYMMETRIC = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])
+
+
 def voigt_coefficients(a_inv: np.ndarray, mat: Material) -> np.ndarray:
     """The six distinct components of A^{abst}, built straight from a_inv.
 
     Order (A^{0000}, A^{1111}, A^{0101}, A^{0011}, A^{0001}, A^{1101}): the
-    symmetric 3x3 matrix of the quadratic form A:e:e in the components
-    (e11, e22, 2 e12), stacked on a new leading axis.
+    entries of the symmetric 3x3 matrix of the quadratic form A:e:e in the
+    components (e11, e22, 2 e12), stacked on a new leading axis; indexing
+    with VOIGT_SYMMETRIC gives the matrix itself.
     """
     c, mu = mat.bulk_factor, mat.mu
     a00, a11, a01 = a_inv[..., 0, 0], a_inv[..., 1, 1], a_inv[..., 0, 1]
@@ -88,6 +93,11 @@ def voigt_coefficients(a_inv: np.ndarray, mat: Material) -> np.ndarray:
 def flat_tensor(mat: Material) -> np.ndarray:
     """The plate tensor: the elasticity tensor at the Euclidean metric."""
     return build_tensor(np.eye(2), mat)
+
+
+def flat_voigt(mat: Material) -> np.ndarray:
+    """The 3x3 Voigt matrix of the plate tensor in (e11, e22, 2 e12)."""
+    return voigt_coefficients(np.eye(2), mat)[VOIGT_SYMMETRIC]
 
 
 def contract(tensor: np.ndarray, s: np.ndarray, t: np.ndarray):

@@ -15,12 +15,21 @@ stress fields, so the discrete first variation is represented exactly (up to
 roundoff) and is checkable against central differences of the scalar energy.
 
 One kernel evaluates every path, the flat plate included.  Strains and
-stresses are (3, ...) arrays of the components (11, 22, 12), the shear strain
-stored doubled (2 E_12), so the quadratic form A^{abst} E_st E_ab is e . C e
-with the six Voigt coefficients of elasticity.voigt_coefficients, and every
-pairing of a stress with a strain variation is a plain sum of componentwise
-products.  Each stencil is applied once to a column block of all the fields
-that share it.
+stresses are (3, points) arrays of the components (11, 22, 12), the shear
+strain stored doubled (2 E_12), so the quadratic form A^{abst} E_st E_ab is
+e . C e with C the 3x3 Voigt matrix of elasticity.voigt_coefficients at each
+point, and every pairing of a stress with a strain variation is a plain sum
+of componentwise products.
+
+An evaluation makes four sparse products, two for the energy alone: the
+grid's stacked membrane stencil (cell d1, d2 and average) applied to the
+(nodes, 3) block of u, the stacked bending stencil (clamped d11, d22, d12
+and interior d1, d2) applied to u3, and for the gradient the CSC transpose
+of each stack applied to the block of stresses its rows meet.  Stresses and
+geometry pulls are single np.einsum contractions (optimize=False: fixed
+summation order, no BLAS) and the quadratic forms pairwise np.sum
+reductions, so the bytes of an evaluation do not depend on the BLAS thread
+count.
 """
 
 from __future__ import annotations
@@ -30,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .elasticity import Material, voigt_coefficients
+from .elasticity import VOIGT_SYMMETRIC, Material, flat_voigt, voigt_coefficients
 from .geometry import Immersion, SurfaceGeometry, cell_geometry, geometry_field
 from .grid import Displacement, Grid
 
@@ -118,32 +127,12 @@ class ForceDensity:
 
 # -- the component kernel -------------------------------------------------------
 
+# Factors that turn the stencil rows (d11, d22, d12) into the bending strain
+# components (11, 22, 2*12), and the bending stress back into stencil rows.
+_SHEAR = np.array([1.0, 1.0, 2.0])[:, None]
 
-def _columns(fields) -> np.ndarray:
-    """The fields as the columns of one (n, k) block."""
-    return np.column_stack([f.ravel() for f in fields])
-
-
-def _block(op, x: np.ndarray, shape) -> np.ndarray:
-    """op applied to every column of the block x in one sparse product, as a
-    (k, *shape) array of strided rows.  Column k of a block product is op @
-    x[:, k] bit for bit."""
-    return (op @ x).T.reshape((x.shape[1],) + shape)
-
-
-def _pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pointwise pairing sum_k a_k b_k of two component arrays."""
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
-def _stress(c: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Stress components (S11, S22, S12) = C e from the six coefficient fields."""
-    c11, c22, c33, c12, c13, c23 = c
-    return np.array((
-        c11 * e[0] + c12 * e[1] + c13 * e[2],
-        c12 * e[0] + c22 * e[1] + c23 * e[2],
-        c13 * e[0] + c23 * e[1] + c33 * e[2],
-    ))
+# The symmetric 2x2 membrane stress from its components (S11, S22, S12).
+_STRESS_MATRIX = np.array([[0, 2], [2, 1]])
 
 
 def _as_matrix(e: np.ndarray) -> np.ndarray:
@@ -155,98 +144,110 @@ def _as_matrix(e: np.ndarray) -> np.ndarray:
     return m
 
 
-def _pull_fields(geom: SurfaceGeometry):
-    """Components (11, 22, 2*12) of Gamma^1, Gamma^2 and b; None when flat."""
+def _columns(fields) -> np.ndarray:
+    """Three fields (the components of a displacement or a load) as the
+    columns of one (nodes, 3) block."""
+    x = np.empty((fields[0].size, 3))
+    for k, f in enumerate(fields):
+        x[:, k] = f.ravel()
+    return x
+
+
+def _voigt_matrices(a_inv: np.ndarray, mat: Material, weight: np.ndarray) -> np.ndarray:
+    """The (3, 3, points) Voigt matrices of the weighted elasticity tensor."""
+    c = voigt_coefficients(a_inv.reshape(-1, 2, 2), mat)
+    c *= weight.ravel()
+    return c[VOIGT_SYMMETRIC]
+
+
+def _pull(geom: SurfaceGeometry, fields: int):
+    """Minus the geometry fields that the strains subtract, as a
+    (3, fields, points) array: entry [v, m] pairs strain component v
+    (11, 22, 2*12) with the derivative or average of component m.  The
+    fields are Gamma^1, Gamma^2 and (fields = 3) b; None on a flat reference.
+    """
     if geom.is_flat:
         return None
     gamma = geom.gamma
-    return tuple(
-        np.stack((m[..., 0, 0], m[..., 1, 1], 2.0 * m[..., 0, 1]))
-        for m in (gamma[..., 0, :, :], gamma[..., 1, :, :], geom.b)
-    )
+    mats = (gamma[..., 0, :, :], gamma[..., 1, :, :], geom.b)[:fields]
+    p = np.empty((3, fields) + geom.sqrt_a.shape)
+    for m, f in enumerate(mats):
+        np.negative(f[..., 0, 0], out=p[0, m])
+        np.negative(f[..., 1, 1], out=p[1, m])
+        np.multiply(f[..., 0, 1], -2.0, out=p[2, m])
+    return p.reshape(3, fields, -1)
 
 
-def _membrane(grid: Grid, v: Displacement, pull, coeff: float = 0.5, du=None):
-    """Membrane strain components at cell midpoints, linear in v, and the
-    cell gradient of v.u3.
+def _membrane(op, pull, fields, coeff: float = 0.5, du=None):
+    """(membrane strain components (3, cells), stencil block g) of the
+    displacement with components `fields`; see _membrane_strain."""
+    g = (op @ _columns(fields)).reshape(2 if pull is None else 3, -1, 3)
+    return _membrane_strain(g, pull, coeff, du), g
 
-    du is the cell gradient of a transverse field (default: that of v.u3).
-    With coeff = 1/2 and the default the nonlinear strain of v; with du
-    from u.u3 and coeff = 1 the first variation at u in direction v; with
-    coeff = 0 the linearized strain.  pull holds the geometry fields
-    (_pull_fields), None on a flat reference.
+
+def _membrane_strain(g: np.ndarray, pull, coeff: float = 0.5, du=None) -> np.ndarray:
+    """Membrane strain components (3, cells) from the stencil block
+    g[k, cell, j]: row block k of the membrane stencil applied to component
+    j of a displacement u.
+
+    The stencil is the whole membrane_stencil (d1, d2, average), or its
+    derivative rows when pull is None (a flat reference).  du is the cell
+    gradient of a transverse field (default: that of u.u3, g[:2, :, 2]).
+    With coeff = 1/2 and the default the nonlinear strain of u; with du from
+    another field w and coeff = 1 the first variation at w in direction u;
+    with coeff = 0 the linearized strain.
     """
-    d1, d2 = grid.cell_d1_ops
-    x = _columns(v.components())
-    g1 = _block(d1, x, grid.cell_shape)
-    g2 = _block(d2, x, grid.cell_shape)
-    dv = (g1[2], g2[2])
+    # gt[k, j] is a row over the cells: elementwise work then runs along the
+    # cells, not along the three components (a length-3 inner loop is slow)
+    gt = g.transpose(0, 2, 1)
+    dv = gt[:2, 2]
     if du is None:
         du = dv
-    e = np.array((
-        g1[0] + coeff * (du[0] * dv[0]),
-        g2[1] + coeff * (du[1] * dv[1]),
-        (g2[0] + g1[1]) + coeff * (du[0] * dv[1] + dv[0] * du[1]),
-    ))
+    if pull is None:
+        e = np.zeros((3, g.shape[1]))
+    else:
+        # einsum's contiguous loop is about twice as fast as its strided one
+        e = np.einsum("vmc,mc->vc", pull, np.ascontiguousarray(gt[2]))
+    # z[k, l] = d_k u_l + coeff * du_k dv_l; the strain is its symmetric part
+    z = du[:, None] * dv
+    z *= coeff
+    z += gt[:2, :2]
+    e[:2] += z.reshape(4, -1)[::3]
+    e[2] += z[0, 1] + z[1, 0]
+    return e
+
+
+def _bending(op, pull, u3: np.ndarray):
+    """Bending strain components (3, nodes) and the stencil rows fb[k, node]
+    (ghost closure).  op is the bending stencil, or its second-derivative
+    rows when pull is None (a flat reference)."""
+    fb = (op @ u3.ravel()).reshape(-1, u3.size)
+    f = fb[:3] * _SHEAR
     if pull is not None:
-        avg = _block(grid.cell_avg_op, x, grid.cell_shape)
-        for p, a in zip(pull, avg):
-            e -= p * a
-    return e, dv
-
-
-def _bending(grid: Grid, u3: np.ndarray, pull) -> np.ndarray:
-    """Bending strain components at nodes (ghost closure); pull holds the
-    Christoffel fields, None on a flat reference."""
-    ops = grid.clamped_d2_ops
-    f = np.array([grid.apply(ops[key], u3) for key in ((1, 1), (2, 2), (1, 2))])
-    f[2] *= 2.0
-    if pull is not None:
-        d1, d2 = (grid.apply(op, u3) for op in grid.interior_d1_ops)
-        f -= pull[0] * d1 + pull[1] * d2
-    return f
-
-
-def _transpose(grid: Grid, s: np.ndarray, du, sf: np.ndarray, memb_pull, bend_pull):
-    """Gradient of the quadratic energy, (3, *shape): the strain stencils
-    transposed against the membrane stress s and the bending stress sf."""
-    tops = grid.transposed_ops
-    s11, s22, s12 = s
-    x1 = _columns((s11, s12, s11 * du[0] + s12 * du[1]))
-    x2 = _columns((s12, s22, s12 * du[0] + s22 * du[1]))
-    g = _block(tops[("cell_d1", 1)], x1, grid.shape) + _block(tops[("cell_d1", 2)], x2, grid.shape)
-    if memb_pull is not None:
-        g -= _block(tops["cell_avg"], _columns([_pair(p, s) for p in memb_pull]), grid.shape)
-    g3 = g[2]
-    g3 += grid.apply(tops[("bend", (1, 1))], sf[0])
-    g3 += grid.apply(tops[("bend", (2, 2))], sf[1])
-    g3 += 2.0 * grid.apply(tops[("bend", (1, 2))], sf[2])
-    if bend_pull is not None:
-        t1, t2 = tops[("int_d1", 1)], tops[("int_d1", 2)]
-        g3 -= grid.apply(t1, _pair(bend_pull[0], sf)) + grid.apply(t2, _pair(bend_pull[1], sf))
-    return g
+        f += np.einsum("vmn,mn->vn", pull, fb[3:])
+    return f, fb
 
 
 class _Kernel(NamedTuple):
     """Everything an evaluation reads besides u.
 
-    memb and bend are the Voigt coefficient fields at cell midpoints and at
+    memb_ops and bend_ops are a stacked strain stencil of the grid and its
+    CSC transpose: on a curved reference the whole membrane_stencil and
+    bending_stencil, on a flat one only their derivative rows.  memb and
+    bend are the (3, 3, points) Voigt matrices at cell midpoints and at
     nodes, with the thickness factor, the quadrature weight and the area
-    density folded in; memb_pull (Gamma^1, Gamma^2, b) and bend_pull
-    (Gamma^1, Gamma^2) are None on a flat reference; load is the three
-    weighted load fields.
+    density folded in; memb_pull and bend_pull are _pull's fields, None on
+    a flat reference; load is the weighted load as a (nodes, 3) block.
     """
 
     grid: Grid
+    memb_ops: tuple
+    bend_ops: tuple
     memb: np.ndarray
     bend: np.ndarray
-    memb_pull: tuple | None
-    bend_pull: tuple | None
+    memb_pull: np.ndarray | None
+    bend_pull: np.ndarray | None
     load: np.ndarray
-
-    def strains(self, u: Displacement):
-        e, du = _membrane(self.grid, u, self.memb_pull)
-        return e, du, _bending(self.grid, u.u3, self.bend_pull)
 
     def evaluate(self, u: Displacement, with_gradient: bool):
         """(energy, magnitude of its terms, gradient or None).
@@ -256,47 +257,93 @@ class _Kernel(NamedTuple):
         magnitude to keep line-search comparisons meaningful near
         convergence.  Both quadratic forms are nonnegative, so the magnitude
         is their sum plus the absolute load pairing.
+
+        The quadratic forms are summed by np.sum, pairwise: its rounding
+        error stays near one ulp of the magnitude and varies smoothly with
+        u, so central differences of the energy over steps of 1e-6 still
+        resolve directional derivatives six orders below the magnitude.
+
+        The gradient transposes each stack once against its stress block:
+        rows of g and fb are overwritten with the stress each stencil row
+        meets, so no evaluation holds more than one block per stencil.
         """
-        e, du, f = self.strains(u)
-        s = _stress(self.memb, e)
-        sf = _stress(self.bend, f)
-        quad = 0.5 * (np.sum(sf * f) + np.sum(s * e))
-        load = 0.0
-        load_abs = 0.0
-        for lw, ui in zip(self.load, u.components()):
-            prod = lw * ui
-            load += float(np.sum(prod))
-            load_abs += float(np.sum(np.abs(prod)))
+        x = _columns(u.components())
+        prod = self.load * x
+        load = float(prod.sum())
+        load_abs = float(np.abs(prod, out=prod).sum())
+        del prod
+        g = (self.memb_ops[0] @ x).reshape(-1, self.grid.num_cells, 3)
+        del x
+        e = _membrane_strain(g, self.memb_pull)
         if not with_gradient:
-            return float(quad - load), float(quad + load_abs), None
-        g = _transpose(self.grid, s, du, sf, self.memb_pull, self.bend_pull)
-        g -= self.load
-        g[:, [0, -1], :] = 0.0
-        g[:, :, [0, -1]] = 0.0
-        return float(quad - load), float(quad + load_abs), Displacement(*g)
+            del g
+        s = np.einsum("uvc,vc->uc", self.memb, e)
+        quad = np.sum(s * e)
+        del e
+        if with_gradient:
+            gt = g.transpose(0, 2, 1)
+            stress = s[_STRESS_MATRIX]
+            du_part = np.einsum("klc,lc->kc", stress, gt[:2, 2])
+            gt[:2, :2] = stress
+            gt[:2, 2] = du_part
+            del stress, du_part
+            if self.memb_pull is not None:
+                gt[2] = np.einsum("vmc,vc->mc", self.memb_pull, s)
+            grad = self.memb_ops[1] @ g.reshape(-1, 3)
+            del g
+        del s
+        f, fb = _bending(self.bend_ops[0], self.bend_pull, u.u3)
+        sf = np.einsum("uvn,vn->un", self.bend, f)
+        quad = 0.5 * (quad + np.sum(sf * f))
+        energy, scale = float(quad - load), float(quad + load_abs)
+        if not with_gradient:
+            return energy, scale, None
+        del f
+        np.multiply(sf, _SHEAR, out=fb[:3])
+        if self.bend_pull is not None:
+            np.einsum("vmn,vn->mn", self.bend_pull, sf, out=fb[3:])
+        grad[:, 2] += self.bend_ops[1] @ fb.ravel()
+        grad -= self.load
+        n1, n2 = self.grid.shape
+        grad = grad.reshape(n1, n2, 3)
+        grad[:: n1 - 1] = 0.0
+        grad[:, :: n2 - 1] = 0.0
+        return energy, scale, Displacement(grad[..., 0], grad[..., 1], grad[..., 2])
+
+
+def _kernel(grid: Grid, memb, bend, memb_pull, bend_pull, load) -> _Kernel:
+    """The kernel on the stencil rows its reference needs: the averages and
+    the first derivatives only where the geometry pulls on them."""
+    return _Kernel(grid,
+                   grid.leading_rows("membrane", 2 if memb_pull is None else 3),
+                   grid.leading_rows("bending", 3 if bend_pull is None else 5),
+                   memb, bend, memb_pull, bend_pull, load)
 
 
 def _flat_kernel(grid: Grid, mat: Material, force: ForceDensity) -> _Kernel:
     """The kernel of the flat reference: constant coefficients, no geometry."""
-    a0 = voigt_coefficients(np.eye(2), mat)[:, None, None]
+    a0 = flat_voigt(mat)[..., None]
     w = grid.weights
-    return _Kernel(grid, (mat.eps * grid.cell_weight) * a0, (mat.eps**3 / 3.0 * w) * a0,
-                   None, None, np.stack([w * p for p in force.components()]))
+    return _kernel(grid, (mat.eps * grid.cell_weight) * a0, (mat.eps**3 / 3.0 * w.ravel()) * a0,
+                   None, None, _columns([w * p for p in force.components()]))
 
 
 def linearized_strain(grid: Grid, u: Displacement) -> np.ndarray:
     """Symmetrized gradient of the tangential components at cell midpoints."""
-    return _as_matrix(_membrane(grid, u, None, 0.0)[0])
+    e = _membrane(grid.leading_rows("membrane", 2)[0], None, u.components(), 0.0)[0]
+    return _as_matrix(e.reshape((3,) + grid.cell_shape))
 
 
 def plate_membrane_strain(grid: Grid, u: Displacement) -> np.ndarray:
     """Membrane strain of the flat reference: symmetric gradient plus the
     quadratic transverse term, with no curvature couplings."""
-    return _as_matrix(_membrane(grid, u, None)[0])
+    e = _membrane(grid.leading_rows("membrane", 2)[0], None, u.components())[0]
+    return _as_matrix(e.reshape((3,) + grid.cell_shape))
 
 
 def plate_bending_strain(grid: Grid, u3: np.ndarray) -> np.ndarray:
-    return _as_matrix(_bending(grid, u3, None))
+    f = _bending(grid.leading_rows("bending", 3)[0], None, u3)[0]
+    return _as_matrix(f.reshape((3,) + grid.shape))
 
 
 # -- the immersion-bound evaluator ---------------------------------------------
@@ -306,9 +353,9 @@ def plate_bending_strain(grid: Grid, u3: np.ndarray) -> np.ndarray:
 class EnergyAssembly:
     """Immersion-bound evaluator of the shell energy and its gradient.
 
-    Immutable after construction; caches the six Voigt coefficient fields
-    at both collocation sets (weights folded in), the geometry fields the
-    strains subtract, and the weighted load fields.
+    Immutable after construction; caches the 3x3 Voigt matrices at both
+    collocation sets (weights folded in), the geometry fields the strains
+    subtract, and the weighted load fields.
     """
 
     grid: Grid
@@ -323,30 +370,35 @@ class EnergyAssembly:
         mat = self.material
         self.wsa = self.grid.weights * self.geometry.sqrt_a
         cw = self.grid.cell_weight * self.cell_geom.sqrt_a
-        bend_pull = _pull_fields(self.geometry)
-        self._kernel = _Kernel(
+        self._kernel = _kernel(
             self.grid,
-            (mat.eps * cw) * voigt_coefficients(self.cell_geom.a_inv, mat),
-            (mat.eps**3 / 3.0 * self.wsa) * voigt_coefficients(self.geometry.a_inv, mat),
-            _pull_fields(self.cell_geom),
-            None if bend_pull is None else bend_pull[:2],
-            np.stack([self.wsa * p for p in self.force.components()]),
+            _voigt_matrices(self.cell_geom.a_inv, mat, mat.eps * cw),
+            _voigt_matrices(self.geometry.a_inv, mat, mat.eps**3 / 3.0 * self.wsa),
+            _pull(self.cell_geom, 3),
+            _pull(self.geometry, 2),
+            _columns([self.wsa * p for p in self.force.components()]),
         )
 
     # -- strain fields ------------------------------------------------------
 
     def membrane_strain(self, u: Displacement) -> np.ndarray:
         """Nonlinear membrane strain E[..., alpha, beta] at cell midpoints."""
-        return _as_matrix(_membrane(self.grid, u, self._kernel.memb_pull)[0])
+        k = self._kernel
+        e = _membrane(k.memb_ops[0], k.memb_pull, u.components())[0]
+        return _as_matrix(e.reshape((3,) + self.grid.cell_shape))
 
     def bending_strain(self, u3: np.ndarray) -> np.ndarray:
         """Bending strain F[..., alpha, beta] at nodes (ghost closure)."""
-        return _as_matrix(_bending(self.grid, u3, self._kernel.bend_pull))
+        k = self._kernel
+        f = _bending(k.bend_ops[0], k.bend_pull, u3)[0]
+        return _as_matrix(f.reshape((3,) + self.grid.shape))
 
     def first_variation(self, u: Displacement, v: Displacement) -> np.ndarray:
         """Derivative of the membrane strain at u in direction v."""
-        du = tuple(self.grid.to_cells(op, u.u3) for op in self.grid.cell_d1_ops)
-        return _as_matrix(_membrane(self.grid, v, self._kernel.memb_pull, 1.0, du)[0])
+        k = self._kernel
+        du = (k.memb_ops[0] @ u.u3.ravel()).reshape(-1, self.grid.num_cells)[:2]
+        e = _membrane(k.memb_ops[0], k.memb_pull, v.components(), 1.0, du)[0]
+        return _as_matrix(e.reshape((3,) + self.grid.cell_shape))
 
     # -- energy, gradient, residual ------------------------------------------
 
@@ -371,12 +423,13 @@ class EnergyAssembly:
     def directional_derivative(self, u: Displacement, v: Displacement) -> float:
         """First variation of the energy at u in direction v (direct form)."""
         k = self._kernel
-        e, du, f = k.strains(u)
-        ep, _ = _membrane(self.grid, v, k.memb_pull, 1.0, du)
-        fv = _bending(self.grid, v.u3, k.bend_pull)
-        val = np.sum(_stress(k.bend, f) * fv) + np.sum(_stress(k.memb, e) * ep)
-        val -= sum(np.sum(lw * vi) for lw, vi in zip(k.load, v.components()))
-        return float(val)
+        e, g = _membrane(k.memb_ops[0], k.memb_pull, u.components())
+        f = _bending(k.bend_ops[0], k.bend_pull, u.u3)[0]
+        ep = _membrane(k.memb_ops[0], k.memb_pull, v.components(), 1.0, g[:2, :, 2])[0]
+        fv = _bending(k.bend_ops[0], k.bend_pull, v.u3)[0]
+        val = (np.sum(np.einsum("uvn,vn->un", k.bend, f) * fv)
+               + np.sum(np.einsum("uvc,vc->uc", k.memb, e) * ep))
+        return float(val - np.sum(k.load * _columns(v.components())))
 
     def residual_norm(self, u: Displacement) -> float:
         g = self.gradient(u)

@@ -363,7 +363,7 @@ def surface_quantities(imm: Immersion, y: np.ndarray):
     except ImmersionError as exc:
         norm = np.broadcast_to(_length(_cross(g)), base)
         bad = np.argwhere(norm < DEGENERACY_THRESHOLD)
-        where = tuple(bad[0]) if len(bad) else "unknown"
+        where = tuple(int(i) for i in bad[0]) if len(bad) else "unknown"
         raise ImmersionError(f"{exc} at node {where}") from None
     b = _second_form(normal, h)
     gamma = _christoffel(g, h, a_inv)

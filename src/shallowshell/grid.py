@@ -13,6 +13,13 @@ factor on the other axis is the identity, or the interior mask where only
 interior rows are filled.  The clamped second derivative along an axis is
 kron(centered, mask) + kron(ghost edge rows, identity), and the clamped
 mixed derivative is c * kron(C, C) with the centered +-1 stencil C.
+
+The strain stencils are stored once, stacked by collocation set:
+membrane_stencil holds the cell rows [d1; d2; average] and bending_stencil
+the nodal rows [clamped d11; d22; d12; interior d1; d2].  The per-stencil
+operators (cell_d1_ops, cell_avg_op, clamped_d2_ops, interior_d1_ops) and
+their transposes (transposed_ops) are views of the stacks that share their
+data and index arrays.
 """
 
 from __future__ import annotations
@@ -146,33 +153,90 @@ class Grid:
         return np.outer(c1, np.ones(self.n2 - 1)), np.outer(np.ones(self.n1 - 1), c2)
 
     @cached_property
+    def membrane_stencil(self) -> sp.csr_matrix:
+        """The membrane strain rows, stacked: [cell d1; cell d2; cell average].
+
+        A (3 num_cells) x num_nodes operator.  One product with a column
+        block of nodal fields gives every cell derivative and average of
+        every column; cell_d1_ops and cell_avg_op are its row blocks.
+        """
+        q1 = 0.5 / self.h1
+        q2 = 0.5 / self.h2
+        both1, both2 = _cell(self.n1, 1.0, 1.0), _cell(self.n2, 1.0, 1.0)
+        return sp.vstack([
+            sp.kron(_cell(self.n1, -q1, q1), both2, "csr"),
+            sp.kron(both1, _cell(self.n2, -q2, q2), "csr"),
+            sp.kron(_cell(self.n1, 0.25, 0.25), both2, "csr"),
+        ], format="csr")
+
+    @cached_property
+    def bending_stencil(self) -> sp.csr_matrix:
+        """The bending strain rows, stacked: [clamped d11; d22; d12; interior
+        d1; interior d2].
+
+        A (5 num_nodes) x num_nodes operator; clamped_d2_ops and
+        interior_d1_ops are its row blocks.  The clamped second derivative
+        along an axis is kron(centered, mask) + kron(ghost edge rows,
+        identity); the clamped mixed derivative is c * kron(C, C).
+        """
+        straight = [
+            self._along(axis, _d2_centered, _interior_mask) + self._along(axis, _ghost)
+            for axis in (1, 2)
+        ]
+        c = 0.25 / (self.h1 * self.h2)
+        mixed = c * sp.kron(_interior_rows(self.n1, -1.0, 0.0, 1.0),
+                            _interior_rows(self.n2, -1.0, 0.0, 1.0), "csr")
+        interior = [self._along(axis, _d1_centered, _interior_mask) for axis in (1, 2)]
+        return sp.vstack(straight + [mixed] + interior, format="csr")
+
+    def _blocks(self, stencil: str, first: int, stop: int) -> sp.csr_matrix:
+        """Row blocks first..stop-1 of membrane_stencil or bending_stencil
+        (stencil = "membrane" or "bending"), as a view."""
+        rows = self.num_cells if stencil == "membrane" else self.num_nodes
+        return _row_view(getattr(self, stencil + "_stencil"), first * rows, stop * rows)
+
+    @cached_property
+    def _leading(self) -> dict:
+        return {}
+
+    def leading_rows(self, stencil: str, blocks: int) -> tuple[sp.csr_matrix, sp.csc_matrix]:
+        """The first `blocks` row blocks of membrane_stencil or
+        bending_stencil (stencil = "membrane" or "bending") and their
+        transpose, as views built once per grid.  The energy kernel applies
+        the whole stacks on a curved reference and only the derivative rows
+        (2 membrane blocks, 3 bending blocks) on a flat one."""
+        pair = self._leading.get((stencil, blocks))
+        if pair is None:
+            rows = self._blocks(stencil, 0, blocks)
+            pair = self._leading[stencil, blocks] = (rows, _transpose(rows))
+        return pair
+
+    @cached_property
     def cell_d1_ops(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
         """First derivatives at cell centers from the four corner values.
 
         Second-order at the cell midpoint and free of the sublattice null
         modes that plague node-collocated centered differences; this is what
         makes the membrane energy coercive on the discrete clamped space.
+        Row blocks 0 and 1 of membrane_stencil.
         """
-        q1 = 0.5 / self.h1
-        q2 = 0.5 / self.h2
-        return (
-            sp.kron(_cell(self.n1, -q1, q1), _cell(self.n2, 1.0, 1.0), "csr"),
-            sp.kron(_cell(self.n1, 1.0, 1.0), _cell(self.n2, -q2, q2), "csr"),
-        )
+        return self._blocks("membrane", 0, 1), self._blocks("membrane", 1, 2)
 
     @cached_property
     def cell_avg_op(self) -> sp.csr_matrix:
-        """Four-corner average onto cell centers (second order)."""
-        return sp.kron(_cell(self.n1, 0.25, 0.25), _cell(self.n2, 1.0, 1.0), "csr")
+        """Four-corner average onto cell centers (second order); row block 2
+        of membrane_stencil."""
+        return self._blocks("membrane", 2, 3)
 
     @cached_property
     def interior_d1_ops(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
         """Centered first derivatives with rows only at interior nodes.
 
         These are the strain stencils: strain fields are collocated at
-        interior nodes and taken to vanish on the boundary ring.
+        interior nodes and taken to vanish on the boundary ring.  Row blocks
+        3 and 4 of bending_stencil.
         """
-        return tuple(self._along(axis, _d1_centered, _interior_mask) for axis in (1, 2))
+        return self._blocks("bending", 3, 4), self._blocks("bending", 4, 5)
 
     @cached_property
     def clamped_d2_ops(self) -> dict[tuple[int, int], sp.csr_matrix]:
@@ -185,43 +249,39 @@ class Grid:
         the second derivative at an edge node reduces to 2*f(first interior)
         / h^2.  All other edge rows evaluate to zero on clamped fields and
         are left empty; the mixed derivative likewise vanishes on the whole
-        boundary ring under the ghost closure.
+        boundary ring under the ghost closure.  Row blocks 0-2 of
+        bending_stencil.
         """
-        straight = [
-            self._along(axis, _d2_centered, _interior_mask) + self._along(axis, _ghost)
-            for axis in (1, 2)
-        ]
-        c = 0.25 / (self.h1 * self.h2)
-        mixed = c * sp.kron(_interior_rows(self.n1, -1.0, 0.0, 1.0),
-                            _interior_rows(self.n2, -1.0, 0.0, 1.0), "csr")
+        mixed = self._blocks("bending", 2, 3)
         return {
-            (1, 1): straight[0],
-            (2, 2): straight[1],
+            (1, 1): self._blocks("bending", 0, 1),
+            (2, 2): self._blocks("bending", 1, 2),
             (1, 2): mixed,
             (2, 1): mixed,
         }
 
     @cached_property
     def transposed_ops(self) -> dict:
-        """Transposes of the strain stencils, for gradients.
+        """Transposes of the strain stencils, as copy-free CSC views.
 
-        Each value is the copy-free CSC view `op.T`, sharing its arrays with
-        the forward operator.  A CSC product adds each output entry's terms in
-        the column order that the CSR copy of the transpose adds them, so the
-        products are bitwise those of `op.T.tocsr()`.
+        Each value shares its arrays with the forward operator, and so with
+        the stack.  A CSC product adds each output entry's terms in the
+        column order that the CSR copy of the transpose adds them, so the
+        products are bitwise those of `op.T.tocsr()`.  The energy kernel
+        transposes whole stacks (leading_rows) instead.
         """
         d1i = self.interior_d1_ops
         bend = self.clamped_d2_ops
         cell = self.cell_d1_ops
         out = {
-            ("int_d1", 1): d1i[0].T,
-            ("int_d1", 2): d1i[1].T,
-            ("cell_d1", 1): cell[0].T,
-            ("cell_d1", 2): cell[1].T,
-            "cell_avg": self.cell_avg_op.T,
+            ("int_d1", 1): _transpose(d1i[0]),
+            ("int_d1", 2): _transpose(d1i[1]),
+            ("cell_d1", 1): _transpose(cell[0]),
+            ("cell_d1", 2): _transpose(cell[1]),
+            "cell_avg": _transpose(self.cell_avg_op),
         }
         for key in ((1, 1), (2, 2), (1, 2)):
-            out[("bend", key)] = bend[key].T
+            out[("bend", key)] = _transpose(bend[key])
         return out
 
     def apply(self, op: sp.csr_matrix, f: np.ndarray) -> np.ndarray:
@@ -232,6 +292,31 @@ class Grid:
 
     def from_cells(self, op_t: sp.spmatrix, c: np.ndarray) -> np.ndarray:
         return (op_t @ c.ravel()).reshape(self.shape)
+
+
+# -- views into stacked operators ---------------------------------------------
+
+
+def _row_view(stack: sp.csr_matrix, first: int, stop: int) -> sp.csr_matrix:
+    """Rows first..stop-1 of a CSR matrix, sharing its data and indices; the
+    row pointer is shared too when first = 0, else shifted into a new array.
+    The arrays are assigned after construction: scipy's constructor prunes a
+    slice much shorter than its base into a copy."""
+    start, end = stack.indptr[first], stack.indptr[stop]
+    indptr = stack.indptr[first : stop + 1]
+    view = sp.csr_matrix((stop - first, stack.shape[1]), dtype=stack.dtype)
+    view.data = stack.data[start:end]
+    view.indices = stack.indices[start:end]
+    view.indptr = indptr - start if start else indptr
+    return view
+
+
+def _transpose(op: sp.csr_matrix) -> sp.csc_matrix:
+    """op.T as a CSC matrix on op's own arrays, assigned after construction
+    for the same reason as in _row_view."""
+    view = sp.csc_matrix(op.shape[::-1], dtype=op.dtype)
+    view.data, view.indices, view.indptr = op.data, op.indices, op.indptr
+    return view
 
 
 # -- 1-D stencils: dense n x n (cells: (n-1) x n); zeros are not stored -------

@@ -27,7 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
-from .elasticity import Material, flat_tensor
+from .elasticity import Material, flat_voigt
 from .energy import (
     EnergyAssembly,
     ForceDensity,
@@ -260,49 +260,45 @@ def _two_loop_direction(g, s_hist, y_hist, rho, h0_solve):
 
 
 # -- the plate Hessian at u = 0: stiffness matrices and their factors ----------
-
-
-def _stiffness(a0: np.ndarray, ops: dict, weight: np.ndarray) -> sp.csr_matrix:
-    """sum over a, b, s, t of a0[a, b, s, t] * ops[a, b]^T W ops[s, t], W = diag(weight)."""
-    w = sp.diags(weight)
-    K = None
-    for (a, b), left in ops.items():
-        for (s, t), right in ops.items():
-            coef = a0[a, b, s, t]
-            if coef == 0.0:
-                continue
-            term = coef * (left.T @ w @ right)
-            K = term if K is None else K + term
-    return K.tocsr()
+#
+# Both blocks are E^T (C (x) W) E: E maps the unknowns to the three Voigt
+# strain components at every point, C is the plate's 3x3 Voigt matrix and W
+# the quadrature weights, so the matrix is the Hessian of the quadratic
+# energy 1/2 sum_points w e . C e that the energy kernel evaluates.
 
 
 def _bending_matrix(grid: Grid, mat: Material) -> sp.csr_matrix:
     """Bending stiffness of u3 at the plate, on the interior nodes.
 
-    The quadratic form of the bending energy: the clamped second-derivative
-    stencils against the nodal quadrature weights and the plate tensor.
+    E is the clamped second-derivative rows of bending_stencil (d11; d22;
+    d12), block by block, so the Kronecker factor is C (x) W; C has its
+    shear row and column doubled to act on d12 rather than 2 d12.
     """
     idx = np.flatnonzero(grid.interior.ravel())
-    ops = grid.clamped_d2_ops
-    C = {(a, b): ops[(a + 1, b + 1)][:, idx] for a in range(2) for b in range(2)}
-    return _stiffness(flat_tensor(mat), C, (mat.eps**3 / 3.0) * grid.weights.ravel())
+    shear = np.array([1.0, 1.0, 2.0])
+    c = np.outer(shear, shear) * flat_voigt(mat)
+    w = sp.diags((mat.eps**3 / 3.0) * grid.weights.ravel())
+    rows = grid.leading_rows("bending", 3)[0][:, idx]
+    return (rows.T @ sp.kron(c, w) @ rows).tocsr()
+
+
+# _MEMBRANE_ROWS[a][v, b]: the weight of d_a u_b in the strain component v
+# (e11, e22, 2 e12) of the linearized membrane strain.
+_MEMBRANE_ROWS = (np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]),
+                  np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]]))
 
 
 def _membrane_matrix(grid: Grid, mat: Material) -> sp.csr_matrix:
     """Membrane stiffness of (u1, u2) at the plate and u = 0, on the interior
     nodes, with u1 and u2 interleaved node by node so that it is banded.
 
-    The quadratic form of the linearized membrane energy: the cell-centred
-    symmetric gradient against the midpoint weights and the plate tensor.
+    E is the linearized membrane strain from the cell-derivative rows of
+    membrane_stencil, cell by cell, so the Kronecker factor is W (x) C.
     """
     idx = np.flatnonzero(grid.interior.ravel())
-    d = [op[:, idx] for op in grid.cell_d1_ops]
-    comp = (np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]))
-    # grad[a, b]: derivative along a of component b, on the interleaved unknowns
-    grad = {(a, b): sp.kron(d[a], comp[b], "csr") for a in range(2) for b in range(2)}
-    E = {(a, b): 0.5 * (grad[a, b] + grad[b, a]) for a in range(2) for b in range(2)}
-    weight = np.full(grid.num_cells, mat.eps * grid.cell_weight)
-    return _stiffness(flat_tensor(mat), E, weight)
+    rows = sum(sp.kron(op[:, idx], b) for op, b in zip(grid.cell_d1_ops, _MEMBRANE_ROWS))
+    w = sp.diags(np.full(grid.num_cells, mat.eps * grid.cell_weight))
+    return (rows.T @ sp.kron(w, flat_voigt(mat)) @ rows).tocsr()
 
 
 def _banded_cholesky(K: sp.csr_matrix):

@@ -1,7 +1,15 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
+import shallowshell
 from shallowshell import (
     Displacement,
     ForceDensity,
@@ -411,21 +419,91 @@ def test_assembly_holds_no_full_tensor(shell_assembly):
     assert held and max(a.ndim for a in held) <= 3
 
 
-def test_sparse_products_per_evaluation_with_transposes(monkeypatch, shell_assembly, grid17, rng):
-    """Counted through CSR and CSC alike, so the products through the
-    transposed views count too: 16 for a full evaluation, 8 for the energy."""
-    u = random_clamped_displacement(grid17, rng)
-    shell_assembly.full_evaluation(u)  # builds every lazy operator first
-    calls = []
+def _count_products(monkeypatch, evaluate):
+    """Sparse products of one call, counted at __matmul__ of CSR and CSC and
+    at the compiled matvec kernels, which must agree: no product may bypass
+    __matmul__.  Returns (CSR products, CSC products)."""
+    formats, kernels = [], []
     for cls in (sp.csr_matrix, sp.csc_matrix):
         def counting(op, other, matmul=cls.__matmul__):
-            calls.append(op)
+            formats.append(op.format)
             return matmul(op, other)
 
         monkeypatch.setattr(cls, "__matmul__", counting)
-    shell_assembly.full_evaluation(u)
-    full = len(calls)
-    calls.clear()
-    shell_assembly.energy(u)
-    assert 0 < len(calls) <= 8
-    assert 8 < full <= 16
+    for name in ("csr_matvec", "csr_matvecs", "csc_matvec", "csc_matvecs"):
+        def kernel(*args, fn=getattr(_sparsetools, name)):
+            kernels.append(fn)
+            return fn(*args)
+
+        monkeypatch.setattr(_sparsetools, name, kernel)
+    evaluate()
+    monkeypatch.undo()
+    assert len(kernels) == len(formats)
+    return formats.count("csr"), formats.count("csc")
+
+
+def test_sparse_products_per_evaluation_with_transposes(monkeypatch, material, general_force,
+                                                        grid17, rng):
+    """One product per stack and direction: the membrane and bending stacks
+    for the strains (CSR), their transposes for the gradient (CSC); the
+    energy alone makes the two forward products.  The same on a curved
+    shell, on a flat assembly and in the plate functions."""
+    force = general_force(grid17)
+    u = random_clamped_displacement(grid17, rng)
+    for imm in (Immersion("paraboloid", params={"t": 0.1}), Immersion("plate")):
+        asm = make_assembly(grid17, imm, material, force)
+        asm.full_evaluation(u)  # builds every lazy operator first
+        assert _count_products(monkeypatch, lambda: asm.full_evaluation(u)) == (2, 2)
+        assert _count_products(monkeypatch, lambda: asm.energy(u)) == (2, 0)
+    plate = (grid17, material, force, u)
+    assert _count_products(monkeypatch, lambda: plate_gradient(*plate)) == (2, 2)
+    assert _count_products(monkeypatch, lambda: plate_energy(*plate)) == (2, 0)
+
+
+def test_evaluation_memory_peaks(material):
+    """Temporaries of one evaluation at 129x129 nodes (tracemalloc peak, MiB):
+    at most those of the per-stencil kernel the stacks replaced, 4.3 for a
+    full evaluation and 2.6 for the energy alone."""
+    grid = Grid(1.0, 1.0, 129, 129)
+    asm = make_assembly(grid, Immersion("sinusoidal_bump", params={"t": 0.05, "m2": 2.0}),
+                        material, ForceDensity.constant(grid, 0.5, -0.3, 1.0))
+    u = random_clamped_displacement(grid, np.random.default_rng(3))
+    asm.full_evaluation(u)  # builds every lazy operator first
+    for evaluate, bound in ((asm.full_evaluation, 4.3), (asm.energy, 2.6)):
+        tracemalloc.start()
+        try:
+            result = evaluate(u)
+            peak = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        del result
+        assert peak <= bound, (evaluate.__name__, peak)
+
+
+_EVALUATION_BYTES = """
+import hashlib
+import numpy as np
+from shallowshell import ForceDensity, Grid, Immersion, Material, make_assembly
+from shallowshell.grid import random_clamped_displacement
+grid = Grid(1.0, 1.0, 65, 65)
+asm = make_assembly(grid, Immersion("paraboloid", params={"t": 0.2}), Material(1.0, 1.0, 0.1),
+                    ForceDensity.constant(grid, 0.5, -0.3, 1.0))
+u = random_clamped_displacement(grid, np.random.default_rng(5), amplitude=0.3)
+f, scale, g = asm.full_evaluation(u)
+data = np.array([f, scale]).tobytes() + b"".join(c.tobytes() for c in g.components())
+print(hashlib.sha256(data).hexdigest())
+"""
+
+
+def test_evaluation_bytes_do_not_depend_on_blas_threads():
+    # the kernel makes no BLAS call, so no reduction can follow the thread count
+    src = str(Path(shallowshell.__file__).parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src)
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = threads
+        run = subprocess.run([sys.executable, "-c", _EVALUATION_BYTES], env=env,
+                             capture_output=True, text=True, timeout=120, check=True)
+        outputs.append(run.stdout)
+    assert len(outputs[0]) == 65 and outputs[0] == outputs[1]

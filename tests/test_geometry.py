@@ -345,7 +345,7 @@ def test_immersion_error_messages(monkeypatch):
     with pytest.raises(ImmersionError) as exc:
         geometry_field(Immersion("plate"), grid)
     assert str(exc.value) == ("degenerate immersion: |d1 theta x d2 theta| below 1e-12 "
-                              "at node (np.int64(3), np.int64(2))")
+                              "at node (3, 2)")
 
 
 def test_public_contractions_bitwise_on_signed_zeros():

@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from shallowshell import Displacement, Grid, d1, d2, integrate, seminorms, v_norm
 from shallowshell.grid import (
+    _cell,
+    _d1_centered,
+    _d2_centered,
+    _ghost,
+    _interior_mask,
+    _interior_rows,
     h2_seminorm,
     l2_norm,
     h1_seminorm,
@@ -273,3 +280,62 @@ def test_transposed_ops_are_views_with_bitwise_products(dims, rng):
         block = np.column_stack([x, rng.standard_normal(x.size), -x])
         for v in (x, block):
             assert (op_t @ v).tobytes() == (copy @ v).tobytes(), key
+
+
+def _kron_ops(grid):
+    """The per-stencil operators built one by one from 1-D stencils, as they
+    were before the stacks: the reference the stack views must reproduce."""
+    n1, n2, h1, h2 = grid.n1, grid.n2, grid.h1, grid.h2
+    q1, q2 = 0.5 / h1, 0.5 / h2
+    both1, both2 = _cell(n1, 1.0, 1.0), _cell(n2, 1.0, 1.0)
+    mixed = 0.25 / (h1 * h2) * sp.kron(_interior_rows(n1, -1.0, 0.0, 1.0),
+                                       _interior_rows(n2, -1.0, 0.0, 1.0), "csr")
+    return {
+        ("cell_d1", 1): sp.kron(_cell(n1, -q1, q1), both2, "csr"),
+        ("cell_d1", 2): sp.kron(both1, _cell(n2, -q2, q2), "csr"),
+        "cell_avg": sp.kron(_cell(n1, 0.25, 0.25), both2, "csr"),
+        ("bend", (1, 1)): sp.kron(_d2_centered(n1, h1), _interior_mask(n2), "csr")
+        + sp.kron(_ghost(n1, h1), np.eye(n2), "csr"),
+        ("bend", (2, 2)): sp.kron(_interior_mask(n1), _d2_centered(n2, h2), "csr")
+        + sp.kron(np.eye(n1), _ghost(n2, h2), "csr"),
+        ("bend", (1, 2)): mixed,
+        ("int_d1", 1): sp.kron(_d1_centered(n1, h1), _interior_mask(n2), "csr"),
+        ("int_d1", 2): sp.kron(_interior_mask(n1), _d1_centered(n2, h2), "csr"),
+    }
+
+
+@pytest.mark.parametrize("dims", [(2.0, 1.0, 9, 5), (1.3, 0.7, 17, 33)])
+def test_stencils_are_row_blocks_of_the_stacks(dims, rng):
+    """Every per-stencil operator is a row block of its stack that shares the
+    stack's data and indices, holds the arrays of the Kronecker-built
+    operator, and multiplies byte for byte as it does; so do the kernel's
+    leading-row views and their transposes."""
+    grid = Grid(*dims)
+    forward = _forward_ops(grid)
+    membrane, bending = grid.membrane_stencil, grid.bending_stencil
+    assert membrane.shape == (3 * grid.num_cells, grid.num_nodes)
+    assert bending.shape == (5 * grid.num_nodes, grid.num_nodes)
+    for key, reference in _kron_ops(grid).items():
+        op = forward[key]
+        stack = membrane if key == "cell_avg" or key[0] == "cell_d1" else bending
+        for name in ("data", "indices"):
+            assert np.shares_memory(getattr(op, name), getattr(stack, name)), (key, name)
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(op, name), getattr(reference, name)), (key, name)
+        x = rng.standard_normal(grid.num_nodes)
+        x[::5] = -0.0
+        block = np.column_stack([x, rng.standard_normal(x.size), -x])
+        for v in (x, block):
+            assert (op @ v).tobytes() == (reference @ v).tobytes(), key
+    stored = sum(m.data.nbytes + m.indices.nbytes for m in (membrane, bending))
+    assert stored == sum(m.data.nbytes + m.indices.nbytes for m in _kron_ops(grid).values())
+    for stencil, stack, blocks in (("membrane", membrane, (2, 3)), ("bending", bending, (3, 5))):
+        for count in blocks:
+            rows, rows_t = grid.leading_rows(stencil, count)
+            assert grid.leading_rows(stencil, count)[0] is rows
+            assert rows.shape == (count * stack.shape[0] // blocks[1], grid.num_nodes)
+            for name in ("data", "indices", "indptr"):
+                assert np.shares_memory(getattr(rows, name), getattr(stack, name))
+                assert getattr(rows_t, name) is getattr(rows, name)
+            y = rng.standard_normal(rows.shape[0])
+            assert (rows_t @ y).tobytes() == (rows.T.tocsr() @ y).tobytes()

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import shallowshell
 
@@ -23,8 +24,16 @@ from shallowshell import (
     v_norm,
 )
 from shallowshell.config import default_config
+from shallowshell.elasticity import flat_tensor
 from shallowshell.grid import l2_norm, random_clamped_displacement
-from shallowshell.solver import NonconvergenceError, SolveDiagnostics, pack, unpack
+from shallowshell.solver import (
+    NonconvergenceError,
+    SolveDiagnostics,
+    _bending_matrix,
+    _membrane_matrix,
+    pack,
+    unpack,
+)
 from shallowshell.verification import IDENTITY_TOL, rigidity_residuals
 
 
@@ -352,3 +361,53 @@ def test_sweep_factorizes_the_plate_hessian_once(grid9, material, general_force,
     minimize(make_assembly(grid9, Immersion("plate"), stiffer, general_force(grid9)),
              Displacement.zeros(grid9), SolverConfig())
     assert factored == [material, material, stiffer]
+
+
+# -- H0 = E^T (C (x) W) E against the 16-pair tensor sum ---------------------------
+
+
+def _pair_stiffness(a0, ops, weight):
+    """sum over a, b, s, t of a0[a, b, s, t] * ops[a, b]^T W ops[s, t]: the
+    plate Hessian as it was assembled from the full plate tensor."""
+    w = sp.diags(weight)
+    K = None
+    for (a, b), left in ops.items():
+        for (s, t), right in ops.items():
+            coef = a0[a, b, s, t]
+            if coef == 0.0:
+                continue
+            term = coef * (left.T @ w @ right)
+            K = term if K is None else K + term
+    return K.tocsr()
+
+
+@pytest.mark.parametrize("dims", [(2.0, 1.0, 9, 5), (1.3, 0.7, 17, 33)])
+def test_plate_hessian_blocks_match_the_tensor_sum(dims):
+    grid = Grid(*dims)
+    mat = Material(lam=1.3, mu=0.7, eps=0.1)
+    a0 = flat_tensor(mat)
+    idx = np.flatnonzero(grid.interior.ravel())
+    ops = grid.clamped_d2_ops
+    bend = {(a, b): ops[(a + 1, b + 1)][:, idx] for a in range(2) for b in range(2)}
+    d = [op[:, idx] for op in grid.cell_d1_ops]
+    comp = (np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]))
+    grad = {(a, b): sp.kron(d[a], comp[b], "csr") for a in range(2) for b in range(2)}
+    memb = {(a, b): 0.5 * (grad[a, b] + grad[b, a]) for a in range(2) for b in range(2)}
+    expected = (
+        (_bending_matrix(grid, mat),
+         _pair_stiffness(a0, bend, (mat.eps**3 / 3.0) * grid.weights.ravel())),
+        (_membrane_matrix(grid, mat),
+         _pair_stiffness(a0, memb, np.full(grid.num_cells, mat.eps * grid.cell_weight))),
+    )
+    for got, ref in expected:
+        assert got.shape == ref.shape
+        assert abs(got - ref).max() <= 1e-14 * abs(ref).max()
+
+
+def test_import_does_not_load_sparse_linalg():
+    # scipy.sparse.linalg costs import time and ~2 MB of resident memory
+    src = str(Path(shallowshell.__file__).parents[1])
+    probe = "import sys, shallowshell; print('scipy.sparse.linalg' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert run.stdout.strip() == "False"
