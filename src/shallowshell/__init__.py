@@ -14,9 +14,6 @@ from .energy import (
     ForceDensity,
     linearized_strain,
     make_assembly,
-    plate_bending_strain,
-    plate_energy,
-    plate_gradient,
     plate_membrane_strain,
 )
 from .geometry import (

@@ -14,7 +14,9 @@ The gradient is assembled by transposing the very same stencils against the
 stress fields, so the discrete first variation is represented exactly (up to
 roundoff) and is checkable against central differences of the scalar energy.
 
-One kernel evaluates every path, the flat plate included.  Strains and
+One kernel evaluates every immersion.  The plate energy is that of the
+assembly at Immersion("plate"), whose flat reference skips the cell averages
+and the geometry pulls; there is no separate plate path.  Strains and
 stresses are (3, points) arrays of the components (11, 22, 12), the shear
 strain stored doubled (2 E_12), so the quadratic form A^{abst} E_st E_ab is
 e . C e with C the 3x3 Voigt matrix of elasticity.voigt_coefficients at each
@@ -39,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .elasticity import VOIGT_SYMMETRIC, Material, flat_voigt, voigt_coefficients
+from .elasticity import VOIGT_SYMMETRIC, Material, voigt_coefficients
 from .geometry import Immersion, SurfaceGeometry, cell_geometry, geometry_field
 from .grid import Displacement, Grid
 
@@ -178,11 +180,11 @@ def _pull(geom: SurfaceGeometry, fields: int):
     return p.reshape(3, fields, -1)
 
 
-def _membrane(op, pull, fields, coeff: float = 0.5, du=None):
-    """(membrane strain components (3, cells), stencil block g) of the
-    displacement with components `fields`; see _membrane_strain."""
+def _membrane(op, pull, fields, coeff: float = 0.5, du=None) -> np.ndarray:
+    """Membrane strain components (3, cells) of the displacement with
+    components `fields`; see _membrane_strain."""
     g = (op @ _columns(fields)).reshape(2 if pull is None else 3, -1, 3)
-    return _membrane_strain(g, pull, coeff, du), g
+    return _membrane_strain(g, pull, coeff, du)
 
 
 def _membrane_strain(g: np.ndarray, pull, coeff: float = 0.5, du=None) -> np.ndarray:
@@ -311,39 +313,17 @@ class _Kernel(NamedTuple):
         return energy, scale, Displacement(grad[..., 0], grad[..., 1], grad[..., 2])
 
 
-def _kernel(grid: Grid, memb, bend, memb_pull, bend_pull, load) -> _Kernel:
-    """The kernel on the stencil rows its reference needs: the averages and
-    the first derivatives only where the geometry pulls on them."""
-    return _Kernel(grid,
-                   grid.leading_rows("membrane", 2 if memb_pull is None else 3),
-                   grid.leading_rows("bending", 3 if bend_pull is None else 5),
-                   memb, bend, memb_pull, bend_pull, load)
-
-
-def _flat_kernel(grid: Grid, mat: Material, force: ForceDensity) -> _Kernel:
-    """The kernel of the flat reference: constant coefficients, no geometry."""
-    a0 = flat_voigt(mat)[..., None]
-    w = grid.weights
-    return _kernel(grid, (mat.eps * grid.cell_weight) * a0, (mat.eps**3 / 3.0 * w.ravel()) * a0,
-                   None, None, _columns([w * p for p in force.components()]))
-
-
 def linearized_strain(grid: Grid, u: Displacement) -> np.ndarray:
     """Symmetrized gradient of the tangential components at cell midpoints."""
-    e = _membrane(grid.leading_rows("membrane", 2)[0], None, u.components(), 0.0)[0]
+    e = _membrane(grid.leading_rows("membrane", 2)[0], None, u.components(), 0.0)
     return _as_matrix(e.reshape((3,) + grid.cell_shape))
 
 
 def plate_membrane_strain(grid: Grid, u: Displacement) -> np.ndarray:
     """Membrane strain of the flat reference: symmetric gradient plus the
     quadratic transverse term, with no curvature couplings."""
-    e = _membrane(grid.leading_rows("membrane", 2)[0], None, u.components())[0]
+    e = _membrane(grid.leading_rows("membrane", 2)[0], None, u.components())
     return _as_matrix(e.reshape((3,) + grid.cell_shape))
-
-
-def plate_bending_strain(grid: Grid, u3: np.ndarray) -> np.ndarray:
-    f = _bending(grid.leading_rows("bending", 3)[0], None, u3)[0]
-    return _as_matrix(f.reshape((3,) + grid.shape))
 
 
 # -- the immersion-bound evaluator ---------------------------------------------
@@ -367,15 +347,18 @@ class EnergyAssembly:
     _kernel: _Kernel = field(init=False)
 
     def __post_init__(self):
-        mat = self.material
-        self.wsa = self.grid.weights * self.geometry.sqrt_a
-        cw = self.grid.cell_weight * self.cell_geom.sqrt_a
-        self._kernel = _kernel(
-            self.grid,
-            _voigt_matrices(self.cell_geom.a_inv, mat, mat.eps * cw),
-            _voigt_matrices(self.geometry.a_inv, mat, mat.eps**3 / 3.0 * self.wsa),
-            _pull(self.cell_geom, 3),
-            _pull(self.geometry, 2),
+        mat, grid = self.material, self.grid
+        self.wsa = grid.weights * self.geometry.sqrt_a
+        cw = grid.cell_weight * self.cell_geom.sqrt_a
+        memb = _voigt_matrices(self.cell_geom.a_inv, mat, mat.eps * cw)
+        bend = _voigt_matrices(self.geometry.a_inv, mat, mat.eps**3 / 3.0 * self.wsa)
+        memb_pull, bend_pull = _pull(self.cell_geom, 3), _pull(self.geometry, 2)
+        # the averages and the first derivatives only where the geometry pulls on them
+        self._kernel = _Kernel(
+            grid,
+            grid.leading_rows("membrane", 2 if memb_pull is None else 3),
+            grid.leading_rows("bending", 3 if bend_pull is None else 5),
+            memb, bend, memb_pull, bend_pull,
             _columns([self.wsa * p for p in self.force.components()]),
         )
 
@@ -384,7 +367,7 @@ class EnergyAssembly:
     def membrane_strain(self, u: Displacement) -> np.ndarray:
         """Nonlinear membrane strain E[..., alpha, beta] at cell midpoints."""
         k = self._kernel
-        e = _membrane(k.memb_ops[0], k.memb_pull, u.components())[0]
+        e = _membrane(k.memb_ops[0], k.memb_pull, u.components())
         return _as_matrix(e.reshape((3,) + self.grid.cell_shape))
 
     def bending_strain(self, u3: np.ndarray) -> np.ndarray:
@@ -397,10 +380,10 @@ class EnergyAssembly:
         """Derivative of the membrane strain at u in direction v."""
         k = self._kernel
         du = (k.memb_ops[0] @ u.u3.ravel()).reshape(-1, self.grid.num_cells)[:2]
-        e = _membrane(k.memb_ops[0], k.memb_pull, v.components(), 1.0, du)[0]
+        e = _membrane(k.memb_ops[0], k.memb_pull, v.components(), 1.0, du)
         return _as_matrix(e.reshape((3,) + self.grid.cell_shape))
 
-    # -- energy, gradient, residual ------------------------------------------
+    # -- energy and gradient -------------------------------------------------
 
     def energy_and_scale(self, u: Displacement) -> tuple[float, float]:
         return self._kernel.evaluate(u, False)[:2]
@@ -420,21 +403,6 @@ class EnergyAssembly:
         """(energy, energy magnitude, gradient) from one strain evaluation."""
         return self._kernel.evaluate(u, True)
 
-    def directional_derivative(self, u: Displacement, v: Displacement) -> float:
-        """First variation of the energy at u in direction v (direct form)."""
-        k = self._kernel
-        e, g = _membrane(k.memb_ops[0], k.memb_pull, u.components())
-        f = _bending(k.bend_ops[0], k.bend_pull, u.u3)[0]
-        ep = _membrane(k.memb_ops[0], k.memb_pull, v.components(), 1.0, g[:2, :, 2])[0]
-        fv = _bending(k.bend_ops[0], k.bend_pull, v.u3)[0]
-        val = (np.sum(np.einsum("uvn,vn->un", k.bend, f) * fv)
-               + np.sum(np.einsum("uvc,vc->uc", k.memb, e) * ep))
-        return float(val - np.sum(k.load * _columns(v.components())))
-
-    def residual_norm(self, u: Displacement) -> float:
-        g = self.gradient(u)
-        return _weighted_residual(self.grid, g)
-
     def hessian_diagonal_estimate(self) -> Displacement:
         """Positive per-node curvature scales of the quadratic energy part.
 
@@ -442,7 +410,7 @@ class EnergyAssembly:
         by orders of magnitude; only the order of magnitude matters here.
         The minimizer no longer uses it (it preconditions with the
         factorized plate Hessian); the benchmark's tracer still times it by
-        name, so it stays until the benchmark drops it (ROADMAP item 4).
+        name, so it stays until the benchmark drops it (ROADMAP item 3).
         """
         grid = self.grid
         mat = self.material
@@ -488,25 +456,3 @@ def make_assembly(
         material,
         force,
     )
-
-
-def _weighted_residual(grid: Grid, g: Displacement) -> float:
-    """Residual norm of a coefficient gradient: sqrt(sum g^2 / w) over the nodes."""
-    w = grid.weights
-    return float(np.sqrt(sum(np.sum(c * c / w) for c in g.components())))
-
-
-# -- dedicated plate path (flat reference energy) -------------------------------
-
-
-def plate_energy(grid: Grid, mat: Material, force: ForceDensity, u: Displacement) -> float:
-    """Energy of the flat reference model, assembled without any geometry.
-
-    Same stencils and quadrature as the shell path; this is the reduction
-    target the shell energy must reproduce at the plate immersion.
-    """
-    return _flat_kernel(grid, mat, force).evaluate(u, False)[0]
-
-
-def plate_gradient(grid: Grid, mat: Material, force: ForceDensity, u: Displacement) -> Displacement:
-    return _flat_kernel(grid, mat, force).evaluate(u, True)[2]

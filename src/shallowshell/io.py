@@ -52,10 +52,6 @@ def _write_table(path, grid: Grid, header: str, columns, meta: str | None) -> No
             fh.writelines(row % (i, j, y1[i], y2[j], *v) for j, v in enumerate(line))
 
 
-def write_field_csv(path, grid: Grid, values: np.ndarray, meta: str | None = None) -> None:
-    _write_table(path, grid, "i,j,y1,y2,value", (values,), meta)
-
-
 def write_displacement_csv(path, grid: Grid, u: Displacement, meta: str | None = None) -> None:
     _write_table(path, grid, "i,j,y1,y2,u1,u2,u3", u.components(), meta)
 
@@ -103,7 +99,7 @@ def read_displacement_csv(path, grid: Grid):
     if malformed:
         # The first row decides whether the coordinate columns are compared:
         # the benchmark's fields257 load writes numpy reprs such as
-        # `np.float64(0.5)` there (ROADMAP item 5).
+        # `np.float64(0.5)` there (ROADMAP item 3).
         compare = _holds_numbers(_data_row(path, 0))
         with open(path) as fh:
             lines = _data_lines(fh)

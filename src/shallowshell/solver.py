@@ -15,7 +15,7 @@ do not depend on the BLAS thread count.  The one BLAS-backed step is the
 LAPACK banded Cholesky of H0: up to 65x65 nodes its factor is the same
 under one or two OpenBLAS threads, but at 129x129 the threaded blocked
 updates change its last bits, and with them the last digits of the
-iterates (ROADMAP item 5).
+iterates (ROADMAP item 4).
 """
 
 from __future__ import annotations
@@ -28,12 +28,7 @@ import scipy.sparse as sp
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .elasticity import Material, flat_voigt
-from .energy import (
-    EnergyAssembly,
-    ForceDensity,
-    _weighted_residual,
-    make_assembly,
-)
+from .energy import EnergyAssembly, ForceDensity, make_assembly
 from .geometry import Immersion, c2_distance
 from .grid import Displacement, Grid, require_clamped, v_norm
 
@@ -149,6 +144,12 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     """Inner product as a numpy sum: a fixed summation order, unlike BLAS,
     whose result depends on the thread count."""
     return float(np.sum(a * b))
+
+
+def _weighted_residual(grid: Grid, g: Displacement) -> float:
+    """Residual norm of a coefficient gradient: sqrt(sum g^2 / w) over the nodes."""
+    w = grid.weights
+    return float(np.sqrt(sum(np.sum(c * c / w) for c in g.components())))
 
 
 def _descend(asm, x0, cfg, tol, h0_solve):

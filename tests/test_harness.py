@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from shallowshell import Displacement, ForceDensity, Grid, Immersion, geometry_field
+from shallowshell import Displacement, ForceDensity, Grid, Immersion, energy, geometry_field
 from shallowshell.cli import main
 from shallowshell.config import ConfigError, default_config, parse_config, parse_config_text
 from shallowshell.grid import random_clamped_displacement
@@ -11,11 +11,10 @@ from shallowshell.io import (
     meta_line,
     read_displacement_csv,
     write_displacement_csv,
-    write_field_csv,
     write_geometry_csv,
 )
 from shallowshell.study import NonconvergenceError, run_convergence_study
-from shallowshell.verification import check_gradient, run_verification
+from shallowshell.verification import check_gradient, check_plate_path, run_verification
 
 MINIMAL = """\
 [material]
@@ -294,9 +293,6 @@ def test_displacement_csv_text_coordinates_not_compared(tmp_path):
 
 
 def test_field_and_geometry_csv_headers(tmp_path, grid9):
-    fpath = tmp_path / "f.csv"
-    write_field_csv(fpath, grid9, grid9.y1 * grid9.y2)
-    assert fpath.read_text().splitlines()[1] == "i,j,y1,y2,value"
     gpath = tmp_path / "g.csv"
     geom = geometry_field(Immersion("paraboloid", params={"t": 0.1}), grid9)
     write_geometry_csv(gpath, geom)
@@ -349,6 +345,16 @@ def test_corrupted_gradient_detected():
     check = check_gradient(corrupt_gradient=True)
     assert not check.passed
     assert check.observed > check.threshold
+
+
+def test_plate_closed_form_catches_a_broken_twist_weight(monkeypatch):
+    """A bending twist weight of 1 in place of 2 breaks the energy and its
+    gradient alike, so the gradient check cannot see it; the closed form
+    of the plate energy does."""
+    monkeypatch.setattr(energy, "_SHEAR", np.array([1.0, 1.0, 1.0])[:, None])
+    check = check_plate_path()
+    assert not check.passed and check.observed > 1e-3
+    assert check_gradient().passed
 
 
 # -- CLI ----------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from shallowshell.solver import (
     SolveDiagnostics,
     _bending_matrix,
     _membrane_matrix,
+    _weighted_residual,
     pack,
     unpack,
 )
@@ -80,7 +81,8 @@ def test_residual_contract_and_monotone_energy(grid17, material, general_force):
     u, diag = minimize(asm, Displacement.zeros(grid17), cfg)
     assert diag.converged
     assert diag.final_residual <= cfg.grad_tol * (1.0 + asm.load_norm())
-    assert asm.residual_norm(u) <= cfg.grad_tol * (1.0 + asm.load_norm()) * (1 + 1e-12)
+    resid = _weighted_residual(grid17, asm.gradient(u))
+    assert resid <= cfg.grad_tol * (1.0 + asm.load_norm()) * (1 + 1e-12)
     hist = np.asarray(diag.energy_history)
     assert hist[-1] < hist[0]
     # monotone up to the documented fp-noise allowance of the line search
