@@ -14,6 +14,11 @@ interior rows are filled.  The clamped second derivative along an axis is
 kron(centered, mask) + kron(ghost edge rows, identity), and the clamped
 mixed derivative is c * kron(C, C) with the centered +-1 stencil C.
 
+kron_stack builds the operators from these terms directly: it writes every
+entry, a product of 1-D stencil values, into CSR arrays allocated once per
+operator, with the bytes sp.kron and sp.vstack would give and no sparse
+intermediate.  The solver builds its plate-Hessian strain maps with it too.
+
 The strain stencils are stored once, stacked by collocation set:
 membrane_stencil holds the cell rows [d1; d2; average] and bending_stencil
 the nodal rows [clamped d11; d22; d12; interior d1; d2].  The per-stencil
@@ -25,7 +30,7 @@ data and index arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -100,12 +105,13 @@ class Grid:
 
     # -- sparse operators: Kronecker products of 1-D stencils ----------------
 
-    def _along(self, axis: int, stencil, other=np.eye) -> sp.csr_matrix:
-        """kron of stencil(n, h) along `axis` with other(n) on the other axis."""
+    def _along(self, axis: int, stencil, other=np.eye) -> tuple[np.ndarray, np.ndarray]:
+        """The Kronecker factors, outer one first, of stencil(n, h) along
+        `axis` with other(n) on the other axis."""
         sides = {1: (self.n1, self.h1), 2: (self.n2, self.h2)}
         n, h = sides[axis]
         a, b = stencil(n, h), other(sides[3 - axis][0])
-        return sp.kron(a, b, "csr") if axis == 1 else sp.kron(b, a, "csr")
+        return (a, b) if axis == 1 else (b, a)
 
     @cached_property
     def d1_ops(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
@@ -114,7 +120,7 @@ class Grid:
         Centered three-point stencils where the node has two neighbours along
         the axis, second-order one-sided stencils on the two edge layers.
         """
-        return self._along(1, _d1_one_sided), self._along(2, _d1_one_sided)
+        return tuple(kron_stack([[self._along(axis, _d1_one_sided)]]) for axis in (1, 2))
 
     @cached_property
     def d2_ops(self) -> dict[tuple[int, int], sp.csr_matrix]:
@@ -127,8 +133,8 @@ class Grid:
         d1, d2 = self.d1_ops
         mixed = (d1 @ d2).tocsr()
         return {
-            (1, 1): self._along(1, _d2_one_sided),
-            (2, 2): self._along(2, _d2_one_sided),
+            (1, 1): kron_stack([[self._along(1, _d2_one_sided)]]),
+            (2, 2): kron_stack([[self._along(2, _d2_one_sided)]]),
             (1, 2): mixed,
             (2, 1): mixed,
         }
@@ -152,6 +158,33 @@ class Grid:
         c2 = np.linspace(0.5 * self.h2, self.L2 - 0.5 * self.h2, self.n2 - 1)
         return np.outer(c1, np.ones(self.n2 - 1)), np.outer(np.ones(self.n1 - 1), c2)
 
+    def stencil_blocks(self, stencil: str):
+        """The row blocks of membrane_stencil or bending_stencil (stencil =
+        "membrane" or "bending") as Kronecker terms, for kron_stack: each
+        block is a list of dense factor pairs whose Kronecker products sum to
+        it.  A generator, so that one block's factors are freed before the
+        next block's are made.
+
+        The membrane blocks are cell d1, cell d2 and the cell average.  The
+        bending blocks are the clamped d11 and d22, kron(centered, mask) +
+        kron(ghost edge rows, identity); the clamped d12, c * kron(C, C),
+        with c carried by the outer factor (its entries are +-c either way);
+        and the interior d1 and d2.
+        """
+        if stencil == "membrane":
+            q1, q2 = 0.5 / self.h1, 0.5 / self.h2
+            both1, both2 = _cell(self.n1, 1.0, 1.0), _cell(self.n2, 1.0, 1.0)
+            yield [(_cell(self.n1, -q1, q1), both2)]
+            yield [(both1, _cell(self.n2, -q2, q2))]
+            yield [(_cell(self.n1, 0.25, 0.25), both2)]
+            return
+        for axis in (1, 2):
+            yield [self._along(axis, _d2_centered, _interior_mask), self._along(axis, _ghost)]
+        c = 0.25 / (self.h1 * self.h2)
+        yield [(_interior_rows(self.n1, -c, 0.0, c), _interior_rows(self.n2, -1.0, 0.0, 1.0))]
+        for axis in (1, 2):
+            yield [self._along(axis, _d1_centered, _interior_mask)]
+
     @cached_property
     def membrane_stencil(self) -> sp.csr_matrix:
         """The membrane strain rows, stacked: [cell d1; cell d2; cell average].
@@ -160,14 +193,7 @@ class Grid:
         block of nodal fields gives every cell derivative and average of
         every column; cell_d1_ops and cell_avg_op are its row blocks.
         """
-        q1 = 0.5 / self.h1
-        q2 = 0.5 / self.h2
-        both1, both2 = _cell(self.n1, 1.0, 1.0), _cell(self.n2, 1.0, 1.0)
-        return sp.vstack([
-            sp.kron(_cell(self.n1, -q1, q1), both2, "csr"),
-            sp.kron(both1, _cell(self.n2, -q2, q2), "csr"),
-            sp.kron(_cell(self.n1, 0.25, 0.25), both2, "csr"),
-        ], format="csr")
+        return kron_stack(self.stencil_blocks("membrane"))
 
     @cached_property
     def bending_stencil(self) -> sp.csr_matrix:
@@ -175,19 +201,9 @@ class Grid:
         d1; interior d2].
 
         A (5 num_nodes) x num_nodes operator; clamped_d2_ops and
-        interior_d1_ops are its row blocks.  The clamped second derivative
-        along an axis is kron(centered, mask) + kron(ghost edge rows,
-        identity); the clamped mixed derivative is c * kron(C, C).
+        interior_d1_ops are its row blocks.
         """
-        straight = [
-            self._along(axis, _d2_centered, _interior_mask) + self._along(axis, _ghost)
-            for axis in (1, 2)
-        ]
-        c = 0.25 / (self.h1 * self.h2)
-        mixed = c * sp.kron(_interior_rows(self.n1, -1.0, 0.0, 1.0),
-                            _interior_rows(self.n2, -1.0, 0.0, 1.0), "csr")
-        interior = [self._along(axis, _d1_centered, _interior_mask) for axis in (1, 2)]
-        return sp.vstack(straight + [mixed] + interior, format="csr")
+        return kron_stack(self.stencil_blocks("bending"))
 
     def _blocks(self, stencil: str, first: int, stop: int) -> sp.csr_matrix:
         """Row blocks first..stop-1 of membrane_stencil or bending_stencil
@@ -294,7 +310,96 @@ class Grid:
         return (op_t @ c.ravel()).reshape(self.shape)
 
 
-# -- views into stacked operators ---------------------------------------------
+# -- Kronecker stacks and views into them ------------------------------------
+
+
+def kron_stack(blocks) -> sp.csr_matrix:
+    """Row blocks stacked into one CSR matrix, each block the sum of the
+    Kronecker products of its terms: a block [(a, b), ...] stands for
+    sum(kron(a, b)) over its terms.
+
+    The factors are dense.  The terms of a block have factors of the same
+    shapes and share no entry, so every entry is one product a * b, as
+    sp.kron takes it, and zero products are not stored.  The arrays (data,
+    int32 indices, indptr) are allocated once for the whole stack and filled
+    a few rows of the outer factor at a time, each row in ascending column
+    order: byte for byte those of sp.vstack of the sp.kron sums, without a
+    sparse copy of any block.  `blocks` may be a generator; each block's
+    factors are reduced to their nonzero columns as it arrives.
+    """
+    compact = [_compact(block) for block in blocks]
+    indptr = np.zeros(sum(len(cols_a) * len(cols_b) for cols_a, cols_b, *_ in compact) + 1,
+                      dtype=np.int32)
+    row = 1
+    for cols_a, cols_b, _, per_row, _ in compact:
+        counts = indptr[row : row + len(cols_a) * len(cols_b)].reshape(len(cols_a), len(cols_b))
+        for rows_a, rows_b in per_row:
+            counts += np.multiply.outer(rows_a, rows_b)
+        row += counts.size
+    np.cumsum(indptr, out=indptr)
+    data = np.empty(indptr[-1])
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    row = 0
+    for cols_a, cols_b, values, _, _ in compact:
+        (m, width_a), (p, width_b) = cols_a.shape, cols_b.shape
+        step = max(1, _CHUNK // (p * width_a * width_b))
+        for first in range(0, m, step):
+            rows = slice(first, first + step)
+            entries, columns = _kron_entries(cols_a, cols_b, values, rows)
+            keep = entries != 0
+            start, stop = indptr[row + first * p], indptr[row + min(m, first + step) * p]
+            data[start:stop] = entries[keep]
+            indices[start:stop] = columns[keep]
+        row += m * p
+    return sp.csr_matrix((data, indices, indptr), shape=(indptr.size - 1, compact[0][-1]))
+
+
+# Candidate entries per pass of kron_stack: it bounds the pass's scratch
+# arrays (13 bytes a candidate) whatever the grid size.
+_CHUNK = 1 << 15
+
+
+def _compact(block):
+    """A block's factors by their nonzero columns: for each factor, the
+    union of the terms' nonzero columns, row by row, ascending and padded to
+    the widest row with columns the row leaves zero (the outer factor's
+    columns times the inner factor's column count, their weight in the
+    product's column index); each term's factor values there; each term's
+    stored entries per row of each factor; and the block's column count."""
+    nonzero = [(a != 0, b != 0) for a, b in block]
+    cols_a, cols_b = (_nonzero_columns(reduce(np.logical_or, slot)) for slot in zip(*nonzero))
+    rows_a, rows_b = (np.arange(len(c))[:, None] for c in (cols_a, cols_b))
+    values = [(a[rows_a, cols_a], b[rows_b, cols_b]) for a, b in block]
+    per_row = [(a.sum(axis=1, dtype=np.int32), b.sum(axis=1, dtype=np.int32)) for a, b in nonzero]
+    inner = block[0][1].shape[1]
+    return cols_a * inner, cols_b, values, per_row, block[0][0].shape[1] * inner
+
+
+def _nonzero_columns(nonzero: np.ndarray) -> np.ndarray:
+    """Each row's True columns, ascending, padded to the widest row with
+    columns the row leaves False."""
+    width = nonzero.sum(axis=1).max()
+    return np.sort((~nonzero).argpartition(width - 1, axis=1)[:, :width], axis=1)
+
+
+def _kron_entries(cols_a, cols_b, values, rows: slice):
+    """The candidate entries of a compacted block on the given rows of its
+    outer factor, indexed by row in each factor and then by slot pair, so
+    that row-major order is CSR order: the values and the int32 columns.
+    Each slot pair is one outer product over the rows."""
+    cols_a = cols_a[rows]
+    (m, width_a), (p, width_b) = cols_a.shape, cols_b.shape
+    entries = np.empty((m, p, width_a * width_b))
+    columns = np.empty(entries.shape, dtype=np.int32)
+    (first_a, first_b), *others = values
+    for i in range(width_a):
+        for j in range(width_b):
+            s = i * width_b + j
+            np.multiply.outer(first_a[rows, i], first_b[:, j], out=entries[:, :, s])
+            for va, vb in others:
+                entries[:, :, s] += np.multiply.outer(va[rows, i], vb[:, j])
+            np.add.outer(cols_a[:, i], cols_b[:, j], out=columns[:, :, s])
+    return entries, columns
 
 
 def _row_view(stack: sp.csr_matrix, first: int, stop: int) -> sp.csr_matrix:

@@ -15,22 +15,26 @@ do not depend on the BLAS thread count.  The one BLAS-backed step is the
 LAPACK banded Cholesky of H0: up to 65x65 nodes its factor is the same
 under one or two OpenBLAS threads, but at 129x129 the threaded blocked
 updates change its last bits, and with them the last digits of the
-iterates (ROADMAP item 4).
+iterates (ROADMAP item 4).  The solves by the factor call LAPACK's dpbtrs
+directly, with the bytes scipy's cho_solve_banded gives and without its
+per-call wrapper.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import cholesky_banded
+from scipy.linalg.lapack import dpbtrs
 
 from .elasticity import Material, flat_voigt
 from .energy import EnergyAssembly, ForceDensity, make_assembly
 from .geometry import Immersion, c2_distance
-from .grid import Displacement, Grid, require_clamped, v_norm
+from .grid import Displacement, Grid, kron_stack, require_clamped, v_norm
 
 STALL_STEP = 1e-16
 
@@ -142,8 +146,9 @@ _NOISE_ULPS = 16.0
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
     """Inner product as a numpy sum: a fixed summation order, unlike BLAS,
-    whose result depends on the thread count."""
-    return float(np.sum(a * b))
+    whose result depends on the thread count.  np.add.reduce is the
+    pairwise sum np.sum runs, without its Python dispatch."""
+    return float(np.add.reduce(a * b))
 
 
 def _weighted_residual(grid: Grid, g: Displacement) -> float:
@@ -273,13 +278,15 @@ def _bending_matrix(grid: Grid, mat: Material) -> sp.csr_matrix:
 
     E is the clamped second-derivative rows of bending_stencil (d11; d22;
     d12), block by block, so the Kronecker factor is C (x) W; C has its
-    shear row and column doubled to act on d12 rather than 2 d12.
+    shear row and column doubled to act on d12 rather than 2 d12.  E is
+    built from the stencil's Kronecker terms with their factors' columns cut
+    to the interior, which cuts the products' columns to the interior nodes.
     """
-    idx = np.flatnonzero(grid.interior.ravel())
     shear = np.array([1.0, 1.0, 2.0])
     c = np.outer(shear, shear) * flat_voigt(mat)
     w = sp.diags((mat.eps**3 / 3.0) * grid.weights.ravel())
-    rows = grid.leading_rows("bending", 3)[0][:, idx]
+    blocks = islice(grid.stencil_blocks("bending"), 3)
+    rows = kron_stack([(a[:, 1:-1], b[:, 1:-1]) for a, b in block] for block in blocks)
     return (rows.T @ sp.kron(c, w) @ rows).tocsr()
 
 
@@ -294,23 +301,35 @@ def _membrane_matrix(grid: Grid, mat: Material) -> sp.csr_matrix:
     nodes, with u1 and u2 interleaved node by node so that it is banded.
 
     E is the linearized membrane strain from the cell-derivative rows of
-    membrane_stencil, cell by cell, so the Kronecker factor is W (x) C.
+    membrane_stencil, cell by cell, so the Kronecker factor is W (x) C.  Its
+    block sum_a kron(d_a, R_a) over the interior columns is built from the
+    terms (a, kron(b, R_a)) of d_a = kron(a, b): kron is associative, and
+    the products are those of kron(kron(a, b), R_a) since R_a holds only
+    ones and zeros.
     """
-    idx = np.flatnonzero(grid.interior.ravel())
-    rows = sum(sp.kron(op[:, idx], b) for op, b in zip(grid.cell_d1_ops, _MEMBRANE_ROWS))
+    terms = [(a[:, 1:-1], np.kron(b[:, 1:-1], r))
+             for r, ((a, b),) in zip(_MEMBRANE_ROWS, grid.stencil_blocks("membrane"))]
+    rows = kron_stack([terms])
     w = sp.diags(np.full(grid.num_cells, mat.eps * grid.cell_weight))
     return (rows.T @ sp.kron(w, flat_voigt(mat)) @ rows).tocsr()
 
 
 def _banded_cholesky(K: sp.csr_matrix):
     """Factor a sparse symmetric positive definite matrix in lower band
-    storage; returns its solve."""
+    storage; returns its solve, a direct LAPACK dpbtrs call."""
     lower = sp.tril(K).tocoo()
     band = lower.row - lower.col
     ab = np.zeros((int(band.max()) + 1, K.shape[0]))
     ab[band, lower.col] = lower.data
-    factor = (cholesky_banded(ab, lower=True), True)
-    return lambda b: cho_solve_banded(factor, b, check_finite=False)
+    factor = cholesky_banded(ab, lower=True)
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        x, info = dpbtrs(factor, b, lower=1)
+        if info != 0:
+            raise ValueError(f"dpbtrs failed with info={info}")
+        return x
+
+    return solve
 
 
 def _plate_hessian_solve(grid: Grid, mat: Material):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -6,10 +8,13 @@ from shallowshell import Displacement, Grid, d1, d2, integrate, seminorms, v_nor
 from shallowshell.grid import (
     _cell,
     _d1_centered,
+    _d1_one_sided,
     _d2_centered,
+    _d2_one_sided,
     _ghost,
     _interior_mask,
     _interior_rows,
+    kron_stack,
     h2_seminorm,
     l2_norm,
     h1_seminorm,
@@ -339,3 +344,79 @@ def test_stencils_are_row_blocks_of_the_stacks(dims, rng):
                 assert getattr(rows_t, name) is getattr(rows, name)
             y = rng.standard_normal(rows.shape[0])
             assert (rows_t @ y).tobytes() == (rows.T.tocsr() @ y).tobytes()
+
+
+def _same_csr(got, ref):
+    """Equal shapes and byte-identical CSR arrays, dtypes included."""
+    assert got.shape == ref.shape
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("dims", [(2.0, 1.0, 9, 5), (1.3, 0.7, 17, 33)])
+def test_d1_and_d2_ops_are_the_kron_builds(dims):
+    """The generic derivatives behind every study row's v_norm_err hold the
+    arrays of their sp.kron builds byte for byte."""
+    grid = Grid(*dims)
+    n1, n2, h1, h2 = grid.n1, grid.n2, grid.h1, grid.h2
+    d1 = (sp.kron(_d1_one_sided(n1, h1), np.eye(n2), "csr"),
+          sp.kron(np.eye(n1), _d1_one_sided(n2, h2), "csr"))
+    mixed = (d1[0] @ d1[1]).tocsr()
+    d2 = {
+        (1, 1): sp.kron(_d2_one_sided(n1, h1), np.eye(n2), "csr"),
+        (2, 2): sp.kron(np.eye(n1), _d2_one_sided(n2, h2), "csr"),
+        (1, 2): mixed,
+        (2, 1): mixed,
+    }
+    for got, ref in zip(grid.d1_ops, d1):
+        _same_csr(got, ref)
+    assert grid.d2_ops.keys() == d2.keys()
+    for key, ref in d2.items():
+        _same_csr(grid.d2_ops[key], ref)
+
+
+def test_kron_stack_matches_vstack_of_kron_sums(rng):
+    """Blocks of one and two terms, rows of unequal width, empty rows, and a
+    two-term block whose terms interleave within a row: the arrays are those
+    of sp.vstack of the sp.kron sums, and a generator of blocks gives them
+    too."""
+
+    def sparse(shape, density):
+        m = rng.standard_normal(shape)
+        m[rng.random(shape) > density] = 0.0
+        return m
+
+    a, b = sparse((6, 7), 0.4), sparse((5, 4), 0.5)
+    b[2] = 0.0
+    even, odd = np.zeros((5, 4)), np.zeros((5, 4))
+    even[:, ::2], odd[:, 1::2] = sparse((5, 2), 0.7), sparse((5, 2), 0.7)
+    blocks = [
+        [(a, b)],
+        [(a, even), (sparse((6, 7), 0.3), odd)],
+        [(np.eye(6, 7), b)],
+    ]
+    ref = sp.vstack([sum(sp.kron(x, y, "csr") for x, y in block) for block in blocks],
+                    format="csr")
+    _same_csr(kron_stack(blocks), ref)
+    _same_csr(kron_stack(iter(blocks)), ref)
+
+
+# Every operator property that perfbench builds (GRID_OPERATORS in
+# perfbench/tracing.py).
+_GRID_OPERATORS = ("d1_ops", "d2_ops", "cell_d1_ops", "cell_avg_op",
+                   "interior_d1_ops", "clamped_d2_ops", "transposed_ops")
+
+
+def test_operator_build_peak_stays_near_what_it_keeps():
+    """Building the operators at 129 x 129 holds little beyond what it keeps:
+    the stacks are filled in place, with no second copy of a block."""
+    grid = Grid(1.0, 1.0, 129, 129)
+    tracemalloc.start()
+    try:
+        for name in _GRID_OPERATORS:
+            getattr(grid, name)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * kept, (peak / 2**20, kept / 2**20)

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import cho_solve_banded, cholesky_banded
 
 import shallowshell
 
@@ -24,12 +25,15 @@ from shallowshell import (
     v_norm,
 )
 from shallowshell.config import default_config
-from shallowshell.elasticity import flat_tensor
+from shallowshell.elasticity import flat_tensor, flat_voigt
 from shallowshell.grid import l2_norm, random_clamped_displacement
 from shallowshell.solver import (
     NonconvergenceError,
     SolveDiagnostics,
+    _MEMBRANE_ROWS,
+    _banded_cholesky,
     _bending_matrix,
+    _dot,
     _membrane_matrix,
     _weighted_residual,
     pack,
@@ -404,6 +408,73 @@ def test_plate_hessian_blocks_match_the_tensor_sum(dims):
     for got, ref in expected:
         assert got.shape == ref.shape
         assert abs(got - ref).max() <= 1e-14 * abs(ref).max()
+
+
+def _strain_maps(grid):
+    """The interior-column strain maps of H0 as built from column slices of
+    the stencils, sp.kron and a sparse sum: the reference for kron_stack."""
+    idx = np.flatnonzero(grid.interior.ravel())
+    bend = grid.leading_rows("bending", 3)[0][:, idx]
+    memb = sum(sp.kron(op[:, idx], b) for op, b in zip(grid.cell_d1_ops, _MEMBRANE_ROWS))
+    return bend, memb
+
+
+@pytest.mark.parametrize("dims", [(2.0, 1.0, 9, 5), (1.3, 0.7, 17, 33)])
+def test_plate_hessian_blocks_hold_the_bytes_of_the_kron_build(dims):
+    """Both H0 blocks, E^T (C (x) W) E with E from kron_stack, hold the CSR
+    arrays of the same products with E from column slices and sp.kron."""
+    grid = Grid(*dims)
+    mat = Material(lam=1.3, mu=0.7, eps=0.1)
+    bend, memb = _strain_maps(grid)
+    shear = np.array([1.0, 1.0, 2.0])
+    c = np.outer(shear, shear) * flat_voigt(mat)
+    w_bend = sp.diags((mat.eps**3 / 3.0) * grid.weights.ravel())
+    w_memb = sp.diags(np.full(grid.num_cells, mat.eps * grid.cell_weight))
+    expected = (
+        (_bending_matrix(grid, mat), (bend.T @ sp.kron(c, w_bend) @ bend).tocsr()),
+        (_membrane_matrix(grid, mat), (memb.T @ sp.kron(w_memb, flat_voigt(mat)) @ memb).tocsr()),
+    )
+    for got, ref in expected:
+        assert got.shape == ref.shape
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(got, name), getattr(ref, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("dims", [(2.0, 1.0, 9, 5), (1.3, 0.7, 17, 33)])
+def test_plate_hessian_solves_are_those_of_cho_solve_banded(dims, rng):
+    """The direct dpbtrs solves give the bytes of scipy's cho_solve_banded on
+    the same factor, for both blocks."""
+    grid = Grid(*dims)
+    mat = Material(lam=1.3, mu=0.7, eps=0.1)
+    for K in (_membrane_matrix(grid, mat), _bending_matrix(grid, mat)):
+        lower = sp.tril(K).tocoo()
+        band = lower.row - lower.col
+        ab = np.zeros((int(band.max()) + 1, K.shape[0]))
+        ab[band, lower.col] = lower.data
+        factor = (cholesky_banded(ab, lower=True), True)
+        solve = _banded_cholesky(K)
+        for _ in range(3):
+            b = rng.standard_normal(K.shape[0])
+            b[::9] = -0.0
+            before = b.copy()
+            got = solve(b)
+            assert got.tobytes() == cho_solve_banded(factor, b, check_finite=False).tobytes()
+            assert b.tobytes() == before.tobytes()
+
+
+def test_dot_is_the_numpy_sum_bit_for_bit(rng):
+    """_dot adds in np.sum's pairwise order, whatever the length (below,
+    at and past the 8-wide unrolled blocks and the 128-element pairwise
+    leaves), with signed zeros and mixed signs."""
+    for n in (1, 7, 8, 9, 127, 128, 129, 2883, 3 * 127**2):
+        a = rng.standard_normal(n) * np.exp(rng.uniform(-20.0, 20.0, n))
+        b = rng.standard_normal(n)
+        a[::5], b[1::7] = -0.0, 0.0
+        b[2::11] *= -1.0
+        for x, y in ((a, b), (b, a), (a, a), (-a, b)):
+            expected = float(np.sum(x * y))
+            assert np.float64(_dot(x, y)).tobytes() == np.float64(expected).tobytes(), n
 
 
 def test_import_does_not_load_sparse_linalg():
