@@ -565,14 +565,15 @@ def random_clamped_displacement(
     tames the second differences of raw white noise (otherwise they dominate
     every energy-scale comparison on fine grids).
     """
-    u = Displacement.zeros(grid)
-    for comp in u.components():
-        comp[1:-1, 1:-1] = amplitude * rng.standard_normal((grid.n1 - 2, grid.n2 - 2))
-        for _ in range(smooth):
-            comp[1:-1, 1:-1] = 0.25 * (
-                comp[:-2, 1:-1] + comp[2:, 1:-1] + comp[1:-1, :-2] + comp[1:-1, 2:]
-            )
-    return u
+    # one draw for the three components: the generator fills in order, so
+    # the fields are those of three draws of one component each
+    u = np.zeros((3,) + grid.shape)
+    u[:, 1:-1, 1:-1] = amplitude * rng.standard_normal((3, grid.n1 - 2, grid.n2 - 2))
+    for _ in range(smooth):
+        u[:, 1:-1, 1:-1] = 0.25 * (
+            u[:, :-2, 1:-1] + u[:, 2:, 1:-1] + u[:, 1:-1, :-2] + u[:, 1:-1, 2:]
+        )
+    return Displacement(*u)
 
 
 def l2_norm(grid: Grid, f: np.ndarray) -> float:

@@ -4,20 +4,29 @@ The minimizer is a limited-memory quasi-Newton descent (two-loop recursion)
 with Armijo backtracking: the energy is a smooth quartic in the displacement
 and the gradient is exact, so no curvature line-search condition is needed;
 updates with unusable curvature are simply skipped.  The initial inverse
-Hessian of the recursion is the exact Hessian of the plate energy at u = 0,
-factorized once per grid and material and shared by every solve of a
-homotopy sweep, so the iteration count does not grow with the mesh
-(Nocedal & Wright, Numerical Optimization, 2nd ed., section 7.2).
+Hessian H0 of the recursion is an exact plate Hessian, so the iteration
+count does not grow with the mesh (Nocedal & Wright, Numerical
+Optimization, 2nd ed., section 7.2):
+
+- by default, and for the cold plate solve of a homotopy sweep, the Hessian
+  of the plate energy at u = 0, factorized once per grid and material and
+  shared by every solve on that grid;
+- for the warm solves of a sweep, the Hessian at the plate minimizer u0,
+  assembled in blocks and applied as a symmetric block Gauss-Seidel
+  inverse, with one new factorization (its u3 block) per sweep.  Since
+  u_t = u0 + t w + O(t^2), each warm solve also starts on the secant
+  through u0.  Where the u3 block is not positive definite at u0 (a flat
+  saddle under a purely tangential load) the warm solves keep H0 at u = 0.
 
 Results repeat bitwise for a given configuration seed.  The solver's
 reductions are numpy sums in a fixed order, not BLAS dot products, so they
-do not depend on the BLAS thread count.  The one BLAS-backed step is the
-LAPACK banded Cholesky of H0: up to 65x65 nodes its factor is the same
-under one or two OpenBLAS threads, but at 129x129 the threaded blocked
-updates change its last bits, and with them the last digits of the
-iterates (ROADMAP item 4).  The solves by the factor call LAPACK's dpbtrs
-directly, with the bytes scipy's cho_solve_banded gives and without its
-per-call wrapper.
+do not depend on the BLAS thread count.  The BLAS-backed steps are the
+LAPACK banded Cholesky factorizations (dpbtrf, in place): up to 65x65
+nodes their factors are the same under one or two OpenBLAS threads, but at
+129x129 the threaded blocked updates change their last bits, and with them
+the last digits of the iterates (ROADMAP item 4).  The solves by a factor
+call LAPACK's dpbtrs directly, with the bytes scipy's cho_solve_banded
+gives and without its per-call wrapper.
 """
 
 from __future__ import annotations
@@ -28,8 +37,7 @@ from itertools import islice
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cholesky_banded
-from scipy.linalg.lapack import dpbtrs
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .elasticity import Material, flat_voigt
 from .energy import EnergyAssembly, ForceDensity, make_assembly
@@ -56,6 +64,15 @@ class NonconvergenceError(RuntimeError):
             f"(residual {residual:.3e} after {iterations} iterations)"
         )
         self.t = t
+
+
+class NotPositiveDefiniteError(np.linalg.LinAlgError):
+    """A banded Cholesky factorization met a leading minor that is not
+    positive: the matrix is not positive definite (up to roundoff)."""
+
+    def __init__(self, minor: int):
+        super().__init__(f"the leading minor of order {minor} is not positive definite")
+        self.minor = minor
 
 
 @dataclass
@@ -95,6 +112,8 @@ class SolveDiagnostics:
     converged: bool
     energy_history: list = field(default_factory=list, repr=False)
     noise_floor: float = 0.0  # largest fp-noise allowance used by the search
+    evaluations: int = 0  # energy+gradient calls, rejected line-search trials included
+    preconditioner: str = "plate"  # the recursion's H0: "plate" or "plate_minimizer"
 
 
 # -- flat packing of the interior unknowns -----------------------------------
@@ -116,7 +135,7 @@ def unpack(grid: Grid, x: np.ndarray) -> Displacement:
 
 
 def minimize(
-    asm: EnergyAssembly, u0: Displacement, cfg: SolverConfig
+    asm: EnergyAssembly, u0: Displacement, cfg: SolverConfig, h0_solve=None
 ) -> tuple[Displacement, SolveDiagnostics]:
     """Minimize the assembled energy from the clamped start u0.
 
@@ -126,10 +145,18 @@ def minimize(
     When no run converges within max_iter, the lowest-energy run is
     returned, flagged converged=False; a stalled line search raises
     LineSearchStallError with diagnostics attached.
+
+    h0_solve is the initial inverse Hessian of the two-loop recursion: a
+    callable applying a symmetric positive definite matrix to packed
+    interior vectors, whose `name` the diagnostics report as
+    `preconditioner`.  By default it is the plate Hessian at u = 0 of the
+    assembly's grid and material; homotopy_solve passes the inverse built
+    at the plate minimizer to its warm steps.
     """
     require_clamped(u0)
     tol = cfg.grad_tol * (1.0 + asm.load_norm())
-    h0_solve = _plate_hessian_solve(asm.grid, asm.material)
+    if h0_solve is None:
+        h0_solve = _plate_hessian_solve(asm.grid, asm.material)
     runs: list[tuple[Displacement, SolveDiagnostics]] = []
     for r in range(cfg.restarts):
         x0 = pack(asm.grid, u0)
@@ -160,8 +187,11 @@ def _weighted_residual(grid: Grid, g: Displacement) -> float:
 def _descend(asm, x0, cfg, tol, h0_solve):
     grid = asm.grid
     start = time.perf_counter()
+    evaluations = 0
 
     def evaluate(x):
+        nonlocal evaluations
+        evaluations += 1
         u = unpack(grid, x)
         f, fscale, g = asm.full_evaluation(u)
         return u, f, fscale, g
@@ -208,6 +238,7 @@ def _descend(asm, x0, cfg, tol, h0_solve):
                 diag = SolveDiagnostics(
                     iterations, f, resid, backtracks,
                     time.perf_counter() - start, False, energies,
+                    evaluations=evaluations, preconditioner=h0_solve.name,
                 )
                 raise LineSearchStallError(
                     f"line search stalled at step {alpha:.3g} "
@@ -241,16 +272,19 @@ def _descend(asm, x0, cfg, tol, h0_solve):
         converged=converged,
         energy_history=energies,
         noise_floor=noise_floor,
+        evaluations=evaluations,
+        preconditioner=h0_solve.name,
     )
     return u, diag
 
 
 def _two_loop_direction(g, s_hist, y_hist, rho, h0_solve):
-    """Two-loop recursion with the exact plate Hessian at u = 0 as H0.
+    """Two-loop recursion with an exact plate Hessian as H0.
 
-    h0_solve applies H0^{-1}.  H0 is exact for the plate, so it is not
-    rescaled by the newest curvature pair; without history the direction is
-    the plate-Newton step -H0^{-1} g.
+    h0_solve applies H0^{-1}: the plate Hessian at u = 0, or the block
+    inverse of the plate Hessian at the plate minimizer.  Either is exact
+    for the plate, so it is not rescaled by the newest curvature pair;
+    without history the direction is the plate-Newton step -H0^{-1} g.
     """
     q = g.copy()
     alphas = []
@@ -297,31 +331,48 @@ _MEMBRANE_ROWS = (np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]),
 
 
 def _membrane_matrix(grid: Grid, mat: Material) -> sp.csr_matrix:
-    """Membrane stiffness of (u1, u2) at the plate and u = 0, on the interior
-    nodes, with u1 and u2 interleaved node by node so that it is banded.
+    """Membrane stiffness of (u1, u2) at the plate, on the interior nodes,
+    with u1 and u2 interleaved node by node so that it is banded: the
+    tangential block of the plate Hessian, the same at every u."""
+    rows = _membrane_rows(grid)
+    return (rows.T @ _membrane_voigt(grid, mat) @ rows).tocsr()
 
-    E is the linearized membrane strain from the cell-derivative rows of
-    membrane_stencil, cell by cell, so the Kronecker factor is W (x) C.  Its
-    block sum_a kron(d_a, R_a) over the interior columns is built from the
-    terms (a, kron(b, R_a)) of d_a = kron(a, b): kron is associative, and
-    the products are those of kron(kron(a, b), R_a) since R_a holds only
-    ones and zeros.
+
+def _membrane_rows(grid: Grid) -> sp.csr_matrix:
+    """E_t: the linearized membrane strain of (u1, u2) on the interior nodes,
+    interleaved node by node, from the cell-derivative rows of
+    membrane_stencil, cell by cell.  Its block sum_a kron(d_a, R_a) over the
+    interior columns is built from the terms (a, kron(b, R_a)) of
+    d_a = kron(a, b): kron is associative, and the products are those of
+    kron(kron(a, b), R_a) since R_a holds only ones and zeros.
     """
     terms = [(a[:, 1:-1], np.kron(b[:, 1:-1], r))
              for r, ((a, b),) in zip(_MEMBRANE_ROWS, grid.stencil_blocks("membrane"))]
-    rows = kron_stack([terms])
+    return kron_stack([terms])
+
+
+def _membrane_voigt(grid: Grid, mat: Material) -> sp.csr_matrix:
+    """W (x) C of the membrane energy: the plate's Voigt matrix, weighted,
+    cell by cell, matching the rows of _membrane_rows."""
     w = sp.diags(np.full(grid.num_cells, mat.eps * grid.cell_weight))
-    return (rows.T @ sp.kron(w, flat_voigt(mat)) @ rows).tocsr()
+    return sp.kron(w, flat_voigt(mat))
 
 
 def _banded_cholesky(K: sp.csr_matrix):
     """Factor a sparse symmetric positive definite matrix in lower band
-    storage; returns its solve, a direct LAPACK dpbtrs call."""
+    storage, in place by LAPACK dpbtrf; returns its solve, a direct dpbtrs
+    call.  Raises NotPositiveDefiniteError when K is not positive definite.
+    """
     lower = sp.tril(K).tocoo()
     band = lower.row - lower.col
-    ab = np.zeros((int(band.max()) + 1, K.shape[0]))
+    # Fortran order, so that dpbtrf overwrites the band instead of a copy
+    ab = np.zeros((int(band.max()) + 1, K.shape[0]), order="F")
     ab[band, lower.col] = lower.data
-    factor = cholesky_banded(ab, lower=True)
+    factor, info = dpbtrf(ab, lower=1, overwrite_ab=1)
+    if info > 0:
+        raise NotPositiveDefiniteError(info)
+    if info < 0:
+        raise ValueError(f"dpbtrf failed with info={info}")
 
     def solve(b: np.ndarray) -> np.ndarray:
         x, info = dpbtrs(factor, b, lower=1)
@@ -348,16 +399,98 @@ def _plate_hessian_solve(grid: Grid, mat: Material):
     return solve
 
 
-def _factor_plate_hessian(grid: Grid, mat: Material):
-    n = (grid.n1 - 2) * (grid.n2 - 2)
-    membrane = _banded_cholesky(_membrane_matrix(grid, mat))
-    bending = _banded_cholesky(_bending_matrix(grid, mat))
+def _factor_plate_hessian(grid: Grid, mat: Material) -> "_PlateSolve":
+    return _PlateSolve(_banded_cholesky(_membrane_matrix(grid, mat)),
+                       _banded_cholesky(_bending_matrix(grid, mat)))
 
-    def solve(g: np.ndarray) -> np.ndarray:
-        uv = membrane(g[: 2 * n].reshape(2, n).T.ravel())
-        return np.concatenate((uv.reshape(n, 2).T.ravel(), bending(g[2 * n :])))
 
-    return solve
+def _interleave(x: np.ndarray) -> np.ndarray:
+    """The (u1, u2) part of a packed vector, interleaved node by node."""
+    return x.reshape(2, -1).T.ravel()
+
+
+def _deinterleave(x: np.ndarray) -> np.ndarray:
+    return x.reshape(-1, 2).T.ravel()
+
+
+class _PlateSolve:
+    """H0^{-1} at u = 0: the membrane solve on (u1, u2), interleaved, and
+    the bending solve on u3."""
+
+    name = "plate"
+
+    def __init__(self, membrane, bending):
+        self.membrane, self.bending = membrane, bending
+
+    def __call__(self, g: np.ndarray) -> np.ndarray:
+        n = g.size // 3
+        uv = self.membrane(_interleave(g[: 2 * n]))
+        return np.concatenate((_deinterleave(uv), self.bending(g[2 * n :])))
+
+
+# -- the plate Hessian at the plate minimizer ---------------------------------
+#
+# On the plate the membrane strain of u is e(u) = E_t x_t + 1/2 E_3(u) x_3:
+# E_t is u-independent, and E_3(u), the first variation of e in u3, weights
+# the cell derivatives D_a of u3 by those of u.u3.  The Hessian at u has the
+# blocks K_tt = E_t^T (W (x) C) E_t, K_3t = E_3(u)^T (W (x) C) E_t and
+# K_33 = bending + E_3(u)^T (W (x) C) E_3(u) + sum_ab D_a^T diag(S_ab) D_b,
+# with S = (W (x) C) e(u) the weighted membrane stress.
+
+
+def _minimizer_blocks(grid: Grid, mat: Material, u: Displacement):
+    """(K_33, K_3t) of the plate Hessian at the clamped u, on the interior
+    nodes; K_3t's columns are (u1, u2) interleaved as in _membrane_matrix,
+    whose K_tt completes the Hessian."""
+    x = pack(grid, u)
+    n, nc = x.size // 3, grid.num_cells
+    blocks = islice(grid.stencil_blocks("membrane"), 2)
+    d = kron_stack([[(a[:, 1:-1], b[:, 1:-1])] for ((a, b),) in blocks])
+    du = (d @ x[2 * n :]).reshape(2, nc)
+    # p[a, cell, v]: the weight of D_a u3 in the strain component v (e11, e22, 2 e12)
+    p = np.zeros((2, nc, 3))
+    p[0, :, 0] = p[1, :, 2] = du[0]
+    p[0, :, 2] = p[1, :, 1] = du[1]
+    cells = np.repeat(np.arange(nc), 3)
+    e3 = sp.diags(p[0].ravel()) @ d[cells] + sp.diags(p[1].ravel()) @ d[nc + cells]
+    et, wc = _membrane_rows(grid), _membrane_voigt(grid, mat)
+    s = (wc @ (et @ _interleave(x[: 2 * n]) + 0.5 * (e3 @ x[2 * n :]))).reshape(nc, 3)
+    stress = sp.bmat([[sp.diags(s[:, 0]), sp.diags(s[:, 2])],
+                      [sp.diags(s[:, 2]), sp.diags(s[:, 1])]])
+    ce3 = (wc @ e3).T
+    k33 = _bending_matrix(grid, mat) + ce3 @ e3 + d.T @ stress @ d
+    return k33.tocsr(), (ce3 @ et).tocsr()
+
+
+class _MinimizerSolve:
+    """The symmetric block Gauss-Seidel inverse of the plate Hessian at the
+    plate minimizer: with D = diag(K_tt, K_33) and L the K_3t block, it
+    applies M^{-1} for M = (D + L) D^{-1} (D + L)^T, which is symmetric
+    positive definite whenever K_tt and K_33 are."""
+
+    name = "plate_minimizer"
+
+    def __init__(self, membrane, k33, k3t: sp.csr_matrix):
+        self.membrane, self.k33, self.k3t, self.kt3 = membrane, k33, k3t, k3t.T
+
+    def __call__(self, g: np.ndarray) -> np.ndarray:
+        n = g.size // 3
+        gt = _interleave(g[: 2 * n])
+        x3 = self.k33(g[2 * n :] - self.k3t @ self.membrane(gt))
+        xt = self.membrane(gt - self.kt3 @ x3)
+        return np.concatenate((_deinterleave(xt), x3))
+
+
+def _minimizer_solve(grid: Grid, mat: Material, u: Displacement):
+    """The warm steps' H0^{-1}, built at the plate minimizer u with one
+    factorization of K_33; None when K_33 is not positive definite there
+    (a flat saddle under a purely tangential load)."""
+    k33, k3t = _minimizer_blocks(grid, mat, u)
+    try:
+        k33_solve = _banded_cholesky(k33)
+    except NotPositiveDefiniteError:
+        return None
+    return _MinimizerSolve(_plate_hessian_solve(grid, mat).membrane, k33_solve, k3t)
 
 
 # -- homotopy continuation along a flattening family --------------------------
@@ -383,9 +516,13 @@ def homotopy_solve(
 ) -> list[HomotopyStep]:
     """Solve the family along a decreasing parameter list, warm-started.
 
-    The plate problem (t = 0) is always solved first from a cold start; the
-    largest t starts from the plate minimizer and every smaller t from the
-    previous one.  The plate result fills the t = 0 row when present.
+    The plate problem (t = 0) is always solved first from a cold start,
+    with H0 the plate Hessian at u = 0.  The largest t starts from the plate
+    minimizer u0 and every smaller t on the secant through u0,
+    u0 + (t / t_prev)(u_prev - u0); these warm solves take as H0 the block
+    inverse of the plate Hessian at u0.  When its u3 block is not positive
+    definite there, they start from the previous solution with H0 at u = 0
+    instead.  The plate result fills the t = 0 row when present.
 
     Solves are checked in that order: the first one that exhausts max_iter
     raises NonconvergenceError tagged with its t, and later steps are not
@@ -400,27 +537,32 @@ def homotopy_solve(
     plate = immersion.with_scale(0.0)
     asm0 = make_assembly(grid, plate, material, force)
     u_plate, diag0 = _homotopy_step(asm0, Displacement.zeros(grid), cfg, 0.0)
+    warm = _minimizer_solve(grid, material, u_plate) if ts and ts[0] > 0.0 else None
 
     steps: list[HomotopyStep] = []
-    prev = u_plate
+    prev_t, prev = None, u_plate
     for t in ts:
         if t == 0.0:
             steps.append(HomotopyStep(0.0, plate, asm0, u_plate, diag0, 0.0))
             continue
         imm_t = immersion.with_scale(t)
         asm_t = make_assembly(grid, imm_t, material, force)
-        u_t, diag_t = _homotopy_step(asm_t, prev, cfg, t)
+        if warm is None:
+            u_t, diag_t = _homotopy_step(asm_t, prev, cfg, t)
+        else:
+            start = prev if prev_t is None else u_plate + (prev - u_plate) * (t / prev_t)
+            u_t, diag_t = _homotopy_step(asm_t, start, cfg, t, h0_solve=warm)
         steps.append(
             HomotopyStep(t, imm_t, asm_t, u_t, diag_t, c2_distance(imm_t, plate, grid))
         )
-        prev = u_t
+        prev_t, prev = t, u_t
     return steps
 
 
-def _homotopy_step(asm, u0, cfg, t):
+def _homotopy_step(asm, u0, cfg, t, **options):
     """One converged solve of the sweep; any failure is tagged with t."""
     try:
-        u, diag = minimize(asm, u0, cfg)
+        u, diag = minimize(asm, u0, cfg, **options)
     except LineSearchStallError as exc:
         raise LineSearchStallError(f"t={t:g}: {exc}", exc.diagnostics) from None
     if not diag.converged:

@@ -420,3 +420,27 @@ def test_operator_build_peak_stays_near_what_it_keeps():
     finally:
         tracemalloc.stop()
     assert peak <= 1.2 * kept, (peak / 2**20, kept / 2**20)
+
+
+def _per_component_displacement(grid, rng, amplitude, smooth):
+    """random_clamped_displacement as a loop over the components, one draw
+    and one smoothing pass per component: the reference for the batched draw."""
+    u = Displacement.zeros(grid)
+    for comp in u.components():
+        comp[1:-1, 1:-1] = amplitude * rng.standard_normal((grid.n1 - 2, grid.n2 - 2))
+        for _ in range(smooth):
+            comp[1:-1, 1:-1] = 0.25 * (
+                comp[:-2, 1:-1] + comp[2:, 1:-1] + comp[1:-1, :-2] + comp[1:-1, 2:]
+            )
+    return u
+
+
+@pytest.mark.parametrize("dims", [(1.0, 1.0, 9, 9), (1.0, 1.0, 17, 17), (2.0, 1.0, 9, 5)])
+@pytest.mark.parametrize("smooth", [0, 2])
+def test_random_clamped_displacement_is_the_per_component_draw(dims, smooth):
+    grid = Grid(*dims)
+    got = random_clamped_displacement(grid, np.random.default_rng(11), 0.3, smooth)
+    ref = _per_component_displacement(grid, np.random.default_rng(11), 0.3, smooth)
+    for a, b in zip(got.components(), ref.components()):
+        assert a.shape == grid.shape and a.tobytes() == b.tobytes()
+    assert got.is_clamped()

@@ -29,12 +29,16 @@ from shallowshell.elasticity import flat_tensor, flat_voigt
 from shallowshell.grid import l2_norm, random_clamped_displacement
 from shallowshell.solver import (
     NonconvergenceError,
+    NotPositiveDefiniteError,
     SolveDiagnostics,
     _MEMBRANE_ROWS,
     _banded_cholesky,
     _bending_matrix,
     _dot,
     _membrane_matrix,
+    _minimizer_blocks,
+    _minimizer_solve,
+    _plate_hessian_solve,
     _weighted_residual,
     pack,
     unpack,
@@ -484,3 +488,226 @@ def test_import_does_not_load_sparse_linalg():
     run = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, timeout=120, check=True)
     assert run.stdout.strip() == "False"
+
+
+# -- the plate Hessian at the plate minimizer: blocks and warm steps ---------------
+
+
+def _dense_hessian(grid, mat, u):
+    """The plate Hessian at u as one dense matrix in packed order (u1, u2, u3
+    blocks), from the assembled blocks; K_tt is _membrane_matrix with its
+    interleaved (u1, u2) order undone."""
+    n = (grid.n1 - 2) * (grid.n2 - 2)
+    order = np.concatenate([np.arange(0, 2 * n, 2), np.arange(1, 2 * n, 2)])
+    k33, k3t = _minimizer_blocks(grid, mat, u)
+    ktt = _membrane_matrix(grid, mat).toarray()[np.ix_(order, order)]
+    k3t = k3t.toarray()[:, order]
+    return np.block([[ktt, k3t.T], [k3t, k33.toarray()]])
+
+
+def _fd_hessian(asm, x, eps):
+    """Central differences of the gradient, column by column."""
+    grid = asm.grid
+    cols = []
+    for j in range(x.size):
+        e = np.zeros(x.size)
+        e[j] = eps
+        plus, minus = (pack(grid, asm.gradient(unpack(grid, x + s * e))) for s in (1.0, -1.0))
+        cols.append((plus - minus) / (2.0 * eps))
+    return np.column_stack(cols)
+
+
+@pytest.mark.parametrize("n", [9, 17])
+def test_minimizer_blocks_are_central_differences_of_the_gradient(n, material, general_force):
+    """K_tt, K_3t and K_33 at a seeded clamped u against central differences
+    of `gradient`.  The energy is quartic, so the differences of the cubic
+    gradient are exact along (u1, u2) and off by c eps^2 in K_33: halving eps
+    divides that error by 4."""
+    grid = Grid(1.0, 1.0, n, n)
+    asm = make_assembly(grid, Immersion("plate"), material, general_force(grid))
+    u = random_clamped_displacement(grid, np.random.default_rng(n), amplitude=0.3)
+    x = pack(grid, u)
+    hess = _dense_hessian(grid, material, u)
+    assert np.abs(hess - hess.T).max() <= 1e-14 * np.abs(hess).max()
+    m = 2 * x.size // 3
+    blocks = {"tt": np.s_[:m, :m], "3t": np.s_[m:, :m], "33": np.s_[m:, m:]}
+    errors = {}
+    for eps in (2e-4, 1e-4):
+        fd = _fd_hessian(asm, x, eps)
+        for name, b in blocks.items():
+            errors[name, eps] = np.abs(hess[b] - fd[b]).max() / np.abs(fd[b]).max()
+    for name in ("tt", "3t"):
+        assert errors[name, 1e-4] <= 1e-10, name
+    assert errors["33", 1e-4] <= 1e-6
+    assert 3.9 <= errors["33", 2e-4] / errors["33", 1e-4] <= 4.1
+
+
+@pytest.mark.parametrize("n", [9, 17])
+def test_minimizer_solve_inverts_the_block_gauss_seidel_matrix(n, material, general_force):
+    """The warm steps' H0^{-1} is the inverse of M = (D + L) D^{-1} (D + U),
+    D = diag(K_tt, K_33) and L = U^T the K_3t block, at the plate minimizer:
+    M (H0^{-1} g) = g to roundoff, and H0^{-1} is symmetric."""
+    grid = Grid(1.0, 1.0, n, n)
+    asm = make_assembly(grid, Immersion("plate"), material, general_force(grid))
+    u, _ = minimize(asm, Displacement.zeros(grid), SolverConfig())
+    solve = _minimizer_solve(grid, material, u)
+    assert solve.name == "plate_minimizer"
+    hess = _dense_hessian(grid, material, u)
+    m = 2 * hess.shape[0] // 3
+    d = hess.copy()
+    d[m:, :m] = d[:m, m:] = 0.0
+    lower = np.tril(hess - d)
+    big_m = (d + lower) @ np.linalg.solve(d, (d + lower).T)
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        g, h = rng.standard_normal((2, hess.shape[0]))
+        x = solve(g)
+        assert np.abs(big_m @ x - g).max() <= 1e-9 * np.abs(g).max()
+        assert abs(_dot(h, x) - _dot(solve(h), g)) <= 1e-12 * np.sqrt(_dot(x, x) * _dot(h, h))
+
+
+def test_banded_cholesky_names_the_failing_minor():
+    k = sp.diags([4.0, 3.0, -1.0, 2.0]).tocsr() + sp.eye(4, k=1) + sp.eye(4, k=-1)
+    with pytest.raises(NotPositiveDefiniteError) as err:
+        _banded_cholesky(k.tocsr())
+    assert err.value.minor == 3
+    assert isinstance(err.value, np.linalg.LinAlgError)
+
+
+def _h0_sweep(immersion, ts, grid, mat, force, cfg, u_plate):
+    """The warm steps as a sweep with H0 at u = 0 runs them: each from the
+    previous solution.  The reference for the plate-minimizer sweep."""
+    out, prev = [], u_plate
+    for t in ts:
+        asm = make_assembly(grid, immersion.with_scale(t), mat, force)
+        prev, diag = minimize(asm, prev, cfg)
+        assert diag.converged and diag.preconditioner == "plate"
+        out.append((prev, diag))
+    return out
+
+
+_WARM_TS = [0.2, 0.1, 0.05, 0.025]
+
+
+@pytest.mark.parametrize("kind", ["paraboloid", "cylinder_patch", "sinusoidal_bump"])
+def test_warm_steps_take_fewer_iterations_with_the_same_minimizers(kind):
+    """At 17^2 every family's warm steps, preconditioned at the plate
+    minimizer and started on the secant through it, converge in fewer
+    iterations than the H0-at-zero sweep, to the same energies (1e-12
+    relative) and minimizers (1e-7 in the V-norm)."""
+    cfg = default_config().with_overrides(grid=(17, 17))
+    grid, mat = cfg.make_grid(), cfg.material
+    force, imm = cfg.make_force(grid), Immersion(kind)
+    steps = homotopy_solve(imm, _WARM_TS + [0.0], grid, mat, force, cfg.solver)
+    ref = _h0_sweep(imm, _WARM_TS, grid, mat, force, cfg.solver, steps[-1].u)
+    warm = [s.diagnostics for s in steps[:-1]]
+    assert steps[-1].diagnostics.preconditioner == "plate"
+    assert all(d.converged and d.preconditioner == "plate_minimizer" for d in warm)
+    assert sum(d.iterations for d in warm) < sum(d.iterations for _, d in ref)
+    if kind == "paraboloid":
+        assert sum(d.iterations for d in warm) <= 60
+    for step, (u_ref, d_ref) in zip(steps, ref):
+        assert abs(step.diagnostics.final_energy - d_ref.final_energy) \
+            <= 1e-12 * abs(d_ref.final_energy)
+        assert v_norm(grid, step.u - u_ref) <= 1e-7
+
+
+def _tangential_load(grid, a):
+    """ROADMAP's load T_A: p1 = A (1/2 - y1), p2 = A (1/2 - y2), p3 = 0."""
+    return ForceDensity.polynomial(grid, ((a / 2, -a), (a / 2, 0.0, -a), ()))
+
+
+def test_warm_steps_fall_back_to_h0_at_the_flat_saddle(material):
+    """Under the purely tangential T_8 the cold plate solve stops at the flat
+    saddle, where K_33 is indefinite: the sweep keeps H0 at u = 0 and the
+    previous-solution starts, and converges with the H0 sweep's bytes."""
+    grid = Grid(1.0, 1.0, 17, 17)
+    force, imm = _tangential_load(grid, 8.0), Immersion("paraboloid")
+    steps = homotopy_solve(imm, _WARM_TS + [0.0], grid, material, force, SolverConfig())
+    u_plate = steps[-1].u
+    assert not u_plate.u3.any()
+    k33, _ = _minimizer_blocks(grid, material, u_plate)
+    with pytest.raises(NotPositiveDefiniteError):
+        _banded_cholesky(k33)
+    assert _minimizer_solve(grid, material, u_plate) is None
+    ref = _h0_sweep(imm, _WARM_TS, grid, material, force, SolverConfig(), u_plate)
+    for step, (u_ref, d_ref) in zip(steps, ref):
+        assert step.diagnostics.converged and step.diagnostics.preconditioner == "plate"
+        assert step.diagnostics.iterations == d_ref.iterations
+        assert all(np.array_equal(a, b) for a, b in zip(step.u.components(), u_ref.components()))
+
+
+def test_warm_steps_use_the_minimizer_below_the_critical_load(material):
+    """Under T_4, below the critical load (~4.85 at 17^2), the flat plate
+    state is the minimizer and K_33 is positive definite there: the warm
+    steps use it and take fewer iterations than the H0 sweep."""
+    grid = Grid(1.0, 1.0, 17, 17)
+    force, imm = _tangential_load(grid, 4.0), Immersion("paraboloid")
+    steps = homotopy_solve(imm, _WARM_TS + [0.0], grid, material, force, SolverConfig())
+    ref = _h0_sweep(imm, _WARM_TS, grid, material, force, SolverConfig(), steps[-1].u)
+    warm = [s.diagnostics for s in steps[:-1]]
+    assert all(d.converged and d.preconditioner == "plate_minimizer" for d in warm)
+    assert sum(d.iterations for d in warm) < sum(d.iterations for _, d in ref)
+
+
+def test_diagnostics_count_every_evaluation(plate_assembly, monkeypatch):
+    calls = []
+    full = plate_assembly.full_evaluation
+    monkeypatch.setattr(plate_assembly, "full_evaluation", lambda u: calls.append(1) or full(u))
+    _, diag = minimize(plate_assembly, Displacement.zeros(plate_assembly.grid), SolverConfig())
+    assert diag.evaluations == len(calls) == 1 + diag.iterations + diag.line_search_failures
+    assert diag.preconditioner == "plate"
+    assert _plate_hessian_solve(plate_assembly.grid, plate_assembly.material).name == "plate"
+
+
+_WARM_BYTES = """
+import hashlib
+from shallowshell import homotopy_solve
+from shallowshell.config import default_config
+cfg = default_config().with_overrides(grid=(65, 65))
+grid = cfg.make_grid()
+steps = homotopy_solve(cfg.make_immersion(), [cfg.t_list[0], 0.0], grid, cfg.material,
+                       cfg.make_force(grid), cfg.solver)
+u, diag = steps[0].u, steps[0].diagnostics
+data = b"".join(c.tobytes() for c in u.components())
+print(diag.preconditioner, diag.iterations, repr(diag.final_energy),
+      hashlib.sha256(data).hexdigest())
+"""
+
+
+def test_first_warm_step_bytes_do_not_depend_on_blas_threads():
+    # the first warm step of the default 65^2 study under one and two BLAS threads
+    src = str(Path(shallowshell.__file__).parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src)
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = threads
+        run = subprocess.run([sys.executable, "-c", _WARM_BYTES], env=env,
+                             capture_output=True, text=True, timeout=300, check=True)
+        outputs.append(run.stdout)
+    assert outputs[0].startswith("plate_minimizer ")
+    assert outputs[0] == outputs[1]
+
+
+def test_warm_steps_start_on_the_secant_through_the_plate_minimizer(
+    grid9, material, general_force, monkeypatch
+):
+    starts = []
+
+    def recording_minimize(asm, u0, cfg, **options):
+        starts.append((u0, options.get("h0_solve")))
+        return minimize(asm, u0, cfg, **options)
+
+    monkeypatch.setattr("shallowshell.solver.minimize", recording_minimize)
+    ts = [0.2, 0.1, 0.025, 0.0]
+    steps = homotopy_solve(Immersion("paraboloid"), ts, grid9, material,
+                           general_force(grid9), SolverConfig())
+    u_plate = steps[-1].u
+    assert starts[0][1] is None and not any(c.any() for c in starts[0][0].components())
+    assert starts[1][0] is u_plate
+    for k in (2, 3):
+        expected = u_plate + (steps[k - 2].u - u_plate) * (ts[k - 1] / ts[k - 2])
+        assert all(np.array_equal(a, b) for a, b in zip(starts[k][0].components(),
+                                                        expected.components()))
+    assert all(h0.name == "plate_minimizer" for _, h0 in starts[1:])
