@@ -245,6 +245,8 @@ def parse_config_text(text: str, base_dir: str | Path = ".") -> StudyConfig:
         }
         if force_kind == "constant" and not force_params:
             force_params = {"p1": 0.5, "p2": -0.3, "p3": 1.0}
+        if force_params.get("sigma", 1.0) <= 0:
+            _fail("force", "sigma", "gaussian bump width must be positive")
 
     sol = section("solver")
     defaults = SolverConfig()

@@ -17,7 +17,8 @@ mixed derivative is c * kron(C, C) with the centered +-1 stencil C.
 kron_stack builds the operators from these terms directly: it writes every
 entry, a product of 1-D stencil values, into CSR arrays allocated once per
 operator, with the bytes sp.kron and sp.vstack would give and no sparse
-intermediate.  The solver builds its plate-Hessian strain maps with it too.
+intermediate.  The solver builds its plate-Hessian strain maps with it too,
+and owns their factors: a grid caches operators only.
 
 The strain stencils are stored once, stacked by collocation set:
 membrane_stencil holds the cell rows [d1; d2; average] and bending_stencil
@@ -29,7 +30,7 @@ data and index arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, reduce
 
 import numpy as np
@@ -88,13 +89,6 @@ class Grid:
         w2 = np.ones(self.n2)
         w2[0] = w2[-1] = 0.5
         return self.h1 * self.h2 * np.outer(w1, w2)
-
-    @cached_property
-    def solve_cache(self) -> dict:
-        """Factorized solves built on this grid, keyed by what else they
-        depend on (the solver's plate Hessian keys by Material).  They are
-        freed with the grid, so no module-level cache keeps a grid alive."""
-        return {}
 
     @cached_property
     def interior(self) -> np.ndarray:

@@ -9,14 +9,15 @@ count does not grow with the mesh (Nocedal & Wright, Numerical
 Optimization, 2nd ed., section 7.2):
 
 - by default, and for the cold plate solve of a homotopy sweep, the Hessian
-  of the plate energy at u = 0, factorized once per grid and material and
-  shared by every solve on that grid;
+  of the plate energy at u = 0, which is block diagonal;
 - for the warm solves of a sweep, the Hessian at the plate minimizer u0,
-  assembled in blocks and applied as a symmetric block Gauss-Seidel
-  inverse, with one new factorization (its u3 block) per sweep.  Since
+  applied as a symmetric block Gauss-Seidel inverse.  Since
   u_t = u0 + t w + O(t^2), each warm solve also starts on the secant
   through u0.  Where the u3 block is not positive definite at u0 (a flat
   saddle under a purely tangential load) the warm solves keep H0 at u = 0.
+
+One builder, _plate_hessian_solve(grid, mat, u), makes both; nothing is
+cached, so a minimize call given no H0 factors its own.
 
 Results repeat bitwise for a given configuration seed.  The solver's
 reductions are numpy sums in a fixed order, not BLAS dot products, so they
@@ -92,14 +93,16 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.ls_shrink < 1.0:
-            raise ValueError("ls_shrink must lie in (0, 1)")
-        if not 0.0 < self.ls_c1 < 0.5:
-            raise ValueError("ls_c1 must lie in (0, 0.5)")
-        if self.memory < 1:
-            raise ValueError("memory must be >= 1")
-        if self.grad_tol <= 0 or self.max_iter < 0 or self.restarts < 1:
-            raise ValueError("invalid solver configuration")
+        for key, valid, why in (
+            ("ls_shrink", 0.0 < self.ls_shrink < 1.0, "must lie in (0, 1)"),
+            ("ls_c1", 0.0 < self.ls_c1 < 0.5, "must lie in (0, 0.5)"),
+            ("memory", self.memory >= 1, "must be >= 1"),
+            ("grad_tol", self.grad_tol > 0, "must be positive"),
+            ("max_iter", self.max_iter >= 0, "must be >= 0"),
+            ("restarts", self.restarts >= 1, "must be >= 1"),
+        ):
+            if not valid:
+                raise ValueError(f"{key}: {why}")
 
 
 @dataclass
@@ -149,9 +152,10 @@ def minimize(
     h0_solve is the initial inverse Hessian of the two-loop recursion: a
     callable applying a symmetric positive definite matrix to packed
     interior vectors, whose `name` the diagnostics report as
-    `preconditioner`.  By default it is the plate Hessian at u = 0 of the
-    assembly's grid and material; homotopy_solve passes the inverse built
-    at the plate minimizer to its warm steps.
+    `preconditioner`.  By default the call factors the plate Hessian at
+    u = 0 of the assembly's grid and material for itself; homotopy_solve
+    passes it to the cold plate solve and the inverse built at the plate
+    minimizer to its warm steps.
     """
     require_clamped(u0)
     tol = cfg.grad_tol * (1.0 + asm.load_norm())
@@ -383,27 +387,6 @@ def _banded_cholesky(K: sp.csr_matrix):
     return solve
 
 
-def _plate_hessian_solve(grid: Grid, mat: Material):
-    """H0^{-1} of the minimizer: solve by the plate Hessian at u = 0.
-
-    At u = 0 the plate energy decouples into the membrane block of (u1, u2)
-    and the bending block of u3; `_factor_plate_hessian` factors both.  The
-    Hessian depends only on the grid and the material, so the same H0
-    serves every immersion of a homotopy sweep: it is factorized on the
-    first call and kept in grid.solve_cache under the material.  Acts on
-    packed interior vectors.
-    """
-    solve = grid.solve_cache.get(mat)
-    if solve is None:
-        solve = grid.solve_cache[mat] = _factor_plate_hessian(grid, mat)
-    return solve
-
-
-def _factor_plate_hessian(grid: Grid, mat: Material) -> "_PlateSolve":
-    return _PlateSolve(_banded_cholesky(_membrane_matrix(grid, mat)),
-                       _banded_cholesky(_bending_matrix(grid, mat)))
-
-
 def _interleave(x: np.ndarray) -> np.ndarray:
     """The (u1, u2) part of a packed vector, interleaved node by node."""
     return x.reshape(2, -1).T.ravel()
@@ -413,84 +396,66 @@ def _deinterleave(x: np.ndarray) -> np.ndarray:
     return x.reshape(-1, 2).T.ravel()
 
 
-class _PlateSolve:
-    """H0^{-1} at u = 0: the membrane solve on (u1, u2), interleaved, and
-    the bending solve on u3."""
-
-    name = "plate"
-
-    def __init__(self, membrane, bending):
-        self.membrane, self.bending = membrane, bending
-
-    def __call__(self, g: np.ndarray) -> np.ndarray:
-        n = g.size // 3
-        uv = self.membrane(_interleave(g[: 2 * n]))
-        return np.concatenate((_deinterleave(uv), self.bending(g[2 * n :])))
-
-
-# -- the plate Hessian at the plate minimizer ---------------------------------
+# -- the plate Hessian at u --------------------------------------------------
 #
-# On the plate the membrane strain of u is e(u) = E_t x_t + 1/2 E_3(u) x_3:
-# E_t is u-independent, and E_3(u), the first variation of e in u3, weights
-# the cell derivatives D_a of u3 by those of u.u3.  The Hessian at u has the
-# blocks K_tt = E_t^T (W (x) C) E_t, K_3t = E_3(u)^T (W (x) C) E_t and
-# K_33 = bending + E_3(u)^T (W (x) C) E_3(u) + sum_ab D_a^T diag(S_ab) D_b,
-# with S = (W (x) C) e(u) the weighted membrane stress.
+# The plate's membrane strain is e(u) = E_t x_t + 1/2 P(u) D x_3, with D =
+# [D_1; D_2] the cell derivatives of u3 and P(u) weighting them by D_a u3.
+# So K_tt = E_t^T (W (x) C) E_t, K_3t = D^T P^T (W (x) C) E_t and K_33 =
+# bending + D^T (P^T (W (x) C) P + S) D, S the stress (W (x) C) e(u) on (D_a, D_b).
 
 
-def _minimizer_blocks(grid: Grid, mat: Material, u: Displacement):
+def _plate_hessian_blocks(grid: Grid, mat: Material, u: Displacement | None = None):
     """(K_33, K_3t) of the plate Hessian at the clamped u, on the interior
-    nodes; K_3t's columns are (u1, u2) interleaved as in _membrane_matrix,
-    whose K_tt completes the Hessian."""
-    x = pack(grid, u)
+    nodes; K_3t's columns are (u1, u2) interleaved as in _membrane_matrix.
+    At u = 0 (or None) they are the bending matrix and None."""
+    if u is None or not (x := pack(grid, u)).any():
+        return _bending_matrix(grid, mat), None
     n, nc = x.size // 3, grid.num_cells
     blocks = islice(grid.stencil_blocks("membrane"), 2)
     d = kron_stack([[(a[:, 1:-1], b[:, 1:-1])] for ((a, b),) in blocks])
-    du = (d @ x[2 * n :]).reshape(2, nc)
-    # p[a, cell, v]: the weight of D_a u3 in the strain component v (e11, e22, 2 e12)
-    p = np.zeros((2, nc, 3))
-    p[0, :, 0] = p[1, :, 2] = du[0]
-    p[0, :, 2] = p[1, :, 1] = du[1]
-    cells = np.repeat(np.arange(nc), 3)
-    e3 = sp.diags(p[0].ravel()) @ d[cells] + sp.diags(p[1].ravel()) @ d[nc + cells]
+    du = d @ x[2 * n :]
+    # P has rows 3 cell + v (e11, e22, 2 e12) and columns a nc + cell (D_a u3)
+    c, du1, du2 = np.arange(nc), du[:nc], du[nc:]
+    rows, cols = np.r_[3 * c, 3 * c + 1, 3 * c + 2, 3 * c + 2], np.r_[c, nc + c, c, nc + c]
+    p = sp.csr_matrix((np.r_[du1, du2, du2, du1], (rows, cols)), shape=(3 * nc, 2 * nc))
     et, wc = _membrane_rows(grid), _membrane_voigt(grid, mat)
-    s = (wc @ (et @ _interleave(x[: 2 * n]) + 0.5 * (e3 @ x[2 * n :]))).reshape(nc, 3)
+    s = (wc @ (et @ _interleave(x[: 2 * n]) + 0.5 * (p @ du))).reshape(nc, 3)
     stress = sp.bmat([[sp.diags(s[:, 0]), sp.diags(s[:, 2])],
                       [sp.diags(s[:, 2]), sp.diags(s[:, 1])]])
-    ce3 = (wc @ e3).T
-    k33 = _bending_matrix(grid, mat) + ce3 @ e3 + d.T @ stress @ d
-    return k33.tocsr(), (ce3 @ et).tocsr()
+    ptwc = p.T @ wc
+    k33 = _bending_matrix(grid, mat) + d.T @ (ptwc @ p + stress) @ d
+    return k33.tocsr(), (d.T @ (ptwc @ et)).tocsr()
 
 
-class _MinimizerSolve:
-    """The symmetric block Gauss-Seidel inverse of the plate Hessian at the
-    plate minimizer: with D = diag(K_tt, K_33) and L the K_3t block, it
-    applies M^{-1} for M = (D + L) D^{-1} (D + L)^T, which is symmetric
-    positive definite whenever K_tt and K_33 are."""
+def _plate_hessian_solve(grid: Grid, mat: Material, u: Displacement | None = None,
+                         membrane=None) -> "_PlateSolve":
+    """H0^{-1}: the inverse of the plate Hessian at the clamped u (u = 0 by
+    default).  Factors K_33, raising NotPositiveDefiniteError if it is not
+    positive definite, then K_tt unless `membrane` already solves by it."""
+    k33, k3t = _plate_hessian_blocks(grid, mat, u)
+    k33_solve = _banded_cholesky(k33)
+    membrane = membrane or _banded_cholesky(_membrane_matrix(grid, mat))
+    return _PlateSolve("plate" if u is None else "plate_minimizer", membrane, k33_solve, k3t)
 
-    name = "plate_minimizer"
 
-    def __init__(self, membrane, k33, k3t: sp.csr_matrix):
-        self.membrane, self.k33, self.k3t, self.kt3 = membrane, k33, k3t, k3t.T
+class _PlateSolve:
+    """Applies the inverse of the plate Hessian by solves with K_tt (membrane,
+    on (u1, u2) interleaved) and K_33.  With a K_3t block (L) it is the
+    symmetric block Gauss-Seidel inverse M^{-1}, M = (D + L) D^{-1} (D + L)^T
+    for D = diag(K_tt, K_33); without one (u = 0) the exact inverse."""
+
+    def __init__(self, name: str, membrane, k33, k3t: sp.csr_matrix | None):
+        self.name, self.membrane, self.k33, self.k3t = name, membrane, k33, k3t
+        self.kt3 = None if k3t is None else k3t.T
 
     def __call__(self, g: np.ndarray) -> np.ndarray:
         n = g.size // 3
         gt = _interleave(g[: 2 * n])
+        if self.k3t is None:
+            return np.concatenate((_deinterleave(self.membrane(gt)), self.k33(g[2 * n :])))
         x3 = self.k33(g[2 * n :] - self.k3t @ self.membrane(gt))
         xt = self.membrane(gt - self.kt3 @ x3)
         return np.concatenate((_deinterleave(xt), x3))
-
-
-def _minimizer_solve(grid: Grid, mat: Material, u: Displacement):
-    """The warm steps' H0^{-1}, built at the plate minimizer u with one
-    factorization of K_33; None when K_33 is not positive definite there
-    (a flat saddle under a purely tangential load)."""
-    k33, k3t = _minimizer_blocks(grid, mat, u)
-    try:
-        k33_solve = _banded_cholesky(k33)
-    except NotPositiveDefiniteError:
-        return None
-    return _MinimizerSolve(_plate_hessian_solve(grid, mat).membrane, k33_solve, k3t)
 
 
 # -- homotopy continuation along a flattening family --------------------------
@@ -522,7 +487,8 @@ def homotopy_solve(
     u0 + (t / t_prev)(u_prev - u0); these warm solves take as H0 the block
     inverse of the plate Hessian at u0.  When its u3 block is not positive
     definite there, they start from the previous solution with H0 at u = 0
-    instead.  The plate result fills the t = 0 row when present.
+    instead.  The plate result fills the t = 0 row when present.  Both H0s
+    share one K_tt factor, and H0's bending factor is freed before K_33(u0)'s.
 
     Solves are checked in that order: the first one that exhausts max_iter
     raises NonconvergenceError tagged with its t, and later steps are not
@@ -536,8 +502,15 @@ def homotopy_solve(
 
     plate = immersion.with_scale(0.0)
     asm0 = make_assembly(grid, plate, material, force)
-    u_plate, diag0 = _homotopy_step(asm0, Displacement.zeros(grid), cfg, 0.0)
-    warm = _minimizer_solve(grid, material, u_plate) if ts and ts[0] > 0.0 else None
+    h0 = _plate_hessian_solve(grid, material)
+    u_plate, diag0 = _homotopy_step(asm0, Displacement.zeros(grid), cfg, 0.0, h0)
+    secant = False
+    if ts and ts[0] > 0.0:
+        membrane, h0 = h0.membrane, None  # free H0's bending factor before K_33(u0)'s
+        try:
+            h0, secant = _plate_hessian_solve(grid, material, u_plate, membrane), True
+        except NotPositiveDefiniteError:
+            h0 = _plate_hessian_solve(grid, material, membrane=membrane)
 
     steps: list[HomotopyStep] = []
     prev_t, prev = None, u_plate
@@ -547,11 +520,9 @@ def homotopy_solve(
             continue
         imm_t = immersion.with_scale(t)
         asm_t = make_assembly(grid, imm_t, material, force)
-        if warm is None:
-            u_t, diag_t = _homotopy_step(asm_t, prev, cfg, t)
-        else:
-            start = prev if prev_t is None else u_plate + (prev - u_plate) * (t / prev_t)
-            u_t, diag_t = _homotopy_step(asm_t, start, cfg, t, h0_solve=warm)
+        on_secant = secant and prev_t is not None
+        start = u_plate + (prev - u_plate) * (t / prev_t) if on_secant else prev
+        u_t, diag_t = _homotopy_step(asm_t, start, cfg, t, h0)
         steps.append(
             HomotopyStep(t, imm_t, asm_t, u_t, diag_t, c2_distance(imm_t, plate, grid))
         )
@@ -559,10 +530,10 @@ def homotopy_solve(
     return steps
 
 
-def _homotopy_step(asm, u0, cfg, t, **options):
+def _homotopy_step(asm, u0, cfg, t, h0_solve):
     """One converged solve of the sweep; any failure is tagged with t."""
     try:
-        u, diag = minimize(asm, u0, cfg, **options)
+        u, diag = minimize(asm, u0, cfg, h0_solve=h0_solve)
     except LineSearchStallError as exc:
         raise LineSearchStallError(f"t={t:g}: {exc}", exc.diagnostics) from None
     if not diag.converged:

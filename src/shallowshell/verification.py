@@ -521,6 +521,9 @@ def check_solver_zero_load() -> CheckResult:
 
 
 def check_solver_determinism() -> CheckResult:
+    """Two seeded solves with restarts on the same assembly give the same
+    bytes.  Each minimize call factors its own plate Hessian H0, so this
+    also proves that two independent factorizations give the same bytes."""
     grid = Grid(1.0, 1.0, 9, 9)
     asm = make_assembly(grid, Immersion("paraboloid", params={"t": 0.1}),
                         Material(1.0, 1.0, 0.1),

@@ -83,8 +83,8 @@ KINDED = {
         ("immersion", "m2"): FINITE, ("force", "p1_coeffs"): COEFFS,
         ("force", "p2_coeffs"): COEFFS, ("force", "p3_coeffs"): COEFFS}),
     "cylinder/gaussian": ({"immersion": "cylinder_patch", "force": "gaussian_bump"}, {
-        ("immersion", "t"): NONNEGATIVE, **{("force", k): FINITE for k in (
-            "amp1", "amp2", "amp3", "center1", "center2", "sigma")}}),
+        ("immersion", "t"): NONNEGATIVE, ("force", "sigma"): POSITIVE,
+        **{("force", k): FINITE for k in ("amp1", "amp2", "amp3", "center1", "center2")}}),
 }
 
 

@@ -133,6 +133,34 @@ def test_domain_errors_name_the_offending_key(key, value, message):
         parse_config_text(MINIMAL + f"[domain]\n{key} = {value}\n")
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("grad_tol", "0", "must be positive"),
+        ("grad_tol", "-1e-9", "must be positive"),
+        ("max_iter", "-1", "must be >= 0"),
+        ("memory", "0", "must be >= 1"),
+        ("restarts", "0", "must be >= 1"),
+        ("ls_shrink", "1.0", "must lie in (0, 1)"),
+        ("ls_c1", "0.5", "must lie in (0, 0.5)"),
+    ],
+)
+def test_solver_errors_name_the_offending_key(key, value, message):
+    with pytest.raises(ConfigError) as exc:
+        parse_config_text(MINIMAL + f"[solver]\n{key} = {value}\n")
+    assert str(exc.value) == f"[solver] {key}: {message}"
+
+
+@pytest.mark.parametrize("sigma", ["0", "-0.0", "-1"])
+def test_nonpositive_gaussian_width_is_a_config_error(tmp_path, capsys, sigma):
+    bad = tmp_path / "bad.ini"
+    bad.write_text(MINIMAL + f"[force]\nkind = gaussian_bump\namp3 = 1.0\nsigma = {sigma}\n")
+    assert main(["solve", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "config error: [force] sigma: gaussian bump width must be positive\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_force_csv_requires_existing_file(tmp_path):
     text = MINIMAL + "[force]\nkind = csv\npath = missing.csv\n"
     with pytest.raises(ConfigError, match="does not exist"):

@@ -1,6 +1,8 @@
+import gc
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -36,8 +38,7 @@ from shallowshell.solver import (
     _bending_matrix,
     _dot,
     _membrane_matrix,
-    _minimizer_blocks,
-    _minimizer_solve,
+    _plate_hessian_blocks,
     _plate_hessian_solve,
     _weighted_residual,
     pack,
@@ -278,9 +279,9 @@ def test_homotopy_stops_at_first_unconverged_solve(
 ):
     calls = []
 
-    def counting_minimize(asm, u0, cfg):
+    def counting_minimize(asm, u0, cfg, **options):
         calls.append(asm)
-        return minimize(asm, u0, cfg)
+        return minimize(asm, u0, cfg, **options)
 
     monkeypatch.setattr("shallowshell.solver.minimize", counting_minimize)
     with pytest.raises(NonconvergenceError) as err:
@@ -343,34 +344,68 @@ def test_rigidity_zero_set_trivial(grid):
     assert sv.min() > 1e-12
 
 
-# -- the plate Hessian H0 is shared by a sweep ------------------------------------
+# -- one factorization of each plate-Hessian block per sweep ----------------------
 
 
 def test_sweep_factorizes_the_plate_hessian_once(grid9, material, general_force,
                                                  monkeypatch):
+    """A warm sweep makes three banded factorizations: the bending matrix and
+    K_tt for H0 at u = 0, then K_33 at the plate minimizer; the membrane
+    factor serves both H0s.  A minimize call without an H0 factors its own."""
     factored = []
-    factor = shallowshell.solver._factor_plate_hessian
+    factor = shallowshell.solver._banded_cholesky
 
-    def counting_factor(grid, mat):
-        factored.append(mat)
-        return factor(grid, mat)
+    def counting_factor(K):
+        factored.append(K.shape[0])
+        return factor(K)
 
-    monkeypatch.setattr("shallowshell.solver._factor_plate_hessian", counting_factor)
+    monkeypatch.setattr("shallowshell.solver._banded_cholesky", counting_factor)
     steps = homotopy_solve(
         Immersion("paraboloid", params={"t": 0.1}), [0.1, 0.05, 0.0], grid9,
         material, general_force(grid9), SolverConfig(),
     )
-    assert factored == [material]
-    # the shared factor gives the bytes of one built afresh on a new grid
+    n = 7 * 7
+    assert factored == [n, 2 * n, n]
+    # the sweep's H0 gives the bytes of one built afresh on a new grid
     fresh = Grid(1.0, 1.0, 9, 9)
     asm = make_assembly(fresh, Immersion("plate"), material, general_force(fresh))
     u, _ = minimize(asm, Displacement.zeros(fresh), SolverConfig())
     assert all(np.array_equal(a, b) for a, b in zip(u.components(), steps[-1].u.components()))
+    assert factored == [n, 2 * n, n, n, 2 * n]
     # another material on the same grid is factorized on its own
     stiffer = Material(lam=2.0, mu=1.0, eps=0.1)
     minimize(make_assembly(grid9, Immersion("plate"), stiffer, general_force(grid9)),
              Displacement.zeros(grid9), SolverConfig())
-    assert factored == [material, material, stiffer]
+    assert factored == [n, 2 * n, n] + [n, 2 * n] * 2
+
+
+def test_sweep_frees_the_bending_factor_before_the_warm_steps(grid17, material,
+                                                              general_force, monkeypatch):
+    """While the warm solves of a sweep run, the bending factor of H0 at
+    u = 0 (the first factorization of the u3 block's size) is no longer
+    referenced, so it is not held beside K_33(u0)'s."""
+    n = 15 * 15
+    solves, warm = [], []
+    factor = shallowshell.solver._banded_cholesky
+
+    def tracking_factor(K):
+        solve = factor(K)
+        solves.append((K.shape[0], weakref.ref(solve)))
+        return solve
+
+    def checking_minimize(asm, u0, cfg, h0_solve=None):
+        if h0_solve is not None and h0_solve.name == "plate_minimizer":
+            gc.collect()
+            bending = next(ref for size, ref in solves if size == n)
+            warm.append(bending() is None)
+        return minimize(asm, u0, cfg, h0_solve=h0_solve)
+
+    monkeypatch.setattr("shallowshell.solver._banded_cholesky", tracking_factor)
+    monkeypatch.setattr("shallowshell.solver.minimize", checking_minimize)
+    homotopy_solve(Immersion("paraboloid"), [0.2, 0.1, 0.0], grid17, material,
+                   general_force(grid17), SolverConfig())
+    assert sorted(size for size, _ in solves) == [n, n, 2 * n]
+    assert warm == [True, True]
 
 
 # -- H0 = E^T (C (x) W) E against the 16-pair tensor sum ---------------------------
@@ -499,7 +534,7 @@ def _dense_hessian(grid, mat, u):
     interleaved (u1, u2) order undone."""
     n = (grid.n1 - 2) * (grid.n2 - 2)
     order = np.concatenate([np.arange(0, 2 * n, 2), np.arange(1, 2 * n, 2)])
-    k33, k3t = _minimizer_blocks(grid, mat, u)
+    k33, k3t = _plate_hessian_blocks(grid, mat, u)
     ktt = _membrane_matrix(grid, mat).toarray()[np.ix_(order, order)]
     k3t = k3t.toarray()[:, order]
     return np.block([[ktt, k3t.T], [k3t, k33.toarray()]])
@@ -550,7 +585,7 @@ def test_minimizer_solve_inverts_the_block_gauss_seidel_matrix(n, material, gene
     grid = Grid(1.0, 1.0, n, n)
     asm = make_assembly(grid, Immersion("plate"), material, general_force(grid))
     u, _ = minimize(asm, Displacement.zeros(grid), SolverConfig())
-    solve = _minimizer_solve(grid, material, u)
+    solve = _plate_hessian_solve(grid, material, u)
     assert solve.name == "plate_minimizer"
     hess = _dense_hessian(grid, material, u)
     m = 2 * hess.shape[0] // 3
@@ -564,6 +599,38 @@ def test_minimizer_solve_inverts_the_block_gauss_seidel_matrix(n, material, gene
         x = solve(g)
         assert np.abs(big_m @ x - g).max() <= 1e-9 * np.abs(g).max()
         assert abs(_dot(h, x) - _dot(solve(h), g)) <= 1e-12 * np.sqrt(_dot(x, x) * _dot(h, h))
+
+
+@pytest.mark.parametrize("n", [9, 17])
+def test_plate_hessian_blocks_at_zero_are_the_bending_matrix(n, material):
+    """At u = 0, given as None or as the zero displacement, the blocks
+    decouple: there is no K_3t, and K_33 holds the bytes of _bending_matrix."""
+    grid = Grid(1.0, 1.0, n, n)
+    bending = _bending_matrix(grid, material)
+    for u in (None, Displacement.zeros(grid)):
+        k33, k3t = _plate_hessian_blocks(grid, material, u)
+        assert k3t is None
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(k33, name), getattr(bending, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("dims", [(2.0, 1.0, 9, 5), (1.3, 0.7, 17, 33)])
+def test_plate_solve_at_zero_is_the_two_block_solves(dims, rng):
+    """H0^{-1} at u = 0 gives the bytes of direct solves by the factors of
+    _membrane_matrix, on (u1, u2) interleaved, and of _bending_matrix."""
+    grid = Grid(*dims)
+    mat = Material(lam=1.3, mu=0.7, eps=0.1)
+    solve = _plate_hessian_solve(grid, mat)
+    assert solve.name == "plate" and solve.k3t is None
+    membrane = _banded_cholesky(_membrane_matrix(grid, mat))
+    bending = _banded_cholesky(_bending_matrix(grid, mat))
+    n = (grid.n1 - 2) * (grid.n2 - 2)
+    for _ in range(3):
+        g = rng.standard_normal(3 * n)
+        tangential = membrane(g[: 2 * n].reshape(2, n).T.ravel()).reshape(n, 2).T.ravel()
+        expected = np.concatenate((tangential, bending(g[2 * n :])))
+        assert solve(g).tobytes() == expected.tobytes()
 
 
 def test_banded_cholesky_names_the_failing_minor():
@@ -626,10 +693,12 @@ def test_warm_steps_fall_back_to_h0_at_the_flat_saddle(material):
     steps = homotopy_solve(imm, _WARM_TS + [0.0], grid, material, force, SolverConfig())
     u_plate = steps[-1].u
     assert not u_plate.u3.any()
-    k33, _ = _minimizer_blocks(grid, material, u_plate)
-    with pytest.raises(NotPositiveDefiniteError):
+    k33, _ = _plate_hessian_blocks(grid, material, u_plate)
+    with pytest.raises(NotPositiveDefiniteError) as err:
         _banded_cholesky(k33)
-    assert _minimizer_solve(grid, material, u_plate) is None
+    assert err.value.minor == 128
+    with pytest.raises(NotPositiveDefiniteError):
+        _plate_hessian_solve(grid, material, u_plate)
     ref = _h0_sweep(imm, _WARM_TS, grid, material, force, SolverConfig(), u_plate)
     for step, (u_ref, d_ref) in zip(steps, ref):
         assert step.diagnostics.converged and step.diagnostics.preconditioner == "plate"
@@ -704,7 +773,7 @@ def test_warm_steps_start_on_the_secant_through_the_plate_minimizer(
     steps = homotopy_solve(Immersion("paraboloid"), ts, grid9, material,
                            general_force(grid9), SolverConfig())
     u_plate = steps[-1].u
-    assert starts[0][1] is None and not any(c.any() for c in starts[0][0].components())
+    assert starts[0][1].name == "plate" and not any(c.any() for c in starts[0][0].components())
     assert starts[1][0] is u_plate
     for k in (2, 3):
         expected = u_plate + (steps[k - 2].u - u_plate) * (ts[k - 1] / ts[k - 2])
