@@ -7,12 +7,10 @@ from .elasticity import (
     flat_tensor,
     positivity_gap,
     trace_decomposition,
-    voigt_matrix,
 )
 from .energy import (
     EnergyAssembly,
     ForceDensity,
-    linearized_strain,
     make_assembly,
     plate_membrane_strain,
 )
@@ -22,13 +20,8 @@ from .geometry import (
     SurfaceGeometry,
     c2_distance,
     cell_geometry,
-    christoffel,
     christoffel_from_metric,
-    eval_immersion,
-    fundamental_forms,
-    gaussian_curvature,
     geometry_field,
-    unit_normal,
 )
 from .grid import (
     Displacement,
@@ -36,7 +29,6 @@ from .grid import (
     d1,
     d2,
     integrate,
-    seminorms,
     v_norm,
 )
 from .solver import (
@@ -45,7 +37,6 @@ from .solver import (
     NonconvergenceError,
     SolveDiagnostics,
     SolverConfig,
-    boundedness_certificate,
     homotopy_solve,
     linear_bending_solve,
     minimize,

@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 configuration error, 3 solver nonconvergence,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -137,10 +138,15 @@ def _cmd_verify(cfg: StudyConfig) -> int:
 
 
 def _cmd_solve(cfg: StudyConfig, t: float | None) -> int:
-    grid = cfg.make_grid()
     imm = cfg.make_immersion()
     if t is not None:
-        imm = imm.with_scale(t)
+        if not math.isfinite(t):
+            raise ConfigError(f"--t: not finite: {t!r}")
+        try:
+            imm = imm.with_scale(t)
+        except ValueError as exc:
+            raise ConfigError(f"--t: {exc}") from None
+    grid = cfg.make_grid()
     asm = make_assembly(grid, imm, cfg.material, cfg.make_force(grid))
     u, diag = minimize(asm, Displacement.zeros(grid), cfg.solver)
     out = Path(cfg.out_dir)

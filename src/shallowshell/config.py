@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import math
 from configparser import ConfigParser, Error as ParserError
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,6 @@ SECTIONS = ("domain", "material", "immersion", "force", "solver", "study", "outp
 
 _DOMAIN_KEYS = {"l1": 1.0, "l2": 1.0, "n1": 17, "n2": 17}
 _DEFAULT_T_LIST = (0.2, 0.1, 0.05, 0.025, 0.0)
-_SOLVER_KEYS = ("grad_tol", "max_iter", "memory", "ls_shrink", "ls_c1", "restarts", "seed")
 _FORCE_KEYS = {
     "constant": {"p1", "p2", "p3"},
     "polynomial": {"p1_coeffs", "p2_coeffs", "p3_coeffs"},
@@ -117,21 +116,20 @@ class StudyConfig:
         if self.force_csv:
             digest = hashlib.sha256(Path(self.force_csv).read_bytes()).hexdigest()
             lines.append(f"force.csv_sha256={digest}")
-        s = self.solver
-        lines += [
-            f"solver.grad_tol={s.grad_tol!r}",
-            f"solver.max_iter={s.max_iter}",
-            f"solver.memory={s.memory}",
-            f"solver.ls_shrink={s.ls_shrink!r}",
-            f"solver.ls_c1={s.ls_c1!r}",
-            f"solver.restarts={s.restarts}",
-            f"solver.seed={s.seed}",
-            "study.t_list=" + ",".join(repr(t) for t in self.t_list),
-        ]
+        for f in fields(SolverConfig):
+            value = getattr(self.solver, f.name)
+            lines.append(f"solver.{f.name}={value if _is_int(f) else repr(value)}")
+        lines.append("study.t_list=" + ",".join(repr(t) for t in self.t_list))
         return "\n".join(lines)
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical().encode()).hexdigest()[:16]
+
+
+def _is_int(f) -> bool:
+    """Whether a dataclass field is declared int (a string under postponed
+    annotations)."""
+    return f.type in (int, "int")
 
 
 def _fail(section: str, key: str, why: str):
@@ -247,19 +245,19 @@ def parse_config_text(text: str, base_dir: str | Path = ".") -> StudyConfig:
             force_params = {"p1": 0.5, "p2": -0.3, "p3": 1.0}
         if force_params.get("sigma", 1.0) <= 0:
             _fail("force", "sigma", "gaussian bump width must be positive")
+        for key, value in force_params.items():
+            if key.endswith("_coeffs") and len(value) > 6:
+                _fail("force", key, "at most 6 coefficients")
 
     sol = section("solver")
     defaults = SolverConfig()
     try:
-        solver = SolverConfig(
-            grad_tol=_take_real(sol, "solver", "grad_tol", defaults.grad_tol),
-            max_iter=_take_int(sol, "solver", "max_iter", defaults.max_iter),
-            memory=_take_int(sol, "solver", "memory", defaults.memory),
-            ls_shrink=_take_real(sol, "solver", "ls_shrink", defaults.ls_shrink),
-            ls_c1=_take_real(sol, "solver", "ls_c1", defaults.ls_c1),
-            restarts=_take_int(sol, "solver", "restarts", defaults.restarts),
-            seed=_take_int(sol, "solver", "seed", defaults.seed),
-        )
+        # every SolverConfig field is a key, read as an integer or a real by its type
+        solver = SolverConfig(**{
+            f.name: (_take_int if _is_int(f) else _take_real)(
+                sol, "solver", f.name, getattr(defaults, f.name))
+            for f in fields(SolverConfig)
+        })
     except ValueError as exc:
         raise ConfigError(f"[solver] {exc}") from None
     _reject_unknown(sol, "solver")

@@ -15,18 +15,6 @@ import numpy as np
 
 from .geometry import SurfaceGeometry
 
-# Voigt basis scaled so the Euclidean norm of the strain vector equals the
-# componentwise sum of squares over the full symmetric 2x2 matrix.
-_ISQ2 = 1.0 / np.sqrt(2.0)
-VOIGT_BASIS = np.array(
-    [
-        [[1.0, 0.0], [0.0, 0.0]],
-        [[0.0, 0.0], [0.0, 1.0]],
-        [[0.0, _ISQ2], [_ISQ2, 0.0]],
-    ]
-)
-
-
 @dataclass(frozen=True)
 class Material:
     """Elastic coefficients and half-thickness of the shell."""
@@ -121,15 +109,6 @@ def trace_decomposition(a_inv: np.ndarray, s: np.ndarray, mat: Material):
     return iso, dev
 
 
-def voigt_matrix(tensor: np.ndarray) -> np.ndarray:
-    """Symmetric 3x3 Voigt representation of the quadratic form A:t:t.
-
-    Uses the scaled basis (t11, t22, sqrt(2) t12) so that eigenvalues bound
-    the form against the plain componentwise sum of squares.
-    """
-    return np.einsum("...abst,pst,qab->...pq", tensor, VOIGT_BASIS, VOIGT_BASIS)
-
-
 def positivity_gap(field: SurfaceGeometry, mat: Material) -> float:
     """Empirical coercivity constant of the weighted elasticity tensor.
 
@@ -138,7 +117,9 @@ def positivity_gap(field: SurfaceGeometry, mat: Material) -> float:
     bound with the area density included.
     """
     c00, c11, cs, c01, c0s, c1s = voigt_coefficients(field.a_inv, mat) * field.sqrt_a
-    r2 = np.sqrt(2.0)  # the basis (t11, t22, sqrt(2) t12) of voigt_matrix
+    # the Voigt matrix in the basis (t11, t22, sqrt(2) t12), whose Euclidean
+    # norm is the componentwise sum of squares over the symmetric 2x2 strain
+    r2 = np.sqrt(2.0)
     rows = ((c00, c01, r2 * c0s), (c01, c11, r2 * c1s), (r2 * c0s, r2 * c1s, 2.0 * cs))
     eigs = np.linalg.eigvalsh(np.stack([np.stack(r, axis=-1) for r in rows], axis=-2))
     gap = float(eigs.min())

@@ -14,14 +14,14 @@ The gradient is assembled by transposing the very same stencils against the
 stress fields, so the discrete first variation is represented exactly (up to
 roundoff) and is checkable against central differences of the scalar energy.
 
-One kernel evaluates every immersion.  The plate energy is that of the
-assembly at Immersion("plate"), whose flat reference skips the cell averages
-and the geometry pulls; there is no separate plate path.  Strains and
-stresses are (3, points) arrays of the components (11, 22, 12), the shear
-strain stored doubled (2 E_12), so the quadratic form A^{abst} E_st E_ab is
-e . C e with C the 3x3 Voigt matrix of elasticity.voigt_coefficients at each
-point, and every pairing of a stress with a strain variation is a plain sum
-of componentwise products.
+One evaluator, EnergyAssembly, serves every immersion.  The plate energy
+is that of the assembly at Immersion("plate"), whose flat reference skips
+the cell averages and the geometry pulls; there is no separate plate path.
+Strains and stresses are (3, points) arrays of the components (11, 22, 12),
+the shear strain stored doubled (2 E_12), so the quadratic form
+A^{abst} E_st E_ab is e . C e with C the 3x3 Voigt matrix of
+elasticity.voigt_coefficients at each point, and every pairing of a stress
+with a strain variation is a plain sum of componentwise products.
 
 An evaluation makes four sparse products, two for the energy alone: the
 grid's stacked membrane stencil (cell d1, d2 and average) applied to the
@@ -37,7 +37,6 @@ count.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -127,7 +126,7 @@ class ForceDensity:
         raise ValueError(f"unknown force kind {kind!r}")
 
 
-# -- the component kernel -------------------------------------------------------
+# -- strains ------------------------------------------------------------------
 
 # Factors that turn the stencil rows (d11, d22, d12) into the bending strain
 # components (11, 22, 2*12), and the bending stress back into stencil rows.
@@ -180,39 +179,26 @@ def _pull(geom: SurfaceGeometry, fields: int):
     return p.reshape(3, fields, -1)
 
 
-def _membrane(op, pull, fields, coeff: float = 0.5, du=None) -> np.ndarray:
-    """Membrane strain components (3, cells) of the displacement with
-    components `fields`; see _membrane_strain."""
-    g = (op @ _columns(fields)).reshape(2 if pull is None else 3, -1, 3)
-    return _membrane_strain(g, pull, coeff, du)
-
-
-def _membrane_strain(g: np.ndarray, pull, coeff: float = 0.5, du=None) -> np.ndarray:
+def _membrane_strain(g: np.ndarray, pull) -> np.ndarray:
     """Membrane strain components (3, cells) from the stencil block
     g[k, cell, j]: row block k of the membrane stencil applied to component
     j of a displacement u.
 
     The stencil is the whole membrane_stencil (d1, d2, average), or its
-    derivative rows when pull is None (a flat reference).  du is the cell
-    gradient of a transverse field (default: that of u.u3, g[:2, :, 2]).
-    With coeff = 1/2 and the default the nonlinear strain of u; with du from
-    another field w and coeff = 1 the first variation at w in direction u;
-    with coeff = 0 the linearized strain.
+    derivative rows when pull is None (a flat reference).
     """
     # gt[k, j] is a row over the cells: elementwise work then runs along the
     # cells, not along the three components (a length-3 inner loop is slow)
     gt = g.transpose(0, 2, 1)
-    dv = gt[:2, 2]
-    if du is None:
-        du = dv
+    du = gt[:2, 2]
     if pull is None:
         e = np.zeros((3, g.shape[1]))
     else:
         # einsum's contiguous loop is about twice as fast as its strided one
         e = np.einsum("vmc,mc->vc", pull, np.ascontiguousarray(gt[2]))
-    # z[k, l] = d_k u_l + coeff * du_k dv_l; the strain is its symmetric part
-    z = du[:, None] * dv
-    z *= coeff
+    # z[k, l] = d_k u_l + 1/2 d_k u3 d_l u3; the strain is its symmetric part
+    z = du[:, None] * du
+    z *= 0.5
     z += gt[:2, :2]
     e[:2] += z.reshape(4, -1)[::3]
     e[2] += z[0, 1] + z[1, 0]
@@ -230,28 +216,91 @@ def _bending(op, pull, u3: np.ndarray):
     return f, fb
 
 
-class _Kernel(NamedTuple):
-    """Everything an evaluation reads besides u.
+def plate_membrane_strain(grid: Grid, u: Displacement) -> np.ndarray:
+    """Membrane strain of the flat reference: symmetric gradient plus the
+    quadratic transverse term, with no curvature couplings."""
+    g = (grid.leading_rows("membrane", 2)[0] @ _columns(u.components())).reshape(2, -1, 3)
+    return _as_matrix(_membrane_strain(g, None).reshape((3,) + grid.cell_shape))
 
-    memb_ops and bend_ops are a stacked strain stencil of the grid and its
-    CSC transpose: on a curved reference the whole membrane_stencil and
-    bending_stencil, on a flat one only their derivative rows.  memb and
-    bend are the (3, 3, points) Voigt matrices at cell midpoints and at
-    nodes, with the thickness factor, the quadrature weight and the area
-    density folded in; memb_pull and bend_pull are _pull's fields, None on
-    a flat reference; load is the weighted load as a (nodes, 3) block.
+
+# -- the immersion-bound evaluator ---------------------------------------------
+
+
+@dataclass
+class EnergyAssembly:
+    """Immersion-bound evaluator of the shell energy and its gradient.
+
+    Immutable after construction.  An evaluation reads u and the fields
+    built here.  memb_ops and bend_ops are a stacked strain stencil of the
+    grid and its CSC transpose: on a curved reference the whole
+    membrane_stencil and bending_stencil, on a flat one only their
+    derivative rows.  memb and bend are the (3, 3, points) Voigt matrices at
+    cell midpoints and at nodes, with the thickness factor, the quadrature
+    weight and the area density folded in; memb_pull and bend_pull are
+    _pull's fields, None on a flat reference; load is the weighted load as a
+    (nodes, 3) block, and wsa the nodal weight times sqrt(a).
     """
 
     grid: Grid
-    memb_ops: tuple
-    bend_ops: tuple
-    memb: np.ndarray
-    bend: np.ndarray
-    memb_pull: np.ndarray | None
-    bend_pull: np.ndarray | None
-    load: np.ndarray
+    geometry: SurfaceGeometry            # nodal quantities (bending, export)
+    cell_geom: SurfaceGeometry           # midpoint quantities (membrane)
+    material: Material
+    force: ForceDensity
+    wsa: np.ndarray = field(init=False)
+    memb_ops: tuple = field(init=False)
+    bend_ops: tuple = field(init=False)
+    memb: np.ndarray = field(init=False)
+    bend: np.ndarray = field(init=False)
+    memb_pull: np.ndarray | None = field(init=False)
+    bend_pull: np.ndarray | None = field(init=False)
+    load: np.ndarray = field(init=False)
 
-    def evaluate(self, u: Displacement, with_gradient: bool):
+    def __post_init__(self):
+        mat, grid = self.material, self.grid
+        self.wsa = grid.weights * self.geometry.sqrt_a
+        cw = grid.cell_weight * self.cell_geom.sqrt_a
+        self.memb = _voigt_matrices(self.cell_geom.a_inv, mat, mat.eps * cw)
+        self.bend = _voigt_matrices(self.geometry.a_inv, mat, mat.eps**3 / 3.0 * self.wsa)
+        self.memb_pull, self.bend_pull = _pull(self.cell_geom, 3), _pull(self.geometry, 2)
+        # the averages and the first derivatives only where the geometry pulls on them
+        self.memb_ops = grid.leading_rows("membrane", 2 if self.memb_pull is None else 3)
+        self.bend_ops = grid.leading_rows("bending", 3 if self.bend_pull is None else 5)
+        self.load = _columns([self.wsa * p for p in self.force.components()])
+
+    # -- strain fields ------------------------------------------------------
+
+    def membrane_strain(self, u: Displacement) -> np.ndarray:
+        """Nonlinear membrane strain E[..., alpha, beta] at cell midpoints."""
+        g = (self.memb_ops[0] @ _columns(u.components())).reshape(-1, self.grid.num_cells, 3)
+        e = _membrane_strain(g, self.memb_pull)
+        return _as_matrix(e.reshape((3,) + self.grid.cell_shape))
+
+    def bending_strain(self, u3: np.ndarray) -> np.ndarray:
+        """Bending strain F[..., alpha, beta] at nodes (ghost closure)."""
+        f = _bending(self.bend_ops[0], self.bend_pull, u3)[0]
+        return _as_matrix(f.reshape((3,) + self.grid.shape))
+
+    # -- energy and gradient -------------------------------------------------
+
+    def energy_and_scale(self, u: Displacement) -> tuple[float, float]:
+        return self._evaluate(u, False)[:2]
+
+    def energy(self, u: Displacement) -> float:
+        return self.energy_and_scale(u)[0]
+
+    def gradient(self, u: Displacement) -> Displacement:
+        """Coefficient gradient of the energy; zero on boundary nodes.
+
+        Satisfies <g, v> = dJ(u)[v] in the plain dot product for every
+        clamped v, by construction from the transposed stencils.
+        """
+        return self._evaluate(u, True)[2]
+
+    def full_evaluation(self, u: Displacement):
+        """(energy, energy magnitude, gradient) from one strain evaluation."""
+        return self._evaluate(u, True)
+
+    def _evaluate(self, u: Displacement, with_gradient: bool):
         """(energy, magnitude of its terms, gradient or None).
 
         The roundoff of an energy evaluation is a few ulps of the magnitude,
@@ -311,97 +360,6 @@ class _Kernel(NamedTuple):
         grad[:: n1 - 1] = 0.0
         grad[:, :: n2 - 1] = 0.0
         return energy, scale, Displacement(grad[..., 0], grad[..., 1], grad[..., 2])
-
-
-def linearized_strain(grid: Grid, u: Displacement) -> np.ndarray:
-    """Symmetrized gradient of the tangential components at cell midpoints."""
-    e = _membrane(grid.leading_rows("membrane", 2)[0], None, u.components(), 0.0)
-    return _as_matrix(e.reshape((3,) + grid.cell_shape))
-
-
-def plate_membrane_strain(grid: Grid, u: Displacement) -> np.ndarray:
-    """Membrane strain of the flat reference: symmetric gradient plus the
-    quadratic transverse term, with no curvature couplings."""
-    e = _membrane(grid.leading_rows("membrane", 2)[0], None, u.components())
-    return _as_matrix(e.reshape((3,) + grid.cell_shape))
-
-
-# -- the immersion-bound evaluator ---------------------------------------------
-
-
-@dataclass
-class EnergyAssembly:
-    """Immersion-bound evaluator of the shell energy and its gradient.
-
-    Immutable after construction; caches the 3x3 Voigt matrices at both
-    collocation sets (weights folded in), the geometry fields the strains
-    subtract, and the weighted load fields.
-    """
-
-    grid: Grid
-    geometry: SurfaceGeometry            # nodal quantities (bending, export)
-    cell_geom: SurfaceGeometry           # midpoint quantities (membrane)
-    material: Material
-    force: ForceDensity
-    wsa: np.ndarray = field(init=False)
-    _kernel: _Kernel = field(init=False)
-
-    def __post_init__(self):
-        mat, grid = self.material, self.grid
-        self.wsa = grid.weights * self.geometry.sqrt_a
-        cw = grid.cell_weight * self.cell_geom.sqrt_a
-        memb = _voigt_matrices(self.cell_geom.a_inv, mat, mat.eps * cw)
-        bend = _voigt_matrices(self.geometry.a_inv, mat, mat.eps**3 / 3.0 * self.wsa)
-        memb_pull, bend_pull = _pull(self.cell_geom, 3), _pull(self.geometry, 2)
-        # the averages and the first derivatives only where the geometry pulls on them
-        self._kernel = _Kernel(
-            grid,
-            grid.leading_rows("membrane", 2 if memb_pull is None else 3),
-            grid.leading_rows("bending", 3 if bend_pull is None else 5),
-            memb, bend, memb_pull, bend_pull,
-            _columns([self.wsa * p for p in self.force.components()]),
-        )
-
-    # -- strain fields ------------------------------------------------------
-
-    def membrane_strain(self, u: Displacement) -> np.ndarray:
-        """Nonlinear membrane strain E[..., alpha, beta] at cell midpoints."""
-        k = self._kernel
-        e = _membrane(k.memb_ops[0], k.memb_pull, u.components())
-        return _as_matrix(e.reshape((3,) + self.grid.cell_shape))
-
-    def bending_strain(self, u3: np.ndarray) -> np.ndarray:
-        """Bending strain F[..., alpha, beta] at nodes (ghost closure)."""
-        k = self._kernel
-        f = _bending(k.bend_ops[0], k.bend_pull, u3)[0]
-        return _as_matrix(f.reshape((3,) + self.grid.shape))
-
-    def first_variation(self, u: Displacement, v: Displacement) -> np.ndarray:
-        """Derivative of the membrane strain at u in direction v."""
-        k = self._kernel
-        du = (k.memb_ops[0] @ u.u3.ravel()).reshape(-1, self.grid.num_cells)[:2]
-        e = _membrane(k.memb_ops[0], k.memb_pull, v.components(), 1.0, du)
-        return _as_matrix(e.reshape((3,) + self.grid.cell_shape))
-
-    # -- energy and gradient -------------------------------------------------
-
-    def energy_and_scale(self, u: Displacement) -> tuple[float, float]:
-        return self._kernel.evaluate(u, False)[:2]
-
-    def energy(self, u: Displacement) -> float:
-        return self.energy_and_scale(u)[0]
-
-    def gradient(self, u: Displacement) -> Displacement:
-        """Coefficient gradient of the energy; zero on boundary nodes.
-
-        Satisfies <g, v> = dJ(u)[v] in the plain dot product for every
-        clamped v, by construction from the transposed stencils.
-        """
-        return self._kernel.evaluate(u, True)[2]
-
-    def full_evaluation(self, u: Displacement):
-        """(energy, energy magnitude, gradient) from one strain evaluation."""
-        return self._kernel.evaluate(u, True)
 
     def hessian_diagonal_estimate(self) -> Displacement:
         """Positive per-node curvature scales of the quadratic energy part.

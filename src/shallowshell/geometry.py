@@ -10,12 +10,15 @@ The derivatives form one table, `Immersion._planes`: the value, gradient
 and Hessian as nested tuples of component planes, each an array over the
 points.  Entries that are constant for a family (the plate's tangents, the
 vanishing Hessian components) are held as the Python floats 0.0 and 1.0, so
-the arithmetic on them is scalar.  The metric, b, Gamma, sqrt(a) and K are
-formed plane by plane with elementwise products.  Each contraction adds its
-terms in the order np.einsum does over an axis of two or three components,
-and like einsum never returns -0.0, so the values are bitwise those of the
-einsum formulas, sign bits included.  `christoffel_from_metric` keeps the
-einsum Koszul formula as the independent check of `christoffel`.
+the arithmetic on them is scalar.  One path, `surface_quantities`, forms the
+metric, b, Gamma, sqrt(a) and K from the table plane by plane with
+elementwise products; `geometry_field` and `cell_geometry` call it at the
+nodes and at the cell midpoints.  Each contraction adds its terms in the
+order np.einsum does over an axis of two or three components, and like
+einsum never returns -0.0, so the values are bitwise those of the einsum
+formulas, sign bits included.  `christoffel_from_metric` keeps the einsum
+Koszul formula as the independent check of the Gamma that
+`surface_quantities` returns.
 """
 
 from __future__ import annotations
@@ -162,21 +165,7 @@ class Immersion:
                 ((tuple(h00), h01), (h01, tuple(h11))))
 
 
-def eval_immersion(imm: Immersion, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Analytic (value, grad, hess) of the immersion at a point in the domain."""
-    return imm.evaluate(np.asarray(y, dtype=float))
-
-
 # -- component planes ----------------------------------------------------------
-
-
-def _split(x: np.ndarray, depth: int):
-    """The trailing `depth` axes of x as nested tuples of planes (views)."""
-    return _nest(np.moveaxis(x, range(x.ndim - depth, x.ndim), range(depth)), depth)
-
-
-def _nest(x, depth: int):
-    return x if depth == 0 else tuple(_nest(x[i, ...], depth - 1) for i in range(len(x)))
 
 
 def _stack(planes, base: tuple) -> np.ndarray:
@@ -222,7 +211,8 @@ def _length(c):
 
 
 def _normal(g):
-    """(unit normal planes, |d1 theta x d2 theta|)."""
+    """(positively oriented unit normal planes, |d1 theta x d2 theta|);
+    raises ImmersionError when the tangents are (numerically) parallel."""
     cross = _cross(g)
     norm = _length(cross)
     if np.any(norm < DEGENERACY_THRESHOLD):
@@ -267,41 +257,6 @@ def _curvature(a_inv, b):
     return m[0][0] * m[1][1] - m[0][1] * m[1][0]
 
 
-def unit_normal(grad: np.ndarray) -> np.ndarray:
-    """Positively oriented unit normal from the two tangent vectors.
-
-    Raises ImmersionError when the tangents are (numerically) parallel.
-    """
-    return _stack(_normal(_split(grad, 2))[0], grad.shape[:-2])
-
-
-def fundamental_forms(grad: np.ndarray, hess: np.ndarray, normal: np.ndarray):
-    """First and second fundamental forms, inverse metric, and area density.
-
-    Returns (a, a_inv, sqrt_a, b) where a[..., alpha, beta] is the metric,
-    a_inv its exact 2x2 inverse, sqrt_a = |d1 theta x d2 theta|, and
-    b[..., alpha, beta] the normal projection of the Hessian.
-    """
-    g = _split(grad, 2)
-    a = _metric(g)
-    a_inv = _inverse(a)
-    b = _second_form(_split(normal, 1), _split(hess, 3))
-    base = grad.shape[:-2]
-    return (_stack(a, base), _stack(a_inv, base), _stack(_length(_cross(g)), base),
-            _stack(b, base))
-
-
-def christoffel(grad: np.ndarray, hess: np.ndarray, a_inv: np.ndarray) -> np.ndarray:
-    """Surface Christoffel symbols Gamma[..., sigma, alpha, beta].
-
-    Contracts the contravariant tangent vectors a^sigma = a^{sigma nu} d_nu
-    theta against the Hessian; symmetry in (alpha, beta) is inherited from
-    the Hessian.
-    """
-    gamma = _christoffel(_split(grad, 2), _split(hess, 3), _split(a_inv, 2))
-    return _stack(gamma, grad.shape[:-2])
-
-
 def christoffel_from_metric(grad: np.ndarray, hess: np.ndarray, a_inv: np.ndarray) -> np.ndarray:
     """Christoffel symbols from the metric-only (Koszul) formula.
 
@@ -317,11 +272,6 @@ def christoffel_from_metric(grad: np.ndarray, hess: np.ndarray, a_inv: np.ndarra
         - np.einsum("...nab->...nab", da)
     )
     return np.einsum("...sn,...nab->...sab", a_inv, koszul)
-
-
-def gaussian_curvature(a_inv: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Gaussian curvature as the determinant of the shape-operator matrix."""
-    return _stack(_curvature(_split(a_inv, 2), _split(b, 2)), a_inv.shape[:-2])
 
 
 @dataclass
@@ -373,20 +323,18 @@ def surface_quantities(imm: Immersion, y: np.ndarray):
 
 def geometry_field(imm: Immersion, grid: Grid) -> SurfaceGeometry:
     """Evaluate every geometric quantity of the immersion at the grid nodes."""
-    if not (np.isclose(imm.L1, grid.L1) and np.isclose(imm.L2, grid.L2)):
-        raise ValueError("grid rectangle does not match the immersion domain")
-    y = np.stack([grid.y1, grid.y2], axis=-1)
-    a, a_inv, b, gamma, sqrt_a, K = surface_quantities(imm, y)
-    return SurfaceGeometry(grid=grid, a=a, a_inv=a_inv, b=b, gamma=gamma,
-                           sqrt_a=sqrt_a, K=K)
+    return _geometry_at(imm, grid, (grid.y1, grid.y2))
 
 
 def cell_geometry(imm: Immersion, grid: Grid) -> SurfaceGeometry:
     """Geometric quantities at the cell midpoints (membrane collocation)."""
+    return _geometry_at(imm, grid, grid.cell_centers)
+
+
+def _geometry_at(imm: Immersion, grid: Grid, coords) -> SurfaceGeometry:
     if not (np.isclose(imm.L1, grid.L1) and np.isclose(imm.L2, grid.L2)):
         raise ValueError("grid rectangle does not match the immersion domain")
-    y = np.stack(grid.cell_centers, axis=-1)
-    a, a_inv, b, gamma, sqrt_a, K = surface_quantities(imm, y)
+    a, a_inv, b, gamma, sqrt_a, K = surface_quantities(imm, np.stack(coords, axis=-1))
     return SurfaceGeometry(grid=grid, a=a, a_inv=a_inv, b=b, gamma=gamma,
                            sqrt_a=sqrt_a, K=K)
 

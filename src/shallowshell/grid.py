@@ -212,7 +212,7 @@ class Grid:
     def leading_rows(self, stencil: str, blocks: int) -> tuple[sp.csr_matrix, sp.csc_matrix]:
         """The first `blocks` row blocks of membrane_stencil or
         bending_stencil (stencil = "membrane" or "bending") and their
-        transpose, as views built once per grid.  The energy kernel applies
+        transpose, as views built once per grid.  EnergyAssembly applies
         the whole stacks on a curved reference and only the derivative rows
         (2 membrane blocks, 3 bending blocks) on a flat one."""
         pair = self._leading.get((stencil, blocks))
@@ -277,7 +277,7 @@ class Grid:
         Each value shares its arrays with the forward operator, and so with
         the stack.  A CSC product adds each output entry's terms in the
         column order that the CSR copy of the transpose adds them, so the
-        products are bitwise those of `op.T.tocsr()`.  The energy kernel
+        products are bitwise those of `op.T.tocsr()`.  EnergyAssembly
         transposes whole stacks (leading_rows) instead.
         """
         d1i = self.interior_d1_ops
@@ -299,9 +299,6 @@ class Grid:
 
     def to_cells(self, op: sp.csr_matrix, f: np.ndarray) -> np.ndarray:
         return (op @ f.ravel()).reshape(self.cell_shape)
-
-    def from_cells(self, op_t: sp.spmatrix, c: np.ndarray) -> np.ndarray:
-        return (op_t @ c.ravel()).reshape(self.shape)
 
 
 # -- Kronecker stacks and views into them ------------------------------------
@@ -601,19 +598,3 @@ def h2_norm(grid: Grid, f: np.ndarray) -> float:
 def v_norm(grid: Grid, u: Displacement) -> float:
     """Norm of the displacement space: ||u1||_H1 + ||u2||_H1 + ||u3||_H2."""
     return h1_norm(grid, u.u1) + h1_norm(grid, u.u2) + h2_norm(grid, u.u3)
-
-
-@dataclass
-class Seminorms:
-    l2: tuple[float, float, float]
-    h1: tuple[float, float, float]
-    h2_u3: float
-
-
-def seminorms(grid: Grid, u: Displacement) -> Seminorms:
-    """Componentwise L2 norms, H1 seminorms, and the H2 seminorm of u3."""
-    return Seminorms(
-        l2=tuple(l2_norm(grid, c) for c in u.components()),
-        h1=tuple(h1_seminorm(grid, c) for c in u.components()),
-        h2_u3=h2_seminorm(grid, u.u3),
-    )

@@ -43,7 +43,7 @@ from scipy.linalg.lapack import dpbtrf, dpbtrs
 from .elasticity import Material, flat_voigt
 from .energy import EnergyAssembly, ForceDensity, make_assembly
 from .geometry import Immersion, c2_distance
-from .grid import Displacement, Grid, kron_stack, require_clamped, v_norm
+from .grid import Displacement, Grid, kron_stack, require_clamped
 
 STALL_STEP = 1e-16
 
@@ -308,7 +308,7 @@ def _two_loop_direction(g, s_hist, y_hist, rho, h0_solve):
 # Both blocks are E^T (C (x) W) E: E maps the unknowns to the three Voigt
 # strain components at every point, C is the plate's 3x3 Voigt matrix and W
 # the quadrature weights, so the matrix is the Hessian of the quadratic
-# energy 1/2 sum_points w e . C e that the energy kernel evaluates.
+# energy 1/2 sum_points w e . C e that EnergyAssembly evaluates.
 
 
 def _bending_matrix(grid: Grid, mat: Material) -> sp.csr_matrix:
@@ -539,13 +539,6 @@ def _homotopy_step(asm, u0, cfg, t, h0_solve):
     if not diag.converged:
         raise NonconvergenceError(t, diag.final_residual, diag.iterations)
     return u, diag
-
-
-def boundedness_certificate(steps: list[HomotopyStep]) -> float:
-    """Largest displacement norm over the sweep: the boundedness witness."""
-    if not steps:
-        return 0.0
-    return max(v_norm(s.assembly.grid, s.u) for s in steps)
 
 
 # -- independent linear oracle: clamped bending solve --------------------------

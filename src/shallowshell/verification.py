@@ -22,15 +22,13 @@ from .elasticity import (
     trace_decomposition,
     voigt_coefficients,
 )
-from .energy import ForceDensity, linearized_strain, make_assembly, plate_membrane_strain
+from .energy import ForceDensity, make_assembly, plate_membrane_strain
 from .geometry import (
     Immersion,
-    christoffel,
     christoffel_from_metric,
     c2_distance,
-    fundamental_forms,
     geometry_field,
-    unit_normal,
+    surface_quantities,
 )
 from .grid import (
     Displacement,
@@ -138,14 +136,14 @@ def check_plate_flat() -> CheckResult:
 
 
 def check_christoffel_cross() -> CheckResult:
+    """The Gamma of surface_quantities, which the energy uses, against the
+    metric-only Koszul formula."""
     grid = Grid(1.0, 1.0, 9, 9)
     worst = 0.0
     for imm in CATALOG_SAMPLES:
         y = np.stack([grid.y1, grid.y2], axis=-1)
         _, grad, hess = imm.evaluate(y)
-        normal = unit_normal(grad)
-        _, a_inv, _, _ = fundamental_forms(grad, hess, normal)
-        direct = christoffel(grad, hess, a_inv)
+        _, a_inv, _, direct, _, _ = surface_quantities(imm, y)
         koszul = christoffel_from_metric(grad, hess, a_inv)
         worst = max(worst, float(np.max(np.abs(direct - koszul))))
     return _below("geometry.christoffel_koszul", worst, 1e-10)
@@ -307,12 +305,14 @@ def rigidity_residuals(grid: Grid, fields=None) -> tuple[float, float]:
         rng = np.random.default_rng(24)
         fields = [random_clamped_displacement(grid, rng, smooth=s) for s in (0, 2) * 4]
     w = grid.cell_weight
+    flat = np.zeros(grid.shape)
     korn = trace = 0.0
     for u in fields:
         (g11, g12), (g21, g22), (g31, g32) = (
             [grid.to_cells(op, c) for op in grid.cell_d1_ops] for c in u.components()
         )
-        e = linearized_strain(grid, u)
+        # the linearized strain: that of the tangential part alone
+        e = plate_membrane_strain(grid, Displacement(u.u1, u.u2, flat))
         strain = w * np.sum(e * e)
         split = 0.5 * w * np.sum(g11**2 + g12**2 + g21**2 + g22**2 + (g11 + g22) ** 2)
         korn = max(korn, abs(strain - split) / max(strain, 1e-300))
@@ -428,10 +428,10 @@ def check_plate_path() -> CheckResult:
     the pairing <grad J(u), u> = d/ds J(su) at s = 1 and the membrane strain
     (the hand E on the four cells, 0 elsewhere) match values computed by
     hand from the stencils and the 16-component plate tensor.  This proves
-    the kernel's flat-reference path, its Voigt coefficients at the flat
+    the assembly's flat-reference path, its Voigt coefficients at the flat
     metric, its shear factors and the gradient's pairing in the direction
-    u, independently of the kernel; it does not cover the geometry pulls of
-    a curved reference.
+    u, independently of the assembly; it does not cover the geometry pulls
+    of a curved reference.
     """
     mat = Material(1.3, 0.7, 0.1)
     rng = np.random.default_rng(31)

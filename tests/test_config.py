@@ -1,12 +1,15 @@
 """Property tests of config parsing: every real value survives its text."""
 
 import struct
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shallowshell.config import ConfigError, parse_config_text
+from shallowshell import config
+from shallowshell.config import DEFAULT_CONFIG, ConfigError, default_config, parse_config_text
+from shallowshell.solver import SolverConfig
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
@@ -119,3 +122,29 @@ def test_non_finite_value_named_by_section_and_key(where, raw):
     with pytest.raises(ConfigError) as exc:
         parse_config_text(text)
     assert str(exc.value).startswith(f"[{section}] {key}: not finite")
+
+
+def test_default_config_hash_is_pinned():
+    """Every output's meta line carries this hash, so a change to
+    canonical() that moves it shows here."""
+    assert default_config().config_hash() == "5a85410db4d45042"
+
+
+def test_solver_keys_are_the_solver_config_fields(monkeypatch):
+    """[solver] reads and hashes every SolverConfig field, as an integer or
+    a real by its declared type: a new field is a key with no other edit."""
+
+    @dataclass
+    class Extended(SolverConfig):
+        extra_int: int = 3
+        extra_real: float = 0.25
+
+    monkeypatch.setattr(config, "SolverConfig", Extended)
+    cfg = parse_config_text(DEFAULT_CONFIG + "[solver]\nextra_int = 4\nextra_real = 0.5\n")
+    assert type(cfg.solver.extra_int) is int and cfg.solver.extra_int == 4
+    assert cfg.solver.extra_real == 0.5
+    lines = cfg.canonical().splitlines()
+    assert lines[-3:-1] == ["solver.extra_int=4", "solver.extra_real=0.5"]
+    with pytest.raises(ConfigError) as exc:
+        parse_config_text(DEFAULT_CONFIG + "[solver]\nextra_int = 0.5\n")
+    assert str(exc.value) == "[solver] extra_int: not an integer: '0.5'"

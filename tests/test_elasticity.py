@@ -11,7 +11,6 @@ from shallowshell import (
     geometry_field,
     positivity_gap,
     trace_decomposition,
-    voigt_matrix,
 )
 
 
@@ -143,14 +142,6 @@ def test_positivity_bound_realized(rng):
         t = rand_sym(rng)
         quad = contract(A, t, t) * geom.sqrt_a
         assert np.min(quad - gap * np.sum(t * t)) >= -1e-12
-
-
-def test_voigt_matrix_symmetric_psd():
-    grid = Grid(1.0, 1.0, 9, 9)
-    geom = geometry_field(Immersion("sinusoidal_bump", params={"t": 0.1}), grid)
-    B = voigt_matrix(build_tensor(geom.a_inv, Material(1.0, 1.0, 0.1)))
-    assert np.allclose(B, np.swapaxes(B, -1, -2), atol=1e-14)
-    assert np.min(np.linalg.eigvalsh(B)) > 0.0
 
 
 def test_tensor_continuity_in_metric(rng):

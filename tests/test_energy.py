@@ -16,7 +16,6 @@ from shallowshell import (
     Grid,
     Immersion,
     Material,
-    linearized_strain,
     make_assembly,
     plate_membrane_strain,
 )
@@ -121,41 +120,13 @@ def test_bending_strain_curvature_correction_tracks_christoffel(grid9, material,
     assert 0.5 < ratio < 2.0
 
 
-def test_linearized_strain_cases(grid9, rng):
-    assert np.all(linearized_strain(grid9, Displacement.zeros(grid9)) == 0.0)
-    u = random_clamped_displacement(grid9, rng)
-    u3_only = Displacement(u.u1, u.u2, np.zeros(grid9.shape))
-    assert np.array_equal(
-        linearized_strain(grid9, u3_only), plate_membrane_strain(grid9, u3_only)
-    )
+def test_linearized_strain_cases(grid9):
+    # with u3 = 0 the plate membrane strain is the linearized strain
+    assert np.all(plate_membrane_strain(grid9, Displacement.zeros(grid9)) == 0.0)
     # sampled rigid in-plane rotation has zero symmetric gradient
     rot = Displacement(-grid9.y2.copy(), grid9.y1.copy(), np.zeros(grid9.shape))
-    e = linearized_strain(grid9, rot)
+    e = plate_membrane_strain(grid9, rot)
     assert np.max(np.abs(e)) < 1e-14
-
-
-def test_first_variation_linearity_and_gateaux(shell_assembly, grid17, rng):
-    u = random_clamped_displacement(grid17, rng)
-    v = random_clamped_displacement(grid17, rng)
-    w = random_clamped_displacement(grid17, rng)
-    zero = Displacement.zeros(grid17)
-    assert np.all(shell_assembly.first_variation(u, zero) == 0.0)
-
-    lin = (
-        shell_assembly.first_variation(u, v + w)
-        - shell_assembly.first_variation(u, v)
-        - shell_assembly.first_variation(u, w)
-    )
-    assert np.max(np.abs(lin)) <= 1e-14
-
-    ep = shell_assembly.first_variation(u, v)
-    errs = []
-    for tau in (1e-2, 1e-3, 1e-4):
-        fd = (shell_assembly.membrane_strain(u + tau * v)
-              - shell_assembly.membrane_strain(u)) / tau
-        errs.append(np.max(np.abs(fd - ep)))
-    assert 8.0 < errs[0] / errs[1] < 12.0  # O(tau) truncation
-    assert 8.0 < errs[1] / errs[2] < 12.0
 
 
 # -- energy and gradient -----------------------------------------------------------
@@ -263,30 +234,30 @@ def test_hessian_diagonal_estimate_positive(shell_assembly):
 # -- the component kernel against the 16-component reference ---------------------
 
 
-def _reference_evaluation(asm, u, v):
-    """Energy, energy scale, gradient and first variation at u (direction v)
-    from the full tensor of build_tensor contracted with einsum, one sparse
-    product per field and stencil, and strains as (..., 2, 2) matrices."""
+def _reference_evaluation(asm, u):
+    """Energy, energy scale, gradient and strains at u from the full tensor
+    of build_tensor contracted with einsum, one sparse product per field and
+    stencil, and strains as (..., 2, 2) matrices."""
     grid, cg, ng, mat = asm.grid, asm.cell_geom, asm.geometry, asm.material
-    cells, back = grid.to_cells, grid.from_cells
+    cells = grid.to_cells
+
+    def back(op_t, c):
+        return (op_t @ c.ravel()).reshape(grid.shape)
     d1c, d2c = grid.cell_d1_ops
     avg = grid.cell_avg_op
 
     def cgrad(f):
         return np.stack([cells(d1c, f), cells(d2c, f)])
 
-    def membrane(w, du, coeff):
-        gw = [cgrad(w.u1), cgrad(w.u2)]
-        dw = cgrad(w.u3)
-        E = np.empty(grid.cell_shape + (2, 2))
-        for a in range(2):
-            for b in range(2):
-                E[..., a, b] = 0.5 * (gw[a][b] + gw[b][a]) + coeff * 0.5 * (
-                    du[a] * dw[b] + dw[a] * du[b])
-        tang = np.stack([cells(avg, w.u1), cells(avg, w.u2)])
-        E -= np.einsum("xysab,sxy->xyab", cg.gamma, tang)
-        E -= cg.b * cells(avg, w.u3)[..., None, None]
-        return E
+    gu = [cgrad(u.u1), cgrad(u.u2)]
+    du = cgrad(u.u3)
+    E = np.empty(grid.cell_shape + (2, 2))
+    for a in range(2):
+        for b in range(2):
+            E[..., a, b] = 0.5 * (gu[a][b] + gu[b][a]) + 0.5 * du[a] * du[b]
+    tang = np.stack([cells(avg, u.u1), cells(avg, u.u2)])
+    E -= np.einsum("xysab,sxy->xyab", cg.gamma, tang)
+    E -= cg.b * cells(avg, u.u3)[..., None, None]
 
     ops = grid.clamped_d2_ops
     F = np.empty(grid.shape + (2, 2))
@@ -296,8 +267,6 @@ def _reference_evaluation(asm, u, v):
     dn = np.stack([grid.apply(op, u.u3) for op in grid.interior_d1_ops])
     F -= np.einsum("xysab,sxy->xyab", ng.gamma, dn)
 
-    du = cgrad(u.u3)
-    E = membrane(u, du, 0.5)
     A_cell = build_tensor(cg.a_inv, mat)
     A_node = build_tensor(ng.a_inv, mat)
     cw = mat.eps * grid.cell_weight * cg.sqrt_a
@@ -329,7 +298,7 @@ def _reference_evaluation(asm, u, v):
         gk = gk - wsa * p
         gk[~grid.interior] = 0.0
         grad.append(gk)
-    return energy, scale, grad, membrane(v, du, 1.0), E, F
+    return energy, scale, grad, E, F
 
 
 def _relative(a, b):
@@ -351,14 +320,12 @@ def test_component_kernel_matches_full_tensor_reference(dims, kind, material):
     rng = np.random.default_rng(8)
     for _ in range(3):
         u = random_clamped_displacement(grid, rng, amplitude=0.3)
-        v = random_clamped_displacement(grid, rng, amplitude=0.3)
-        energy, scale, grad, ep, E, F = _reference_evaluation(asm, u, v)
+        energy, scale, grad, E, F = _reference_evaluation(asm, u)
         f, fscale, g = asm.full_evaluation(u)
         assert abs(f - energy) <= 1e-13 * scale
         assert abs(fscale - scale) <= 1e-13 * scale
         assert asm.energy_and_scale(u) == (f, fscale)
         assert _relative(np.stack(g.components()), np.stack(grad)) <= 1e-13
-        assert _relative(asm.first_variation(u, v), ep) <= 1e-13
         assert _relative(asm.membrane_strain(u), E) <= 1e-13
         assert _relative(asm.bending_strain(u.u3), F) <= 1e-13
 

@@ -7,19 +7,23 @@ from shallowshell import (
     ImmersionError,
     c2_distance,
     cell_geometry,
-    christoffel,
     christoffel_from_metric,
-    eval_immersion,
-    fundamental_forms,
-    gaussian_curvature,
     geometry_field,
-    unit_normal,
+)
+from shallowshell.geometry import (
+    _christoffel,
+    _curvature,
+    _metric,
+    _normal,
+    _second_form,
+    _stack,
+    surface_quantities,
 )
 from shallowshell.verification import CATALOG_SAMPLES, check_geometry_derivatives
 
 
 def test_plate_point_evaluation():
-    value, grad, hess = eval_immersion(Immersion("plate"), (0.3, 0.7))
+    value, grad, hess = Immersion("plate").evaluate((0.3, 0.7))
     assert np.array_equal(value, [0.3, 0.7, 0.0])
     assert np.array_equal(grad[0], [1.0, 0.0, 0.0])
     assert np.array_equal(grad[1], [0.0, 1.0, 0.0])
@@ -28,24 +32,24 @@ def test_plate_point_evaluation():
 
 def test_paraboloid_derivatives_match_hand_values():
     imm = Immersion("paraboloid", params={"t": 0.1})
-    _, grad, hess = eval_immersion(imm, (1.0, 0.0))
+    _, grad, hess = imm.evaluate((1.0, 0.0))
     assert np.allclose(grad[0], [1.0, 0.0, 0.1], atol=0)
     assert np.allclose(grad[1], [0.0, 1.0, 0.0], atol=0)
     assert np.allclose(hess[0, 0], [0.0, 0.0, 0.1], atol=0)
     # cross-check against central differences at an interior point
     y0 = np.array([0.7, 0.3])
-    _, grad_in, _ = eval_immersion(imm, y0)
+    _, grad_in, _ = imm.evaluate(y0)
     h = 1e-5
     for alpha, step in ((0, np.array([h, 0.0])), (1, np.array([0.0, h]))):
-        vp = eval_immersion(imm, y0 + step)[0]
-        vm = eval_immersion(imm, y0 - step)[0]
+        vp = imm.evaluate(y0 + step)[0]
+        vm = imm.evaluate(y0 - step)[0]
         fd = (vp - vm) / (2 * h)
         assert np.linalg.norm(fd - grad_in[alpha]) < 1e-9
 
 
 def test_paraboloid_gradient_vanishes_at_origin():
     for t in (0.05, 0.3, 2.0):
-        _, grad, _ = eval_immersion(Immersion("paraboloid", params={"t": t}), (0.0, 0.0))
+        _, grad, _ = Immersion("paraboloid", params={"t": t}).evaluate((0.0, 0.0))
         assert np.array_equal(grad[0], [1.0, 0.0, 0.0])
         assert np.array_equal(grad[1], [0.0, 1.0, 0.0])
 
@@ -53,7 +57,7 @@ def test_paraboloid_gradient_vanishes_at_origin():
 def test_point_outside_domain_rejected():
     imm = Immersion("paraboloid", params={"t": 0.1})
     with pytest.raises(ValueError, match="outside"):
-        eval_immersion(imm, (1.5, 0.2))
+        imm.evaluate((1.5, 0.2))
 
 
 def test_unknown_kind_and_param_rejected():
@@ -64,32 +68,45 @@ def test_unknown_kind_and_param_rejected():
 
 
 def test_unit_normal_values():
-    _, grad, _ = eval_immersion(Immersion("plate"), (0.4, 0.4))
-    assert np.array_equal(unit_normal(grad), [0.0, 0.0, 1.0])
-    _, grad, _ = eval_immersion(Immersion("paraboloid", params={"t": 0.1}), (1.0, 0.0))
-    n = unit_normal(grad)
-    expected = np.array([-0.1, 0.0, 1.0]) / np.sqrt(1.01)
-    assert np.linalg.norm(n - expected) < 1e-15
-    assert abs(np.linalg.norm(n) - 1.0) <= 1e-15
+    # b is the unit normal against the Hessian: on the paraboloid at (1, 0)
+    # the normal is (-0.1, 0, 1)/sqrt(1.01) and the straight second
+    # derivatives (0, 0, 0.1); on the cylinder it is (-sin, 0, cos)(t y1),
+    # so b11 = t
+    _, _, b, _, _, _ = surface_quantities(Immersion("plate"), (0.4, 0.4))
+    assert np.array_equal(b, np.zeros((2, 2))) and not np.any(np.signbit(b))
+    _, _, b, _, _, _ = surface_quantities(Immersion("paraboloid", params={"t": 0.1}), (1.0, 0.0))
+    assert abs(b[0, 0] - 0.1 / np.sqrt(1.01)) < 1e-15
+    assert b[1, 1] == b[0, 0] and b[0, 1] == b[1, 0] == 0.0
+    _, _, b, _, _, _ = surface_quantities(Immersion("cylinder_patch", params={"t": 0.4}), (0.7, 0.2))
+    assert abs(b[0, 0] - 0.4) < 1e-15
 
 
-def test_unit_normal_degenerate_tangents():
-    grad = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+def _with_tangents(monkeypatch, grad):
+    """Immersion._planes with the tangent planes replaced by `grad`."""
+    planes = Immersion._planes
+
+    def replaced(self, y1, y2):
+        value, _, hess = planes(self, y1, y2)
+        return value, grad, hess
+
+    monkeypatch.setattr(Immersion, "_planes", replaced)
+
+
+def test_unit_normal_degenerate_tangents(monkeypatch):
+    _with_tangents(monkeypatch, ((1.0, 0.0, 0.0), (1.0, 0.0, 0.0)))
     with pytest.raises(ImmersionError, match="degenerate"):
-        unit_normal(grad)
+        surface_quantities(Immersion("plate"), (0.5, 0.5))
 
 
 def test_fundamental_forms_plate_and_paraboloid():
-    _, grad, hess = eval_immersion(Immersion("plate"), (0.2, 0.9))
-    a, a_inv, sqrt_a, b = fundamental_forms(grad, hess, unit_normal(grad))
+    a, a_inv, b, _, sqrt_a, _ = surface_quantities(Immersion("plate"), (0.2, 0.9))
     assert np.array_equal(a, np.eye(2))
     assert np.array_equal(a_inv, np.eye(2))
     assert sqrt_a == 1.0
     assert np.all(b == 0.0)
 
     imm = Immersion("paraboloid", params={"t": 0.1})
-    _, grad, hess = eval_immersion(imm, (1.0, 0.0))
-    a, a_inv, sqrt_a, b = fundamental_forms(grad, hess, unit_normal(grad))
+    a, a_inv, b, _, sqrt_a, _ = surface_quantities(imm, (1.0, 0.0))
     assert abs(a[0, 0] - 1.01) < 1e-15
     assert a[0, 1] == 0.0
     assert a[1, 1] == 1.0
@@ -97,24 +114,19 @@ def test_fundamental_forms_plate_and_paraboloid():
 
     # at the origin b reduces to t times the identity
     for t in (0.1, 0.7):
-        _, grad, hess = eval_immersion(Immersion("paraboloid", params={"t": t}), (0.0, 0.0))
-        _, _, _, b = fundamental_forms(grad, hess, unit_normal(grad))
+        _, _, b, _, _, _ = surface_quantities(Immersion("paraboloid", params={"t": t}), (0.0, 0.0))
         assert np.allclose(b, t * np.eye(2), atol=1e-16)
 
 
 def test_christoffel_value_and_symmetry():
     imm = Immersion("paraboloid", params={"t": 0.1})
-    _, grad, hess = eval_immersion(imm, (1.0, 0.0))
-    _, a_inv, _, _ = fundamental_forms(grad, hess, unit_normal(grad))
-    gamma = christoffel(grad, hess, a_inv)
+    gamma = surface_quantities(imm, (1.0, 0.0))[3]
     assert abs(gamma[0, 0, 0] - 0.01 / 1.01) < 1e-15
 
     rng = np.random.default_rng(5)
     for imm in CATALOG_SAMPLES:
         pts = np.column_stack([rng.uniform(0, 1, 20), rng.uniform(0, 1, 20)])
-        _, grad, hess = imm.evaluate(pts)
-        _, a_inv, _, _ = fundamental_forms(grad, hess, unit_normal(grad))
-        gamma = christoffel(grad, hess, a_inv)
+        gamma = surface_quantities(imm, pts)[3]
         assert np.array_equal(gamma[..., 0, 1], gamma[..., 1, 0])
 
 
@@ -123,21 +135,17 @@ def test_christoffel_against_metric_only_formula():
     for imm in CATALOG_SAMPLES:
         pts = np.column_stack([rng.uniform(0, 1, 50), rng.uniform(0, 1, 50)])
         _, grad, hess = imm.evaluate(pts)
-        _, a_inv, _, _ = fundamental_forms(grad, hess, unit_normal(grad))
-        direct = christoffel(grad, hess, a_inv)
+        _, a_inv, _, direct, _, _ = surface_quantities(imm, pts)
         koszul = christoffel_from_metric(grad, hess, a_inv)
         assert np.max(np.abs(direct - koszul)) < 1e-10
 
 
 def test_gaussian_curvature_cases():
-    _, grad, hess = eval_immersion(Immersion("plate"), (0.5, 0.5))
-    _, a_inv, _, b = fundamental_forms(grad, hess, unit_normal(grad))
-    assert gaussian_curvature(a_inv, b) == 0.0
+    assert surface_quantities(Immersion("plate"), (0.5, 0.5))[5] == 0.0
 
     for t in (0.1, 0.5):
-        _, grad, hess = eval_immersion(Immersion("paraboloid", params={"t": t}), (0.0, 0.0))
-        _, a_inv, _, b = fundamental_forms(grad, hess, unit_normal(grad))
-        assert abs(gaussian_curvature(a_inv, b) - t * t) < 1e-15
+        K = surface_quantities(Immersion("paraboloid", params={"t": t}), (0.0, 0.0))[5]
+        assert abs(K - t * t) < 1e-15
 
     grid = Grid(1.0, 1.0, 9, 9)
     geom = geometry_field(Immersion("cylinder_patch", params={"t": 0.4}), grid)
@@ -326,11 +334,13 @@ def test_geometry_bitwise_equal_to_einsum_reference(dims, case):
 
 
 def test_immersion_error_messages(monkeypatch):
-    # parallel tangents, handed straight to the fundamental forms
-    grad = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
-    with pytest.raises(ImmersionError) as exc:
-        fundamental_forms(grad, np.zeros((2, 2, 3)), np.array([0.0, 0.0, 1.0]))
-    assert str(exc.value) == "singular metric: det(a) not positive"
+    # tangents 2e-12 apart: |d1 theta x d2 theta| = 2e-12 passes the
+    # degeneracy test, but a22 = 1 + 4e-24 rounds to 1, so det(a) = 0
+    with monkeypatch.context() as patch:
+        _with_tangents(patch, ((1.0, 0.0, 0.0), (1.0, 2e-12, 0.0)))
+        with pytest.raises(ImmersionError) as exc:
+            surface_quantities(Immersion("plate"), (0.5, 0.5))
+    assert str(exc.value).startswith("singular metric: det(a) not positive")
 
     # a plate whose second tangent turns into the first at node (3, 2)
     planes = Immersion._planes
@@ -348,11 +358,24 @@ def test_immersion_error_messages(monkeypatch):
                               "at node (3, 2)")
 
 
+def _as_planes(x, depth: int):
+    """The trailing `depth` axes of x as nested tuples of planes, as
+    Immersion._planes holds them (views; the Hessian's (1, 0) entry is its
+    (0, 1) object)."""
+    if depth == 0:
+        return x
+    x = np.moveaxis(x, x.ndim - depth, 0)
+    planes = [_as_planes(x[i], depth - 1) for i in range(len(x))]
+    if depth == 3:
+        planes[1] = (planes[0][1], planes[1][1])
+    return tuple(planes)
+
+
 def test_public_contractions_bitwise_on_signed_zeros():
-    """unit_normal, fundamental_forms, christoffel and gaussian_curvature
-    against the einsum formulas on random tangents and Hessians, a third of
-    whose entries are zeros of either sign: the sums come out as einsum's,
-    and a sum of zeros as +0.0."""
+    """The plane functions behind surface_quantities against the einsum
+    formulas on random tangents and Hessians, a third of whose entries are
+    zeros of either sign: the sums come out as einsum's, and a sum of zeros
+    as +0.0."""
     rng = np.random.default_rng(11)
 
     def signed_zeros(shape):
@@ -361,22 +384,26 @@ def test_public_contractions_bitwise_on_signed_zeros():
         x[rng.random(shape) < 0.15] = 0.0
         return x
 
-    grad = signed_zeros((40, 50, 2, 3))
+    base = (40, 50)
+    grad = signed_zeros(base + (2, 3))
     grad[..., 0, 0] += 3.0  # keep the tangents apart
     grad[..., 1, 1] += 3.0
-    hess = signed_zeros((40, 50, 2, 2, 3))
+    hess = signed_zeros(base + (2, 2, 3))
     hess[..., 1, 0, :] = hess[..., 0, 1, :]
+    g, h = _as_planes(grad, 2), _as_planes(hess, 3)
     cross = np.cross(grad[..., 0, :], grad[..., 1, :])
     normal = cross / np.linalg.norm(cross, axis=-1)[..., None]
-    assert _same_bits(unit_normal(grad), normal)
-    a, a_inv, sqrt_a, b = fundamental_forms(grad, hess, normal)
-    assert _same_bits(a, np.einsum("...ak,...bk->...ab", grad, grad))
+    n, sqrt_a = _normal(g)
+    assert _same_bits(_stack(n, base), normal)
     assert _same_bits(sqrt_a, np.linalg.norm(cross, axis=-1))
+    a = _metric(g)
+    assert _same_bits(_stack(a, base), np.einsum("...ak,...bk->...ab", grad, grad))
+    b = _stack(_second_form(n, h), base)
     assert _same_bits(b, np.einsum("...k,...abk->...ab", normal, hess))
-    a_inv = signed_zeros((40, 50, 2, 2))
+    a_inv = signed_zeros(base + (2, 2))
     gamma = np.einsum("...sn,...nab->...sab", a_inv,
                       np.einsum("...nk,...abk->...nab", grad, hess))
-    assert _same_bits(christoffel(grad, hess, a_inv), gamma)
+    assert _same_bits(_stack(_christoffel(g, h, _as_planes(a_inv, 2)), base), gamma)
     m = np.einsum("...as,...sb->...ab", a_inv, b)
     K = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-    assert _same_bits(gaussian_curvature(a_inv, b), K)
+    assert _same_bits(_curvature(_as_planes(a_inv, 2), _as_planes(b, 2)), K)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from shallowshell import Displacement, Grid, d1, d2, integrate, seminorms, v_norm
+from shallowshell import Displacement, Grid, d1, d2, integrate, v_norm
 from shallowshell.grid import (
     _cell,
     _d1_centered,
@@ -120,16 +120,6 @@ def test_v_norm_axioms(grid9, rng):
         c = float(rng.uniform(-3, 3))
         assert abs(v_norm(grid9, c * u) - abs(c) * v_norm(grid9, u)) < 1e-12
         assert v_norm(grid9, u + v) <= v_norm(grid9, u) + v_norm(grid9, v) + 1e-12
-
-
-def test_seminorms_structure(grid9):
-    z = seminorms(grid9, Displacement.zeros(grid9))
-    assert z.l2 == (0.0, 0.0, 0.0) and z.h2_u3 == 0.0
-    u = Displacement.zeros(grid9)
-    u.u3[:] = bubble(grid9)
-    s = seminorms(grid9, u)
-    assert s.h2_u3 > 0.0
-    assert s.l2[2] > 0.0 and s.l2[0] == 0.0
 
 
 def test_poincare_constant_stable_under_refinement(rng):

@@ -352,6 +352,18 @@ def test_tiny_study_report_invariants(tmp_path):
     assert len(lines) == 2 + len(report.rows)
 
 
+def test_study_without_the_plate_fails_before_solving(tmp_path, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("homotopy_solve called")
+
+    monkeypatch.setattr("shallowshell.study.homotopy_solve", no_solve)
+    cfg = parse_config_text(TINY_STUDY.format(out=tmp_path / "out"))
+    cfg.t_list = [0.1, 0.05]
+    with pytest.raises(ValueError, match="must contain the plate t=0"):
+        run_convergence_study(cfg)
+    assert not (tmp_path / "out").exists()
+
+
 def test_study_nonconvergence_tagged(tmp_path):
     text = TINY_STUDY.format(out=tmp_path / "out") + "[solver]\nmax_iter = 2\n"
     cfg = parse_config_text(text)

@@ -19,7 +19,6 @@ from shallowshell import (
     Immersion,
     Material,
     SolverConfig,
-    boundedness_certificate,
     homotopy_solve,
     linear_bending_solve,
     make_assembly,
@@ -257,7 +256,7 @@ def test_homotopy_zero_force_all_zero(grid9, material):
         Immersion("paraboloid", params={"t": 0.2}), [0.1, 0.0], grid9, material,
         ForceDensity.zero(grid9), SolverConfig(),
     )
-    assert boundedness_certificate(steps) == 0.0
+    assert max(v_norm(grid9, s.u) for s in steps) == 0.0
 
 
 def test_homotopy_warm_start_not_worse_than_cold(material, general_force):
