@@ -23,15 +23,15 @@ A^{abst} E_st E_ab is e . C e with C the 3x3 Voigt matrix of
 elasticity.voigt_coefficients at each point, and every pairing of a stress
 with a strain variation is a plain sum of componentwise products.
 
-An evaluation makes four sparse products, two for the energy alone: the
-grid's stacked membrane stencil (cell d1, d2 and average) applied to the
-(nodes, 3) block of u, the stacked bending stencil (clamped d11, d22, d12
-and interior d1, d2) applied to u3, and for the gradient the CSC transpose
-of each stack applied to the block of stresses its rows meet.  Stresses and
-geometry pulls are single np.einsum contractions (optimize=False: fixed
-summation order, no BLAS) and the quadratic forms pairwise np.sum
-reductions, so the bytes of an evaluation do not depend on the BLAS thread
-count.
+An evaluation makes four stencil applications, two for the energy alone:
+the grid's stacked membrane stencil (cell d1, d2 and average) applied to
+the (3, n1, n2) block of u, the stacked bending stencil (clamped d11, d22,
+d12 and interior d1, d2) applied to u3, and for the gradient the adjoint of
+each stack applied to the block of stresses its rows meet.  The stencils
+are shifted-slice sums, stresses and geometry pulls single np.einsum
+contractions (optimize=False: fixed summation order, no BLAS) and the
+quadratic forms pairwise np.sum reductions, so the bytes of an evaluation
+do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import numpy as np
 
 from .elasticity import VOIGT_SYMMETRIC, Material, voigt_coefficients
 from .geometry import Immersion, SurfaceGeometry, cell_geometry, geometry_field
-from .grid import Displacement, Grid
+from .grid import Displacement, Grid, Stencil
 
 
 @dataclass
@@ -145,15 +145,6 @@ def _as_matrix(e: np.ndarray) -> np.ndarray:
     return m
 
 
-def _columns(fields) -> np.ndarray:
-    """Three fields (the components of a displacement or a load) as the
-    columns of one (nodes, 3) block."""
-    x = np.empty((fields[0].size, 3))
-    for k, f in enumerate(fields):
-        x[:, k] = f.ravel()
-    return x
-
-
 def _voigt_matrices(a_inv: np.ndarray, mat: Material, weight: np.ndarray) -> np.ndarray:
     """The (3, 3, points) Voigt matrices of the weighted elasticity tensor."""
     c = voigt_coefficients(a_inv.reshape(-1, 2, 2), mat)
@@ -181,25 +172,21 @@ def _pull(geom: SurfaceGeometry, fields: int):
 
 def _membrane_strain(g: np.ndarray, pull) -> np.ndarray:
     """Membrane strain components (3, cells) from the stencil block
-    g[k, cell, j]: row block k of the membrane stencil applied to component
+    g[k, j, cell]: row block k of the membrane stencil applied to component
     j of a displacement u.
 
     The stencil is the whole membrane_stencil (d1, d2, average), or its
     derivative rows when pull is None (a flat reference).
     """
-    # gt[k, j] is a row over the cells: elementwise work then runs along the
-    # cells, not along the three components (a length-3 inner loop is slow)
-    gt = g.transpose(0, 2, 1)
-    du = gt[:2, 2]
+    du = g[:2, 2]
     if pull is None:
-        e = np.zeros((3, g.shape[1]))
+        e = np.zeros((3, g.shape[2]))
     else:
-        # einsum's contiguous loop is about twice as fast as its strided one
-        e = np.einsum("vmc,mc->vc", pull, np.ascontiguousarray(gt[2]))
+        e = np.einsum("vmc,mc->vc", pull, g[2])
     # z[k, l] = d_k u_l + 1/2 d_k u3 d_l u3; the strain is its symmetric part
     z = du[:, None] * du
     z *= 0.5
-    z += gt[:2, :2]
+    z += g[:2, :2]
     e[:2] += z.reshape(4, -1)[::3]
     e[2] += z[0, 1] + z[1, 0]
     return e
@@ -209,7 +196,7 @@ def _bending(op, pull, u3: np.ndarray):
     """Bending strain components (3, nodes) and the stencil rows fb[k, node]
     (ghost closure).  op is the bending stencil, or its second-derivative
     rows when pull is None (a flat reference)."""
-    fb = (op @ u3.ravel()).reshape(-1, u3.size)
+    fb = op(u3).reshape(-1, u3.size)
     f = fb[:3] * _SHEAR
     if pull is not None:
         f += np.einsum("vmn,mn->vn", pull, fb[3:])
@@ -219,7 +206,7 @@ def _bending(op, pull, u3: np.ndarray):
 def plate_membrane_strain(grid: Grid, u: Displacement) -> np.ndarray:
     """Membrane strain of the flat reference: symmetric gradient plus the
     quadratic transverse term, with no curvature couplings."""
-    g = (grid.leading_rows("membrane", 2)[0] @ _columns(u.components())).reshape(2, -1, 3)
+    g = grid.membrane_stencil.leading(2)(np.stack(u.components())).reshape(2, 3, -1)
     return _as_matrix(_membrane_strain(g, None).reshape((3,) + grid.cell_shape))
 
 
@@ -231,14 +218,14 @@ class EnergyAssembly:
     """Immersion-bound evaluator of the shell energy and its gradient.
 
     Immutable after construction.  An evaluation reads u and the fields
-    built here.  memb_ops and bend_ops are a stacked strain stencil of the
-    grid and its CSC transpose: on a curved reference the whole
-    membrane_stencil and bending_stencil, on a flat one only their
-    derivative rows.  memb and bend are the (3, 3, points) Voigt matrices at
-    cell midpoints and at nodes, with the thickness factor, the quadrature
-    weight and the area density folded in; memb_pull and bend_pull are
-    _pull's fields, None on a flat reference; load is the weighted load as a
-    (nodes, 3) block, and wsa the nodal weight times sqrt(a).
+    built here.  memb_ops and bend_ops are the grid's stacked strain
+    stencils: on a curved reference the whole membrane_stencil and
+    bending_stencil, on a flat one only their derivative rows.  memb and
+    bend are the (3, 3, points) Voigt matrices at cell midpoints and at
+    nodes, with the thickness factor, the quadrature weight and the area
+    density folded in; memb_pull and bend_pull are _pull's fields, None on
+    a flat reference; load is the weighted load as a (3, n1, n2) block, and
+    wsa the nodal weight times sqrt(a).
     """
 
     grid: Grid
@@ -247,8 +234,8 @@ class EnergyAssembly:
     material: Material
     force: ForceDensity
     wsa: np.ndarray = field(init=False)
-    memb_ops: tuple = field(init=False)
-    bend_ops: tuple = field(init=False)
+    memb_ops: Stencil = field(init=False)
+    bend_ops: Stencil = field(init=False)
     memb: np.ndarray = field(init=False)
     bend: np.ndarray = field(init=False)
     memb_pull: np.ndarray | None = field(init=False)
@@ -263,21 +250,21 @@ class EnergyAssembly:
         self.bend = _voigt_matrices(self.geometry.a_inv, mat, mat.eps**3 / 3.0 * self.wsa)
         self.memb_pull, self.bend_pull = _pull(self.cell_geom, 3), _pull(self.geometry, 2)
         # the averages and the first derivatives only where the geometry pulls on them
-        self.memb_ops = grid.leading_rows("membrane", 2 if self.memb_pull is None else 3)
-        self.bend_ops = grid.leading_rows("bending", 3 if self.bend_pull is None else 5)
-        self.load = _columns([self.wsa * p for p in self.force.components()])
+        self.memb_ops = grid.membrane_stencil.leading(2 if self.memb_pull is None else 3)
+        self.bend_ops = grid.bending_stencil.leading(3 if self.bend_pull is None else 5)
+        self.load = np.stack([self.wsa * p for p in self.force.components()])
 
     # -- strain fields ------------------------------------------------------
 
     def membrane_strain(self, u: Displacement) -> np.ndarray:
         """Nonlinear membrane strain E[..., alpha, beta] at cell midpoints."""
-        g = (self.memb_ops[0] @ _columns(u.components())).reshape(-1, self.grid.num_cells, 3)
+        g = self.memb_ops(np.stack(u.components())).reshape(-1, 3, self.grid.num_cells)
         e = _membrane_strain(g, self.memb_pull)
         return _as_matrix(e.reshape((3,) + self.grid.cell_shape))
 
     def bending_strain(self, u3: np.ndarray) -> np.ndarray:
         """Bending strain F[..., alpha, beta] at nodes (ghost closure)."""
-        f = _bending(self.bend_ops[0], self.bend_pull, u3)[0]
+        f = _bending(self.bend_ops, self.bend_pull, u3)[0]
         return _as_matrix(f.reshape((3,) + self.grid.shape))
 
     # -- energy and gradient -------------------------------------------------
@@ -314,16 +301,17 @@ class EnergyAssembly:
         u, so central differences of the energy over steps of 1e-6 still
         resolve directional derivatives six orders below the magnitude.
 
-        The gradient transposes each stack once against its stress block:
+        The gradient applies each stack's adjoint once to its stress block:
         rows of g and fb are overwritten with the stress each stencil row
         meets, so no evaluation holds more than one block per stencil.
         """
-        x = _columns(u.components())
+        grid = self.grid
+        x = np.stack(u.components())
         prod = self.load * x
         load = float(prod.sum())
         load_abs = float(np.abs(prod, out=prod).sum())
         del prod
-        g = (self.memb_ops[0] @ x).reshape(-1, self.grid.num_cells, 3)
+        g = self.memb_ops(x).reshape(-1, 3, grid.num_cells)
         del x
         e = _membrane_strain(g, self.memb_pull)
         if not with_gradient:
@@ -332,18 +320,17 @@ class EnergyAssembly:
         quad = np.sum(s * e)
         del e
         if with_gradient:
-            gt = g.transpose(0, 2, 1)
             stress = s[_STRESS_MATRIX]
-            du_part = np.einsum("klc,lc->kc", stress, gt[:2, 2])
-            gt[:2, :2] = stress
-            gt[:2, 2] = du_part
+            du_part = np.einsum("klc,lc->kc", stress, g[:2, 2])
+            g[:2, :2] = stress
+            g[:2, 2] = du_part
             del stress, du_part
             if self.memb_pull is not None:
-                gt[2] = np.einsum("vmc,vc->mc", self.memb_pull, s)
-            grad = self.memb_ops[1] @ g.reshape(-1, 3)
+                g[2] = np.einsum("vmc,vc->mc", self.memb_pull, s)
+            grad = self.memb_ops.adjoint(g.reshape(g.shape[:2] + grid.cell_shape))
             del g
         del s
-        f, fb = _bending(self.bend_ops[0], self.bend_pull, u.u3)
+        f, fb = _bending(self.bend_ops, self.bend_pull, u.u3)
         sf = np.einsum("uvn,vn->un", self.bend, f)
         quad = 0.5 * (quad + np.sum(sf * f))
         energy, scale = float(quad - load), float(quad + load_abs)
@@ -353,44 +340,36 @@ class EnergyAssembly:
         np.multiply(sf, _SHEAR, out=fb[:3])
         if self.bend_pull is not None:
             np.einsum("vmn,vn->mn", self.bend_pull, sf, out=fb[3:])
-        grad[:, 2] += self.bend_ops[1] @ fb.ravel()
+        grad[2] += self.bend_ops.adjoint(fb.reshape((-1,) + grid.shape))
         grad -= self.load
-        n1, n2 = self.grid.shape
-        grad = grad.reshape(n1, n2, 3)
-        grad[:: n1 - 1] = 0.0
-        grad[:, :: n2 - 1] = 0.0
-        return energy, scale, Displacement(grad[..., 0], grad[..., 1], grad[..., 2])
+        n1, n2 = grid.shape
+        grad[:, :: n1 - 1] = 0.0
+        grad[:, :, :: n2 - 1] = 0.0
+        return energy, scale, Displacement(grad[0], grad[1], grad[2])
 
     def hessian_diagonal_estimate(self) -> Displacement:
         """Positive per-node curvature scales of the quadratic energy part.
 
         The bending stiffness of u3 exceeds the membrane stiffness of u1, u2
         by orders of magnitude; only the order of magnitude matters here.
-        The minimizer no longer uses it (it preconditions with the
-        factorized plate Hessian); the benchmark's tracer still times it by
-        name, so it stays until the benchmark drops it (ROADMAP item 3).
+        Each node gets sum_r (op_r^2)^T w_r over the cell derivatives (w the
+        cell weight times sqrt(a)) and over the clamped d11, d22 and twice
+        d12 (w the nodal weight times sqrt(a)).  The minimizer no longer
+        uses it (it preconditions with the factorized plate Hessian); the
+        benchmark's tracer still times it by name, so it stays until the
+        benchmark drops it (ROADMAP item 4).
         """
         grid = self.grid
         mat = self.material
         a00 = self.geometry.a_inv[..., 0, 0]
         amean = float(np.mean((mat.bulk_factor + 4.0 * mat.mu) * a00 * a00))  # A^{0000}
         cw = grid.cell_weight * self.cell_geom.sqrt_a
-        d1c, d2c = grid.cell_d1_ops
-        memb = np.zeros(grid.num_nodes)
-        for op in (d1c, d2c):
-            memb += op.power(2).T @ cw.ravel()
+        memb = _squared_adjoint(grid.membrane_stencil.leading(2), cw)
         memb *= mat.eps * amean
-        bend = np.zeros(grid.num_nodes)
-        ops = grid.clamped_d2_ops
-        wsa = self.wsa.ravel()
-        for key, mult in (((1, 1), 1.0), ((2, 2), 1.0), ((1, 2), 2.0)):
-            bend += mult * (ops[key].power(2).T @ wsa)
+        bend = _squared_adjoint(grid.bending_stencil.leading(3),
+                                np.array([1.0, 1.0, 2.0])[:, None, None] * self.wsa)
         bend *= (mat.eps**3 / 3.0) * amean
-        d = Displacement(
-            memb.reshape(grid.shape).copy(),
-            memb.reshape(grid.shape).copy(),
-            (memb + bend).reshape(grid.shape),
-        )
+        d = Displacement(memb.copy(), memb.copy(), memb + bend)
         floor = 1e-12 * max(float(np.max(d.u3)), 1.0)
         for comp in d.components():
             np.maximum(comp, floor, out=comp)
@@ -402,6 +381,20 @@ class EnergyAssembly:
                 sum(np.sum(self.grid.weights * p * p) for p in self.force.components())
             )
         )
+
+
+def _squared_adjoint(stencil: Stencil, weight: np.ndarray) -> np.ndarray:
+    """sum_r (op_r^2)^T weight_r for the row blocks op_r of a stacked
+    stencil: its squared weights at each target point, times the point's
+    weight, spread onto the source points of its support."""
+    w = stencil.local_weights()
+    spread = np.einsum("ra...,r...->a...", w * w, np.broadcast_to(weight, w[:, 0].shape))
+    (n1, n2), (t1, t2) = stencil.source, stencil.target
+    x = np.zeros(stencil.source)
+    for a, (o1, o2) in enumerate(stencil.support):
+        lo1, hi1, lo2, hi2 = max(0, -o1), min(t1, n1 - o1), max(0, -o2), min(t2, n2 - o2)
+        x[lo1 + o1 : hi1 + o1, lo2 + o2 : hi2 + o2] += spread[a, lo1:hi1, lo2:hi2]
+    return x
 
 
 def make_assembly(

@@ -311,8 +311,12 @@ def surface_quantities(imm: Immersion, y: np.ndarray):
         a = _metric(g)
         a_inv = _inverse(a)
     except ImmersionError as exc:
-        norm = np.broadcast_to(_length(_cross(g)), base)
-        bad = np.argwhere(norm < DEGENERACY_THRESHOLD)
+        # the first point that fails either test: the tangents' cross
+        # product, or det(a), which can round to 0 where the product passes
+        a = _metric(g)
+        det = a[0][0] * a[1][1] - a[0][1] * a[1][0]
+        bad = np.argwhere((np.broadcast_to(_length(_cross(g)), base) < DEGENERACY_THRESHOLD)
+                          | (np.broadcast_to(det, base) <= DEGENERACY_THRESHOLD**2))
         where = tuple(int(i) for i in bad[0]) if len(bad) else "unknown"
         raise ImmersionError(f"{exc} at node {where}") from None
     b = _second_form(normal, h)

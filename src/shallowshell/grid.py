@@ -3,38 +3,34 @@
 Provides the discrete function space for displacements (u1, u2) in H1_0 and
 u3 in H2_0, built from second-order centered finite differences, mirror-ghost
 closure of the clamped condition for u3, and tensor-product trapezoidal
-quadrature.  All difference operators are assembled once per grid as sparse
-matrices acting on row-major flattened node vectors, so that energy gradients
-can be formed by exact stencil transposition.
+quadrature.
 
-Every operator is a Kronecker product of 1-D stencils, or the sum of two.
-Node (i, j) is entry i * n2 + j, so the axis-1 factor is the outer one; the
-factor on the other axis is the identity, or the interior mask where only
-interior rows are filled.  The clamped second derivative along an axis is
-kron(centered, mask) + kron(ghost edge rows, identity), and the clamped
-mixed derivative is c * kron(C, C) with the centered +-1 stencil C.
-
-kron_stack builds the operators from these terms directly: it writes every
-entry, a product of 1-D stencil values, into CSR arrays allocated once per
-operator, with the bytes sp.kron and sp.vstack would give and no sparse
-intermediate.  The solver builds its plate-Hessian strain maps with it too,
-and owns their factors: a grid caches operators only.
+Every difference operator is a Stencil: a linear map between grid fields
+applied by shifted-slice sums over (..., n1, n2) arrays, with an adjoint
+written the same way, so that energy gradients are formed by exact stencil
+transposition.  A stencil holds only the grid's spacings and the rows it
+computes, so it costs nothing to build and nothing to keep.  On flattened
+vectors (node (i, j) is entry i * n2 + j) `op @ x` and `op.T @ y` act as
+the sparse matrices of the same stencils would, row blocks stacked in order.
 
 The strain stencils are stored once, stacked by collocation set:
-membrane_stencil holds the cell rows [d1; d2; average] and bending_stencil
-the nodal rows [clamped d11; d22; d12; interior d1; d2].  The per-stencil
-operators (cell_d1_ops, cell_avg_op, clamped_d2_ops, interior_d1_ops) and
-their transposes (transposed_ops) are views of the stacks that share their
-data and index arrays.
+membrane_stencil computes the cell rows [d1; d2; average] and
+bending_stencil the nodal rows [clamped d11; d22; d12; interior d1; d2].
+The per-stencil operators (cell_d1_ops, cell_avg_op, clamped_d2_ops,
+interior_d1_ops) compute single row blocks of the same code, and
+transposed_ops holds their adjoints.  Stencil.local_weights reads each
+stencil's weights off its support, so the solver assembles its banded
+plate Hessian from the same stencils the energy applies.
 """
 
 from __future__ import annotations
 
+import copy
+import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 
 @dataclass(eq=False)
@@ -97,38 +93,49 @@ class Grid:
         m[1:-1, 1:-1] = True
         return m
 
-    # -- sparse operators: Kronecker products of 1-D stencils ----------------
-
-    def _along(self, axis: int, stencil, other=np.eye) -> tuple[np.ndarray, np.ndarray]:
-        """The Kronecker factors, outer one first, of stencil(n, h) along
-        `axis` with other(n) on the other axis."""
-        sides = {1: (self.n1, self.h1), 2: (self.n2, self.h2)}
-        n, h = sides[axis]
-        a, b = stencil(n, h), other(sides[3 - axis][0])
-        return (a, b) if axis == 1 else (b, a)
+    # -- difference operators: stencils applied by slicing ------------------
 
     @cached_property
-    def d1_ops(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    def membrane_stencil(self) -> "Stencil":
+        """The membrane strain rows, stacked: [cell d1; cell d2; cell average].
+
+        Maps (..., n1, n2) fields to (3, ..., n1 - 1, n2 - 1) cell values;
+        cell_d1_ops and cell_avg_op are its row blocks.
+        """
+        return _CellStencil(self, (0, 1, 2))
+
+    @cached_property
+    def bending_stencil(self) -> "Stencil":
+        """The bending strain rows, stacked: [clamped d11; d22; d12; interior
+        d1; interior d2].
+
+        Maps (..., n1, n2) fields to (5, ..., n1, n2) nodal values;
+        clamped_d2_ops and interior_d1_ops are its row blocks.
+        """
+        return _BendingStencil(self, (0, 1, 2, 3, 4))
+
+    @cached_property
+    def d1_ops(self) -> tuple["Stencil", "Stencil"]:
         """First-derivative operators (axis 1, axis 2) defined at all nodes.
 
         Centered three-point stencils where the node has two neighbours along
         the axis, second-order one-sided stencils on the two edge layers.
         """
-        return tuple(kron_stack([[self._along(axis, _d1_one_sided)]]) for axis in (1, 2))
+        return tuple(_AxisStencil(self, axis, _D1_ONE_SIDED) for axis in (1, 2))
 
     @cached_property
-    def d2_ops(self) -> dict[tuple[int, int], sp.csr_matrix]:
+    def d2_ops(self) -> dict[tuple[int, int], "Stencil"]:
         """Generic second-derivative operators for arbitrary smooth fields.
 
-        The mixed derivative is the exact composition of the two first
-        derivative operators, hence symmetric in the index pair by
-        construction.
+        The mixed derivative is the composition of the two first derivative
+        operators, one object for both index orders, hence symmetric in the
+        index pair by construction.
         """
         d1, d2 = self.d1_ops
-        mixed = (d1 @ d2).tocsr()
+        mixed = _Product(d1, d2)
         return {
-            (1, 1): kron_stack([[self._along(1, _d2_one_sided)]]),
-            (2, 2): kron_stack([[self._along(2, _d2_one_sided)]]),
+            (1, 1): _AxisStencil(self, 1, _D2_ONE_SIDED),
+            (2, 2): _AxisStencil(self, 2, _D2_ONE_SIDED),
             (1, 2): mixed,
             (2, 1): mixed,
         }
@@ -152,77 +159,8 @@ class Grid:
         c2 = np.linspace(0.5 * self.h2, self.L2 - 0.5 * self.h2, self.n2 - 1)
         return np.outer(c1, np.ones(self.n2 - 1)), np.outer(np.ones(self.n1 - 1), c2)
 
-    def stencil_blocks(self, stencil: str):
-        """The row blocks of membrane_stencil or bending_stencil (stencil =
-        "membrane" or "bending") as Kronecker terms, for kron_stack: each
-        block is a list of dense factor pairs whose Kronecker products sum to
-        it.  A generator, so that one block's factors are freed before the
-        next block's are made.
-
-        The membrane blocks are cell d1, cell d2 and the cell average.  The
-        bending blocks are the clamped d11 and d22, kron(centered, mask) +
-        kron(ghost edge rows, identity); the clamped d12, c * kron(C, C),
-        with c carried by the outer factor (its entries are +-c either way);
-        and the interior d1 and d2.
-        """
-        if stencil == "membrane":
-            q1, q2 = 0.5 / self.h1, 0.5 / self.h2
-            both1, both2 = _cell(self.n1, 1.0, 1.0), _cell(self.n2, 1.0, 1.0)
-            yield [(_cell(self.n1, -q1, q1), both2)]
-            yield [(both1, _cell(self.n2, -q2, q2))]
-            yield [(_cell(self.n1, 0.25, 0.25), both2)]
-            return
-        for axis in (1, 2):
-            yield [self._along(axis, _d2_centered, _interior_mask), self._along(axis, _ghost)]
-        c = 0.25 / (self.h1 * self.h2)
-        yield [(_interior_rows(self.n1, -c, 0.0, c), _interior_rows(self.n2, -1.0, 0.0, 1.0))]
-        for axis in (1, 2):
-            yield [self._along(axis, _d1_centered, _interior_mask)]
-
     @cached_property
-    def membrane_stencil(self) -> sp.csr_matrix:
-        """The membrane strain rows, stacked: [cell d1; cell d2; cell average].
-
-        A (3 num_cells) x num_nodes operator.  One product with a column
-        block of nodal fields gives every cell derivative and average of
-        every column; cell_d1_ops and cell_avg_op are its row blocks.
-        """
-        return kron_stack(self.stencil_blocks("membrane"))
-
-    @cached_property
-    def bending_stencil(self) -> sp.csr_matrix:
-        """The bending strain rows, stacked: [clamped d11; d22; d12; interior
-        d1; interior d2].
-
-        A (5 num_nodes) x num_nodes operator; clamped_d2_ops and
-        interior_d1_ops are its row blocks.
-        """
-        return kron_stack(self.stencil_blocks("bending"))
-
-    def _blocks(self, stencil: str, first: int, stop: int) -> sp.csr_matrix:
-        """Row blocks first..stop-1 of membrane_stencil or bending_stencil
-        (stencil = "membrane" or "bending"), as a view."""
-        rows = self.num_cells if stencil == "membrane" else self.num_nodes
-        return _row_view(getattr(self, stencil + "_stencil"), first * rows, stop * rows)
-
-    @cached_property
-    def _leading(self) -> dict:
-        return {}
-
-    def leading_rows(self, stencil: str, blocks: int) -> tuple[sp.csr_matrix, sp.csc_matrix]:
-        """The first `blocks` row blocks of membrane_stencil or
-        bending_stencil (stencil = "membrane" or "bending") and their
-        transpose, as views built once per grid.  EnergyAssembly applies
-        the whole stacks on a curved reference and only the derivative rows
-        (2 membrane blocks, 3 bending blocks) on a flat one."""
-        pair = self._leading.get((stencil, blocks))
-        if pair is None:
-            rows = self._blocks(stencil, 0, blocks)
-            pair = self._leading[stencil, blocks] = (rows, _transpose(rows))
-        return pair
-
-    @cached_property
-    def cell_d1_ops(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    def cell_d1_ops(self) -> tuple["Stencil", "Stencil"]:
         """First derivatives at cell centers from the four corner values.
 
         Second-order at the cell midpoint and free of the sublattice null
@@ -230,26 +168,26 @@ class Grid:
         makes the membrane energy coercive on the discrete clamped space.
         Row blocks 0 and 1 of membrane_stencil.
         """
-        return self._blocks("membrane", 0, 1), self._blocks("membrane", 1, 2)
+        return _CellStencil(self, (0,), False), _CellStencil(self, (1,), False)
 
     @cached_property
-    def cell_avg_op(self) -> sp.csr_matrix:
+    def cell_avg_op(self) -> "Stencil":
         """Four-corner average onto cell centers (second order); row block 2
         of membrane_stencil."""
-        return self._blocks("membrane", 2, 3)
+        return _CellStencil(self, (2,), False)
 
     @cached_property
-    def interior_d1_ops(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    def interior_d1_ops(self) -> tuple["Stencil", "Stencil"]:
         """Centered first derivatives with rows only at interior nodes.
 
         These are the strain stencils: strain fields are collocated at
         interior nodes and taken to vanish on the boundary ring.  Row blocks
         3 and 4 of bending_stencil.
         """
-        return self._blocks("bending", 3, 4), self._blocks("bending", 4, 5)
+        return _BendingStencil(self, (3,), False), _BendingStencil(self, (4,), False)
 
     @cached_property
-    def clamped_d2_ops(self) -> dict[tuple[int, int], sp.csr_matrix]:
+    def clamped_d2_ops(self) -> dict[tuple[int, int], "Stencil"]:
         """Second-derivative operators for fields clamped in the H2_0 sense.
 
         Rows at interior nodes carry the usual centered stencils.  Rows on
@@ -262,212 +200,418 @@ class Grid:
         boundary ring under the ghost closure.  Row blocks 0-2 of
         bending_stencil.
         """
-        mixed = self._blocks("bending", 2, 3)
+        mixed = _BendingStencil(self, (2,), False)
         return {
-            (1, 1): self._blocks("bending", 0, 1),
-            (2, 2): self._blocks("bending", 1, 2),
+            (1, 1): _BendingStencil(self, (0,), False),
+            (2, 2): _BendingStencil(self, (1,), False),
             (1, 2): mixed,
             (2, 1): mixed,
         }
 
     @cached_property
     def transposed_ops(self) -> dict:
-        """Transposes of the strain stencils, as copy-free CSC views.
-
-        Each value shares its arrays with the forward operator, and so with
-        the stack.  A CSC product adds each output entry's terms in the
-        column order that the CSR copy of the transpose adds them, so the
-        products are bitwise those of `op.T.tocsr()`.  EnergyAssembly
-        transposes whole stacks (leading_rows) instead.
-        """
+        """The adjoints of the strain stencils, keyed by stencil."""
         d1i = self.interior_d1_ops
         bend = self.clamped_d2_ops
         cell = self.cell_d1_ops
         out = {
-            ("int_d1", 1): _transpose(d1i[0]),
-            ("int_d1", 2): _transpose(d1i[1]),
-            ("cell_d1", 1): _transpose(cell[0]),
-            ("cell_d1", 2): _transpose(cell[1]),
-            "cell_avg": _transpose(self.cell_avg_op),
+            ("int_d1", 1): d1i[0].T,
+            ("int_d1", 2): d1i[1].T,
+            ("cell_d1", 1): cell[0].T,
+            ("cell_d1", 2): cell[1].T,
+            "cell_avg": self.cell_avg_op.T,
         }
         for key in ((1, 1), (2, 2), (1, 2)):
-            out[("bend", key)] = _transpose(bend[key])
+            out[("bend", key)] = bend[key].T
         return out
 
-    def apply(self, op: sp.csr_matrix, f: np.ndarray) -> np.ndarray:
+    def apply(self, op: "Stencil", f: np.ndarray) -> np.ndarray:
         return (op @ f.ravel()).reshape(self.shape)
 
-    def to_cells(self, op: sp.csr_matrix, f: np.ndarray) -> np.ndarray:
+    def to_cells(self, op: "Stencil", f: np.ndarray) -> np.ndarray:
         return (op @ f.ravel()).reshape(self.cell_shape)
 
 
-# -- Kronecker stacks and views into them ------------------------------------
+# -- stencils ------------------------------------------------------------------
 
 
-def kron_stack(blocks) -> sp.csr_matrix:
-    """Row blocks stacked into one CSR matrix, each block the sum of the
-    Kronecker products of its terms: a block [(a, b), ...] stands for
-    sum(kron(a, b)) over its terms.
+class Stencil:
+    """A linear map between grid fields, applied by shifted-slice sums.
 
-    The factors are dense.  The terms of a block have factors of the same
-    shapes and share no entry, so every entry is one product a * b, as
-    sp.kron takes it, and zero products are not stored.  The arrays (data,
-    int32 indices, indptr) are allocated once for the whole stack and filled
-    a few rows of the outer factor at a time, each row in ascending column
-    order: byte for byte those of sp.vstack of the sp.kron sums, without a
-    sparse copy of any block.  `blocks` may be a generator; each block's
-    factors are reduced to their nonzero columns as it arrives.
+    It maps fields of shape `source` to row blocks of shape `target`: called
+    on an array (..., *source) it returns (blocks, ..., *target), or
+    (..., *target) for an unstacked stencil (blocks = None), and `adjoint`
+    maps such an array back to (..., *source).  `op @ x` applies it to a
+    flattened field, or to the columns of an (op.shape[1], k) block, with
+    the row blocks stacked in order, as a sparse matrix would; `op.T` is the
+    adjoint, itself a Stencil.
+
+    A stencil's row blocks reach the source points target + support[a]
+    only; local_weights() reads its weights off that support.
     """
-    compact = [_compact(block) for block in blocks]
-    indptr = np.zeros(sum(len(cols_a) * len(cols_b) for cols_a, cols_b, *_ in compact) + 1,
-                      dtype=np.int32)
-    row = 1
-    for cols_a, cols_b, _, per_row, _ in compact:
-        counts = indptr[row : row + len(cols_a) * len(cols_b)].reshape(len(cols_a), len(cols_b))
-        for rows_a, rows_b in per_row:
-            counts += np.multiply.outer(rows_a, rows_b)
-        row += counts.size
-    np.cumsum(indptr, out=indptr)
-    data = np.empty(indptr[-1])
-    indices = np.empty(indptr[-1], dtype=np.int32)
-    row = 0
-    for cols_a, cols_b, values, _, _ in compact:
-        (m, width_a), (p, width_b) = cols_a.shape, cols_b.shape
-        step = max(1, _CHUNK // (p * width_a * width_b))
-        for first in range(0, m, step):
-            rows = slice(first, first + step)
-            entries, columns = _kron_entries(cols_a, cols_b, values, rows)
-            keep = entries != 0
-            start, stop = indptr[row + first * p], indptr[row + min(m, first + step) * p]
-            data[start:stop] = entries[keep]
-            indices[start:stop] = columns[keep]
-        row += m * p
-    return sp.csr_matrix((data, indices, indptr), shape=(indptr.size - 1, compact[0][-1]))
+
+    support: tuple = ()
+
+    def __init__(self, source, target, blocks=None):
+        self.source, self.target, self.blocks = source, target, blocks
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return ((self.blocks or 1) * math.prod(self.target), math.prod(self.source))
+
+    def __call__(self, f: np.ndarray) -> np.ndarray:
+        out = self._apply(f)
+        return out if self.blocks else out[0]
+
+    def adjoint(self, y: np.ndarray) -> np.ndarray:
+        return self._adjoint(y if self.blocks else y[None])
+
+    @property
+    def T(self) -> "Stencil":
+        return _Adjoint(self)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return _flat(self, self.__call__, x, (None, self.source), (self.blocks, self.target))
+
+    def leading(self, blocks: int) -> "Stencil":
+        """The stacked stencil of the first `blocks` row blocks."""
+        op = copy.copy(self)
+        op.rows, op.blocks = self.rows[:blocks], blocks
+        return op
+
+    def local_weights(self) -> np.ndarray:
+        """w[r, a] at every target point p: the weight that row block r
+        gives the source point p + support[a] (0 where that point lies off
+        the grid), a (blocks, len(support), *target) array.
+
+        Read off by colour probing: source points are coloured by their
+        indices modulo the support's extent, so that the support of every
+        target point holds each colour once, and one application to the
+        indicator of each colour yields the weight of that colour's point.
+        """
+        offsets = np.array(self.support)
+        p1, p2 = offsets.max(axis=0) - offsets.min(axis=0) + 1
+        i1, i2 = np.ogrid[: self.source[0], : self.source[1]]
+        colour = (i1 % p1) * p2 + i2 % p2
+        probes = (colour == np.arange(p1 * p2)[:, None, None]).astype(float)
+        out = self._apply(probes)
+        j1, j2 = np.ogrid[: self.target[0], : self.target[1]]
+        w = np.empty((out.shape[0], len(offsets)) + self.target)
+        for a, (o1, o2) in enumerate(offsets):
+            at = ((j1 + o1) % p1) * p2 + (j2 + o2) % p2
+            w[:, a] = np.take_along_axis(out, at[None, None], axis=1)[:, 0]
+        return w
 
 
-# Candidate entries per pass of kron_stack: it bounds the pass's scratch
-# arrays (13 bytes a candidate) whatever the grid size.
-_CHUNK = 1 << 15
+class _Adjoint(Stencil):
+    def __init__(self, op: Stencil):
+        super().__init__(op.target, op.source, op.blocks)
+        self.op = op
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.op.shape[::-1]
+
+    def __call__(self, y):
+        return self.op.adjoint(y)
+
+    def adjoint(self, f):
+        return self.op(f)
+
+    @property
+    def T(self) -> Stencil:
+        return self.op
+
+    def __matmul__(self, y):
+        return _flat(self, self.op.adjoint, y, (self.blocks, self.source), (None, self.target))
 
 
-def _compact(block):
-    """A block's factors by their nonzero columns: for each factor, the
-    union of the terms' nonzero columns, row by row, ascending and padded to
-    the widest row with columns the row leaves zero (the outer factor's
-    columns times the inner factor's column count, their weight in the
-    product's column index); each term's factor values there; each term's
-    stored entries per row of each factor; and the block's column count."""
-    nonzero = [(a != 0, b != 0) for a, b in block]
-    cols_a, cols_b = (_nonzero_columns(reduce(np.logical_or, slot)) for slot in zip(*nonzero))
-    rows_a, rows_b = (np.arange(len(c))[:, None] for c in (cols_a, cols_b))
-    values = [(a[rows_a, cols_a], b[rows_b, cols_b]) for a, b in block]
-    per_row = [(a.sum(axis=1, dtype=np.int32), b.sum(axis=1, dtype=np.int32)) for a, b in nonzero]
-    inner = block[0][1].shape[1]
-    return cols_a * inner, cols_b, values, per_row, block[0][0].shape[1] * inner
+def _flat(op: Stencil, fn, x: np.ndarray, layout_in, layout_out) -> np.ndarray:
+    """fn applied to a flattened field x, or to the columns of x, with the
+    fields' layouts given as (blocks, shape); the result flattened alike."""
+    if x.shape[0] != op.shape[1]:
+        raise ValueError(f"operand of {x.shape[0]} rows for an operator of shape {op.shape}")
+    cols = x.shape[1:]
+    (blocks_in, shape_in), (blocks_out, _) = layout_in, layout_out
+    f = x.reshape((blocks_in or 1,) + shape_in + cols)
+    if cols:
+        f = np.moveaxis(f, -1, 1)
+    g = fn(f if blocks_in else f[0])
+    if not blocks_out:
+        g = g[None]
+    if cols:
+        g = np.moveaxis(g, 1, -1)
+    return g.reshape((-1,) + cols)
 
 
-def _nonzero_columns(nonzero: np.ndarray) -> np.ndarray:
-    """Each row's True columns, ascending, padded to the widest row with
-    columns the row leaves False."""
-    width = nonzero.sum(axis=1).max()
-    return np.sort((~nonzero).argpartition(width - 1, axis=1)[:, :width], axis=1)
+def _parts(axis: int) -> tuple:
+    """The index tuples of the first entry, the last, all but the first, all
+    but the last and the inner ones along `axis` (-1 or -2)."""
+    trail = () if axis == -1 else (slice(None),)
+    return tuple((Ellipsis, part) + trail for part in (
+        slice(0, 1), slice(-1, None), slice(1, None), slice(None, -1), slice(1, -1)))
 
 
-def _kron_entries(cols_a, cols_b, values, rows: slice):
-    """The candidate entries of a compacted block on the given rows of its
-    outer factor, indexed by row in each factor and then by slot pair, so
-    that row-major order is CSR order: the values and the int32 columns.
-    Each slot pair is one outer product over the rows."""
-    cols_a = cols_a[rows]
-    (m, width_a), (p, width_b) = cols_a.shape, cols_b.shape
-    entries = np.empty((m, p, width_a * width_b))
-    columns = np.empty(entries.shape, dtype=np.int32)
-    (first_a, first_b), *others = values
-    for i in range(width_a):
-        for j in range(width_b):
-            s = i * width_b + j
-            np.multiply.outer(first_a[rows, i], first_b[:, j], out=entries[:, :, s])
-            for va, vb in others:
-                entries[:, :, s] += np.multiply.outer(va[rows, i], vb[:, j])
-            np.add.outer(cols_a[:, i], cols_b[:, j], out=columns[:, :, s])
-    return entries, columns
+_PARTS = {-1: _parts(-1), -2: _parts(-2)}
 
 
-def _row_view(stack: sp.csr_matrix, first: int, stop: int) -> sp.csr_matrix:
-    """Rows first..stop-1 of a CSR matrix, sharing its data and indices; the
-    row pointer is shared too when first = 0, else shifted into a new array.
-    The arrays are assigned after construction: scipy's constructor prunes a
-    slice much shorter than its base into a copy."""
-    start, end = stack.indptr[first], stack.indptr[stop]
-    indptr = stack.indptr[first : stop + 1]
-    view = sp.csr_matrix((stop - first, stack.shape[1]), dtype=stack.dtype)
-    view.data = stack.data[start:end]
-    view.indices = stack.indices[start:end]
-    view.indptr = indptr - start if start else indptr
-    return view
+def _spread(left: np.ndarray, right: np.ndarray, axis: int) -> np.ndarray:
+    """The adjoint of the two-point cell map c[k] = l x[k] + r x[k + 1]
+    along `axis` (-1 or -2), given left = l c and right = r c: x[k] =
+    left[k] + right[k - 1], with the terms that fall off the ends dropped."""
+    first, last, tail, head, inner = _PARTS[axis]
+    shape = list(left.shape)
+    shape[axis] += 1
+    x = np.empty(shape)
+    x[first] = left[first]
+    x[last] = right[last]
+    np.add(left[tail], right[head], out=x[inner])
+    return x
 
 
-def _transpose(op: sp.csr_matrix) -> sp.csc_matrix:
-    """op.T as a CSC matrix on op's own arrays, assigned after construction
-    for the same reason as in _row_view."""
-    view = sp.csc_matrix(op.shape[::-1], dtype=op.dtype)
-    view.data, view.indices, view.indptr = op.data, op.indices, op.indptr
-    return view
+class _CellStencil(Stencil):
+    """Rows of [cell d1; cell d2; cell average]: each cell's four corners,
+    d1 = q1 ((f10 + f11) - (f00 + f01)), d2 = q2 ((f01 - f00) + (f11 - f10))
+    and the average (f00 + f01 + f10 + f11) / 4, with q = 1 / (2 h)."""
+
+    support = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+    def __init__(self, grid: Grid, rows: tuple, stacked: bool = True):
+        super().__init__(grid.shape, grid.cell_shape, len(rows) if stacked else None)
+        self.rows, self.q = rows, (0.5 / grid.h1, 0.5 / grid.h2)
+
+    def _apply(self, f):
+        out = np.empty((len(self.rows),) + f.shape[:-2] + self.target)
+        if 1 in self.rows:  # d2: the steps along axis 2, summed along axis 1
+            o = out[self.rows.index(1)]
+            step = f[..., 1:] - f[..., :-1]
+            np.add(step[..., 1:, :], step[..., :-1, :], out=o)
+            o *= self.q[1]
+            del step
+        if set(self.rows) - {1}:  # d1 and the average: the sums along axis 2
+            pair_sum = f[..., 1:] + f[..., :-1]
+            for o, r in zip(out, self.rows):
+                if r == 0:
+                    np.subtract(pair_sum[..., 1:, :], pair_sum[..., :-1, :], out=o)
+                    o *= self.q[0]
+                elif r == 2:
+                    np.add(pair_sum[..., 1:, :], pair_sum[..., :-1, :], out=o)
+                    o *= 0.25
+        return out
+
+    def _adjoint(self, y):
+        # x = spread2(A - B, A + B): A the axis-1 spread of the rows that sum
+        # along axis 2 (d1: -q1, +q1; average: 1/4, 1/4), B that of d2 (q2, q2)
+        (q1, q2), rows = self.q, self.rows
+        left = right = None
+        if 0 in rows:
+            right = q1 * y[rows.index(0)]
+            left = -right
+        if 2 in rows:
+            avg = 0.25 * y[rows.index(2)]
+            if left is None:
+                left, right = avg, avg
+            else:
+                left += avg
+                right += avg
+            del avg
+        across = None if left is None else _spread(left, right, -2)
+        del left, right
+        if 1 not in rows:
+            return _spread(across, across, -1)
+        w = q2 * y[rows.index(1)]
+        step = _spread(w, w, -2)
+        del w
+        if across is None:
+            return _spread(-step, step, -1)
+        plus = across + step
+        across -= step
+        del step
+        return _spread(across, plus, -1)
 
 
-# -- 1-D stencils: dense n x n (cells: (n-1) x n); zeros are not stored -------
+class _BendingStencil(Stencil):
+    """Rows of [clamped d11; d22; d12; interior d1; interior d2] at the nodes.
+
+    At interior nodes the centered stencils; the clamped d11 (d22) also has
+    the mirror-ghost rows 2 f(first interior) / h^2 on the two edges normal
+    to its axis, corners included; every other boundary row is zero.
+    """
+
+    support = tuple((o1, o2) for o1 in (-1, 0, 1) for o2 in (-1, 0, 1))
+
+    def __init__(self, grid: Grid, rows: tuple, stacked: bool = True):
+        super().__init__(grid.shape, grid.shape, len(rows) if stacked else None)
+        self.rows, self.h = rows, (grid.h1, grid.h2)
+        n1, n2 = grid.shape
+        # the two edges normal to axis 1 and 2, and the nodes their ghost rows read
+        self.edges = ((Ellipsis, slice(None, None, n1 - 1), slice(None)),
+                      (Ellipsis, slice(None, None, n2 - 1)))
+        self.ghosts = ((Ellipsis, slice(1, n1 - 1, n1 - 3), slice(None)),
+                       (Ellipsis, slice(1, n2 - 1, n2 - 3)))
+
+    def _apply(self, f):
+        # on the flattened nodes, where a step along axis 1 is n2 entries:
+        # every row is computed from shifted contiguous slices over the
+        # nodes n2 + 1 .. N - n2 - 2 (all interior nodes and some boundary
+        # ones), then the boundary rows are cleared and the ghost rows set
+        (h1, h2), rows = self.h, self.rows
+        n1, n2 = self.source
+        size, lead = n1 * n2, f.shape[:-2]
+        flat = f.reshape(lead + (size,))
+        out = np.zeros((len(rows),) + lead + (size,))
+        band = (Ellipsis, slice(n2 + 1, size - n2 - 1))
+        up, down = flat[..., 2 * n2 + 1 : size - 1], flat[..., 1 : size - 2 * n2 - 1]
+        if {0, 1} & set(rows):
+            twice = 2.0 * flat[band]
+        if {2, 4} & set(rows):
+            across = flat[..., 2:] - flat[..., :-2]  # centered steps along axis 2, from node 1
+        for o, r in zip(out, rows):
+            ob = o[band]
+            if r == 0:
+                np.add(down, up, out=ob)
+                ob -= twice
+                ob *= 1.0 / h1**2
+            elif r == 1:
+                np.add(flat[..., n2 : size - n2 - 2], flat[..., n2 + 2 : size - n2], out=ob)
+                ob -= twice
+                ob *= 1.0 / h2**2
+            elif r == 2:
+                np.subtract(across[..., 2 * n2 : size - 2], across[..., : size - 2 * n2 - 2],
+                            out=ob)
+                ob *= 0.25 / (h1 * h2)
+            elif r == 3:
+                np.subtract(up, down, out=ob)
+                ob *= 0.5 / h1
+            else:
+                np.multiply(across[..., n2 : size - n2 - 2], 0.5 / h2, out=ob)
+        out = out.reshape(out.shape[:-1] + self.source)
+        out[..., 1:-1, :: n2 - 1] = 0.0
+        for o, r in zip(out, rows):
+            if r < 2:
+                h = self.h[r]
+                np.multiply(f[self.ghosts[r]], 2.0 / h**2, out=o[self.edges[r]])
+        return out
+
+    def _scale(self) -> np.ndarray:
+        """The factor of each row's centered stencil."""
+        h1, h2 = self.h
+        return np.array([(1.0 / h1**2, 1.0 / h2**2, 0.25 / (h1 * h2), 0.5 / h1, 0.5 / h2)[r]
+                         for r in self.rows])
+
+    def _adjoint(self, y):
+        # the interior rows, scaled and cleared on the boundary nodes, spread
+        # onto their neighbours by shifted slices of the flattened nodes, as
+        # in _apply; then the ghost rows
+        rows = self.rows
+        n1, n2 = self.source
+        size = n1 * n2
+        flat = y.reshape(y.shape[:-2] + (size,))[..., n2 + 1 : size - n2 - 1]
+        flat = flat * self._scale().reshape((-1,) + (1,) * (flat.ndim - 1))
+        flat[..., n2 - 2 :: n2] = 0.0
+        flat[..., n2 - 1 :: n2] = 0.0
+        part = dict(zip(rows, flat))
+        x = np.zeros(y.shape[1:-2] + (size,))
+        # d11 and d1 along axis 1, d22 and d2 along axis 2: the weights of
+        # the neighbours at +1 and -1
+        for second, first, step in ((0, 3, n2), (1, 4, 1)):
+            curv, slope = part.get(second), part.get(first)
+            if curv is None and slope is None:
+                continue
+            up = x[..., n2 + 1 + step : size - n2 - 1 + step]
+            down = x[..., n2 + 1 - step : size - n2 - 1 - step]
+            if curv is None:
+                up += slope
+                down -= slope
+            elif slope is None:
+                up += curv
+                down += curv
+            else:
+                up += curv + slope
+                down += curv - slope
+        # and of the node itself
+        if 0 in part or 1 in part:
+            center = part[0] + part[1] if 0 in part and 1 in part else part.get(0, part.get(1))
+            x[..., n2 + 1 : size - n2 - 1] -= 2.0 * center
+        if 2 in part:
+            twist = part[2]
+            x[..., 2 * n2 + 2 :] += twist
+            x[..., : size - 2 * n2 - 2] += twist
+            x[..., 2 * n2 : size - 2] -= twist
+            x[..., 2 : size - 2 * n2] -= twist
+        x = x.reshape(y.shape[1:])
+        for r, p in zip(rows, y):
+            if r < 2:
+                x[self.ghosts[r]] += (2.0 / self.h[r] ** 2) * p[self.edges[r]]
+        return x
 
 
-def _interior_rows(n: int, lower: float, center: float, upper: float) -> np.ndarray:
-    """Rows at the n - 2 interior points with weights on (k-1, k, k+1)."""
-    m = np.zeros((n, n))
-    k = np.arange(1, n - 1)
-    m[k, k - 1] = lower
-    m[k, k] = center
-    m[k, k + 1] = upper
-    return m
+# One-sided 1-D derivative stencils: the weights of the centered interior
+# row on (k-1, k, k+1), and of the first edge row on points 0, 1, ... (the
+# last row mirrors it with the sign of an odd derivative), in units of 1/h^order.
+_D1_ONE_SIDED = (1, (-0.5, 0.0, 0.5), (-1.5, 2.0, -0.5))
+_D2_ONE_SIDED = (2, (1.0, -2.0, 1.0), (2.0, -5.0, 4.0, -1.0))
 
 
-def _interior_mask(n: int) -> np.ndarray:
-    return _interior_rows(n, 0.0, 1.0, 0.0)
+class _AxisStencil(Stencil):
+    """A 1-D derivative along one axis at every node, with one-sided rows on
+    the two edges normal to it."""
+
+    def __init__(self, grid: Grid, axis: int, stencil):
+        super().__init__(grid.shape, grid.shape)
+        order, centered, edge = stencil
+        h = grid.h1 if axis == 1 else grid.h2
+        scale = 1.0 / h**order
+        self.axis = axis - 3  # -2 or -1
+        self.centered = [c * scale for c in centered]
+        self.first = [e * scale for e in edge]
+        self.last = [(-1) ** order * e * scale for e in edge[::-1]]
+
+    def _lines(self, a):
+        """a with the stencil's axis first."""
+        return np.moveaxis(a, self.axis, 0)
+
+    def _apply(self, f):
+        out = np.empty(f.shape)
+        g, o = self._lines(f), self._lines(out)
+        lo, mid, hi = self.centered
+        np.multiply(g[:-2], lo, out=o[1:-1])
+        if mid:
+            o[1:-1] += mid * g[1:-1]
+        o[1:-1] += hi * g[2:]
+        k = len(self.first)
+        o[0] = sum(c * g[i] for i, c in enumerate(self.first))
+        o[-1] = sum(c * g[i - k] for i, c in enumerate(self.last))
+        return out[None]
+
+    def _adjoint(self, y):
+        x = np.zeros(y.shape[1:])
+        g, o = self._lines(y[0]), self._lines(x)
+        lo, mid, hi = self.centered
+        o[:-2] += lo * g[1:-1]
+        if mid:
+            o[1:-1] += mid * g[1:-1]
+        o[2:] += hi * g[1:-1]
+        k = len(self.first)
+        for i, c in enumerate(self.first):
+            o[i] += c * g[0]
+        for i, c in enumerate(self.last):
+            o[i - k] += c * g[-1]
+        return x
 
 
-def _d1_centered(n: int, h: float) -> np.ndarray:
-    return _interior_rows(n, -0.5 / h, 0.0, 0.5 / h)
+class _Product(Stencil):
+    """The composition outer(inner(f)) of two unstacked stencils."""
 
+    def __init__(self, outer: Stencil, inner: Stencil):
+        super().__init__(inner.source, outer.target)
+        self.outer, self.inner = outer, inner
 
-def _d2_centered(n: int, h: float) -> np.ndarray:
-    return _interior_rows(n, 1.0 / h**2, -2.0 / h**2, 1.0 / h**2)
+    def _apply(self, f):
+        return self.outer._apply(self.inner(f))
 
-
-def _d1_one_sided(n: int, h: float) -> np.ndarray:
-    m = _d1_centered(n, h)
-    m[0, :3] = -1.5 / h, 2.0 / h, -0.5 / h
-    m[-1, -3:] = 0.5 / h, -2.0 / h, 1.5 / h
-    return m
-
-
-def _d2_one_sided(n: int, h: float) -> np.ndarray:
-    m = _d2_centered(n, h)
-    m[0, :4] = 2.0 / h**2, -5.0 / h**2, 4.0 / h**2, -1.0 / h**2
-    m[-1, -4:] = -1.0 / h**2, 4.0 / h**2, -5.0 / h**2, 2.0 / h**2
-    return m
-
-
-def _ghost(n: int, h: float) -> np.ndarray:
-    """Mirror-ghost edge rows of the clamped second derivative."""
-    m = np.zeros((n, n))
-    m[0, 1] = m[-1, -2] = 2.0 / h**2
-    return m
-
-
-def _cell(n: int, left: float, right: float) -> np.ndarray:
-    """(n-1) x n map from the two ends of each cell to its midpoint."""
-    k = np.arange(n - 1)
-    m = np.zeros((n - 1, n))
-    m[k, k] = left
-    m[k, k + 1] = right
-    return m
+    def _adjoint(self, y):
+        return self.inner.adjoint(self.outer._adjoint(y))
 
 
 # -- public difference / quadrature operations -----------------------------

@@ -17,33 +17,32 @@ Optimization, 2nd ed., section 7.2):
   saddle under a purely tangential load) the warm solves keep H0 at u = 0.
 
 One builder, _plate_hessian_solve(grid, mat, u), makes both; nothing is
-cached, so a minimize call given no H0 factors its own.
+cached, so a minimize call given no H0 factors its own.  Its blocks are
+assembled from the grid's stencils straight into LAPACK band storage, and
+the coupling block K_3t is never stored: its products run through the same
+stencils.
 
 Results repeat bitwise for a given configuration seed.  The solver's
 reductions are numpy sums in a fixed order, not BLAS dot products, so they
 do not depend on the BLAS thread count.  The BLAS-backed steps are the
-LAPACK banded Cholesky factorizations (dpbtrf, in place): up to 65x65
-nodes their factors are the same under one or two OpenBLAS threads, but at
-129x129 the threaded blocked updates change their last bits, and with them
-the last digits of the iterates (ROADMAP item 4).  The solves by a factor
-call LAPACK's dpbtrs directly, with the bytes scipy's cho_solve_banded
-gives and without its per-call wrapper.
+LAPACK banded Cholesky factorizations and solves (dpbtrf in place, and
+dpbtrs), called through lapack.LAPACK with OpenBLAS pinned to one thread:
+at 129x129 nodes threaded blocked updates would change the factors' last
+bits, and with them the last digits of the iterates.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg.lapack import dpbtrf, dpbtrs
 
+from . import lapack
 from .elasticity import Material, flat_voigt
 from .energy import EnergyAssembly, ForceDensity, make_assembly
 from .geometry import Immersion, c2_distance
-from .grid import Displacement, Grid, kron_stack, require_clamped
+from .grid import Displacement, Grid, require_clamped
 
 STALL_STEP = 1e-16
 
@@ -303,29 +302,74 @@ def _two_loop_direction(g, s_hist, y_hist, rho, h0_solve):
     return -q
 
 
-# -- the plate Hessian at u = 0: stiffness matrices and their factors ----------
+# -- the plate Hessian in band storage ---------------------------------------------
 #
-# Both blocks are E^T (C (x) W) E: E maps the unknowns to the three Voigt
-# strain components at every point, C is the plate's 3x3 Voigt matrix and W
-# the quadrature weights, so the matrix is the Hessian of the quadratic
-# energy 1/2 sum_points w e . C e that EnergyAssembly evaluates.
+# Every block is E^T c E: E maps unknowns to strain components at every
+# point (a cell or a node) and c is the weighted 3x3 Voigt matrix there, so
+# the block is the Hessian of the quadratic energy 1/2 sum_points e . c e
+# that EnergyAssembly evaluates.  A point's strains read the few nodes of its
+# stencil's support only, so the block is a sum of small local matrices
+# E_p^T c_p E_p, one per point, added like finite elements straight into
+# LAPACK lower band storage over the interior unknowns.  E_p comes from the
+# grid's own stencils (Stencil.local_weights).
 
 
-def _bending_matrix(grid: Grid, mat: Material) -> sp.csr_matrix:
+def _slot_band(slots, ncomp: int, m2: int, a, b) -> int:
+    """Band row i - j of the entry coupling slot a (row i) to slot b (column j)."""
+    (i_a, j_a, c_a), (i_b, j_b, c_b) = slots[a], slots[b]
+    return ncomp * ((i_a - i_b) * m2 + j_a - j_b) + c_a - c_b
+
+
+def _assemble(band: np.ndarray, grid: Grid, weights: np.ndarray, c, slots, ncomp: int) -> None:
+    """Add sum_p E_p^T c_p E_p to `band`, over the interior unknowns.
+
+    weights[r, a] holds, at every point p, the weight of slot a in strain
+    component r, and slots[a] = (o1, o2, k) puts slot a at node p + (o1, o2),
+    unknown k of that node's ncomp (interleaved node by node); c is (R, R)
+    or (R, R, *points).  Unknowns off the interior are dropped, as clamped
+    values are.  Each band entry sums its points in a fixed order.
+    """
+    m1, m2 = grid.n1 - 2, grid.n2 - 2
+    stress = np.einsum("rq...,rs...->qs...", c, weights)
+    for a, (i_a, j_a, _) in enumerate(slots):
+        for b, (i_b, j_b, k_b) in enumerate(slots):
+            d = _slot_band(slots, ncomp, m2, a, b)
+            if d < 0:
+                continue
+            # the points whose slots a and b both sit on interior nodes
+            lo1, hi1 = 1 - min(i_a, i_b), grid.n1 - 1 - max(i_a, i_b)
+            lo2, hi2 = 1 - min(j_a, j_b), grid.n2 - 1 - max(j_a, j_b)
+            local = np.einsum("q...,q...->...", stress[:, a, lo1:hi1, lo2:hi2],
+                              weights[:, b, lo1:hi1, lo2:hi2])
+            row = band[d].reshape(m1, m2, ncomp)
+            row[lo1 + i_b - 1 : hi1 + i_b - 1, lo2 + j_b - 1 : hi2 + j_b - 1, k_b] += local
+
+
+def _zero_band(grid: Grid, slots, ncomp: int) -> np.ndarray:
+    """A zero (kd + 1, n) Fortran-ordered band over the interior unknowns,
+    kd the widest coupling of the slots."""
+    m2 = grid.n2 - 2
+    kd = max(_slot_band(slots, ncomp, m2, a, b) for a in range(len(slots))
+             for b in range(len(slots)))
+    return np.zeros(((grid.n1 - 2) * m2 * ncomp, kd + 1)).T
+
+
+def _bending_band(grid: Grid, mat: Material) -> np.ndarray:
     """Bending stiffness of u3 at the plate, on the interior nodes.
 
     E is the clamped second-derivative rows of bending_stencil (d11; d22;
-    d12), block by block, so the Kronecker factor is C (x) W; C has its
-    shear row and column doubled to act on d12 rather than 2 d12.  E is
-    built from the stencil's Kronecker terms with their factors' columns cut
-    to the interior, which cuts the products' columns to the interior nodes.
+    d12) at every node, c the plate's Voigt matrix with its shear row and
+    column doubled (to act on d12 rather than 2 d12), times the trapezoidal
+    weight and eps^3 / 3: 9 x 9 local matrices, one per node.
     """
+    stencil = grid.bending_stencil.leading(3)
     shear = np.array([1.0, 1.0, 2.0])
-    c = np.outer(shear, shear) * flat_voigt(mat)
-    w = sp.diags((mat.eps**3 / 3.0) * grid.weights.ravel())
-    blocks = islice(grid.stencil_blocks("bending"), 3)
-    rows = kron_stack([(a[:, 1:-1], b[:, 1:-1]) for a, b in block] for block in blocks)
-    return (rows.T @ sp.kron(c, w) @ rows).tocsr()
+    c = (np.outer(shear, shear) * flat_voigt(mat))[..., None, None] \
+        * ((mat.eps**3 / 3.0) * grid.weights)
+    slots = [(o1, o2, 0) for o1, o2 in stencil.support]
+    band = _zero_band(grid, slots, 1)
+    _assemble(band, grid, stencil.local_weights(), c, slots, 1)
+    return band
 
 
 # _MEMBRANE_ROWS[a][v, b]: the weight of d_a u_b in the strain component v
@@ -334,57 +378,34 @@ _MEMBRANE_ROWS = (np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]),
                   np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]]))
 
 
-def _membrane_matrix(grid: Grid, mat: Material) -> sp.csr_matrix:
+def _membrane_band(grid: Grid, mat: Material) -> np.ndarray:
     """Membrane stiffness of (u1, u2) at the plate, on the interior nodes,
     with u1 and u2 interleaved node by node so that it is banded: the
-    tangential block of the plate Hessian, the same at every u."""
-    rows = _membrane_rows(grid)
-    return (rows.T @ _membrane_voigt(grid, mat) @ rows).tocsr()
+    tangential block of the plate Hessian, the same at every u.  E is the
+    linearized membrane strain from the cell-derivative rows of
+    membrane_stencil, c the weighted Voigt matrix: 8 x 8 local matrices,
+    one per cell, over its four corners' (u1, u2)."""
+    stencil = grid.membrane_stencil.leading(2)
+    cell = stencil.local_weights()
+    weights = np.einsum("avb,as...->vsb...", np.array(_MEMBRANE_ROWS), cell)
+    weights = weights.reshape((3, 8) + grid.cell_shape)
+    slots = [(o1, o2, k) for o1, o2 in stencil.support for k in (0, 1)]
+    band = _zero_band(grid, slots, 2)
+    _assemble(band, grid, weights, (mat.eps * grid.cell_weight) * flat_voigt(mat), slots, 2)
+    return band
 
 
-def _membrane_rows(grid: Grid) -> sp.csr_matrix:
-    """E_t: the linearized membrane strain of (u1, u2) on the interior nodes,
-    interleaved node by node, from the cell-derivative rows of
-    membrane_stencil, cell by cell.  Its block sum_a kron(d_a, R_a) over the
-    interior columns is built from the terms (a, kron(b, R_a)) of
-    d_a = kron(a, b): kron is associative, and the products are those of
-    kron(kron(a, b), R_a) since R_a holds only ones and zeros.
+def _banded_cholesky(ab: np.ndarray):
+    """Factor a symmetric positive definite matrix held in lower band
+    storage, in place by LAPACK dpbtrf; returns its solve, by dpbtrs.
+    Raises NotPositiveDefiniteError when the matrix is not positive definite.
     """
-    terms = [(a[:, 1:-1], np.kron(b[:, 1:-1], r))
-             for r, ((a, b),) in zip(_MEMBRANE_ROWS, grid.stencil_blocks("membrane"))]
-    return kron_stack([terms])
-
-
-def _membrane_voigt(grid: Grid, mat: Material) -> sp.csr_matrix:
-    """W (x) C of the membrane energy: the plate's Voigt matrix, weighted,
-    cell by cell, matching the rows of _membrane_rows."""
-    w = sp.diags(np.full(grid.num_cells, mat.eps * grid.cell_weight))
-    return sp.kron(w, flat_voigt(mat))
-
-
-def _banded_cholesky(K: sp.csr_matrix):
-    """Factor a sparse symmetric positive definite matrix in lower band
-    storage, in place by LAPACK dpbtrf; returns its solve, a direct dpbtrs
-    call.  Raises NotPositiveDefiniteError when K is not positive definite.
-    """
-    lower = sp.tril(K).tocoo()
-    band = lower.row - lower.col
-    # Fortran order, so that dpbtrf overwrites the band instead of a copy
-    ab = np.zeros((int(band.max()) + 1, K.shape[0]), order="F")
-    ab[band, lower.col] = lower.data
-    factor, info = dpbtrf(ab, lower=1, overwrite_ab=1)
+    info = lapack.LAPACK.factor(ab)
     if info > 0:
         raise NotPositiveDefiniteError(info)
     if info < 0:
         raise ValueError(f"dpbtrf failed with info={info}")
-
-    def solve(b: np.ndarray) -> np.ndarray:
-        x, info = dpbtrs(factor, b, lower=1)
-        if info != 0:
-            raise ValueError(f"dpbtrs failed with info={info}")
-        return x
-
-    return solve
+    return lapack.LAPACK.solver(ab)
 
 
 def _interleave(x: np.ndarray) -> np.ndarray:
@@ -400,31 +421,63 @@ def _deinterleave(x: np.ndarray) -> np.ndarray:
 #
 # The plate's membrane strain is e(u) = E_t x_t + 1/2 P(u) D x_3, with D =
 # [D_1; D_2] the cell derivatives of u3 and P(u) weighting them by D_a u3.
-# So K_tt = E_t^T (W (x) C) E_t, K_3t = D^T P^T (W (x) C) E_t and K_33 =
-# bending + D^T (P^T (W (x) C) P + S) D, S the stress (W (x) C) e(u) on (D_a, D_b).
+# So K_tt = E_t^T (W C) E_t, K_3t = D^T P^T (W C) E_t and K_33 = bending +
+# D^T (P^T (W C) P + S) D, S the stress (W C) e(u) on (D_a, D_b).
 
 
 def _plate_hessian_blocks(grid: Grid, mat: Material, u: Displacement | None = None):
     """(K_33, K_3t) of the plate Hessian at the clamped u, on the interior
-    nodes; K_3t's columns are (u1, u2) interleaved as in _membrane_matrix.
-    At u = 0 (or None) they are the bending matrix and None."""
-    if u is None or not (x := pack(grid, u)).any():
-        return _bending_matrix(grid, mat), None
-    n, nc = x.size // 3, grid.num_cells
-    blocks = islice(grid.stencil_blocks("membrane"), 2)
-    d = kron_stack([[(a[:, 1:-1], b[:, 1:-1])] for ((a, b),) in blocks])
-    du = d @ x[2 * n :]
-    # P has rows 3 cell + v (e11, e22, 2 e12) and columns a nc + cell (D_a u3)
-    c, du1, du2 = np.arange(nc), du[:nc], du[nc:]
-    rows, cols = np.r_[3 * c, 3 * c + 1, 3 * c + 2, 3 * c + 2], np.r_[c, nc + c, c, nc + c]
-    p = sp.csr_matrix((np.r_[du1, du2, du2, du1], (rows, cols)), shape=(3 * nc, 2 * nc))
-    et, wc = _membrane_rows(grid), _membrane_voigt(grid, mat)
-    s = (wc @ (et @ _interleave(x[: 2 * n]) + 0.5 * (p @ du))).reshape(nc, 3)
-    stress = sp.bmat([[sp.diags(s[:, 0]), sp.diags(s[:, 2])],
-                      [sp.diags(s[:, 2]), sp.diags(s[:, 1])]])
-    ptwc = p.T @ wc
-    k33 = _bending_matrix(grid, mat) + d.T @ (ptwc @ p + stress) @ d
-    return k33.tocsr(), (d.T @ (ptwc @ et)).tocsr()
+    nodes: K_33 in band storage and K_3t as a _Coupling, whose columns are
+    (u1, u2) interleaved as in _membrane_band.  At u = 0 (or None) they are
+    the bending band and None."""
+    if u is None or not any(c.any() for c in u.components()):
+        return _bending_band(grid, mat), None
+    cells = grid.membrane_stencil.leading(2)
+    g = cells(np.stack(u.components()))  # g[a, k]: D_a of component k
+    du = g[:, 2]
+    strain = np.stack((g[0, 0] + 0.5 * du[0] ** 2, g[1, 1] + 0.5 * du[1] ** 2,
+                       g[1, 0] + g[0, 1] + du[0] * du[1]))
+    wc = (mat.eps * grid.cell_weight) * flat_voigt(mat)
+    s = np.einsum("vw,w...->v...", wc, strain)
+    # p[v, a]: the weight of D_a u3 in the strain component v
+    zero = np.zeros_like(du[0])
+    p = np.array([[du[0], zero], [zero, du[1]], [du[1], du[0]]])
+    pwc = np.einsum("va...,vw->aw...", p, wc)
+    q = np.einsum("aw...,wb...->ab...", pwc, p) + s[[[0, 2], [2, 1]]]
+    k33 = _bending_band(grid, mat)
+    slots = [(o1, o2, 0) for o1, o2 in cells.support]
+    _assemble(k33, grid, cells.local_weights(), q, slots, 1)
+    return k33, _Coupling(cells, pwc)
+
+
+class _Coupling:
+    """K_3t = D^T (P^T W C) E_t on the interior unknowns, applied through the
+    grid's cell stencils: the membrane strain of (u1, u2), then the per-cell
+    3 -> 2 map pwc = P^T W C, then the adjoint of the cell derivatives.  Its
+    transpose K_t3 runs the same steps backwards.  Never stored."""
+
+    def __init__(self, cells, pwc: np.ndarray, transposed: bool = False):
+        self.cells, self.pwc, self.transposed = cells, pwc, transposed
+        self.inner = (cells.source[0] - 2, cells.source[1] - 2)
+
+    @property
+    def T(self) -> "_Coupling":
+        return _Coupling(self.cells, self.pwc, not self.transposed)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        cells, (m1, m2) = self.cells, self.inner
+        if not self.transposed:  # (u1, u2) interleaved -> u3
+            ut = np.zeros((2,) + cells.source)
+            ut[:, 1:-1, 1:-1] = np.moveaxis(x.reshape(m1, m2, 2), -1, 0)
+            g = cells(ut)
+            e = np.stack((g[0, 0], g[1, 1], g[1, 0] + g[0, 1]))
+            y = np.einsum("av...,v...->a...", self.pwc, e)
+            return cells.adjoint(y)[1:-1, 1:-1].ravel()
+        u3 = np.zeros(cells.source)
+        u3[1:-1, 1:-1] = x.reshape(m1, m2)
+        s = np.einsum("av...,a...->v...", self.pwc, cells(u3))
+        y = s[[[0, 2], [2, 1]]]  # y[a, k]: the stress D_a u_k meets
+        return np.moveaxis(cells.adjoint(y)[:, 1:-1, 1:-1], 0, -1).ravel()
 
 
 def _plate_hessian_solve(grid: Grid, mat: Material, u: Displacement | None = None,
@@ -434,7 +487,7 @@ def _plate_hessian_solve(grid: Grid, mat: Material, u: Displacement | None = Non
     positive definite, then K_tt unless `membrane` already solves by it."""
     k33, k3t = _plate_hessian_blocks(grid, mat, u)
     k33_solve = _banded_cholesky(k33)
-    membrane = membrane or _banded_cholesky(_membrane_matrix(grid, mat))
+    membrane = membrane or _banded_cholesky(_membrane_band(grid, mat))
     return _PlateSolve("plate" if u is None else "plate_minimizer", membrane, k33_solve, k3t)
 
 
@@ -444,7 +497,7 @@ class _PlateSolve:
     symmetric block Gauss-Seidel inverse M^{-1}, M = (D + L) D^{-1} (D + L)^T
     for D = diag(K_tt, K_33); without one (u = 0) the exact inverse."""
 
-    def __init__(self, name: str, membrane, k33, k3t: sp.csr_matrix | None):
+    def __init__(self, name: str, membrane, k33, k3t: _Coupling | None):
         self.name, self.membrane, self.k33, self.k3t = name, membrane, k33, k3t
         self.kt3 = None if k3t is None else k3t.T
 
@@ -557,5 +610,5 @@ def linear_bending_solve(grid: Grid, mat: Material, p3: np.ndarray) -> np.ndarra
     idx = np.flatnonzero(grid.interior.ravel())
     rhs = (grid.weights * p3).ravel()[idx]
     u3 = np.zeros(grid.num_nodes)
-    u3[idx] = _banded_cholesky(_bending_matrix(grid, mat))(rhs)
+    u3[idx] = _banded_cholesky(_bending_band(grid, mat))(rhs)
     return u3.reshape(grid.shape)

@@ -6,10 +6,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
-from scipy.sparse import _sparsetools
 
 import shallowshell
+from kron_reference import kron_ops, relative
 from shallowshell import (
     Displacement,
     ForceDensity,
@@ -20,6 +19,7 @@ from shallowshell import (
     plate_membrane_strain,
 )
 from shallowshell.elasticity import build_tensor
+from shallowshell import grid as ss_grid
 from shallowshell.grid import random_clamped_displacement
 from shallowshell.solver import _weighted_residual
 
@@ -231,6 +231,32 @@ def test_hessian_diagonal_estimate_positive(shell_assembly):
     assert np.median(d.u3) > np.median(d.u1)
 
 
+@pytest.mark.parametrize("kind", ["plate", "paraboloid"])
+@pytest.mark.parametrize("dims", [(2.0, 1.0, 9, 5), (1.3, 0.7, 17, 33)])
+def test_hessian_diagonal_estimate_is_the_squared_stencil_sum(dims, kind, material):
+    """The estimate is the scipy formula it replaced, sum (op.power(2)).T @ w
+    over the sp.kron-built cell derivatives and clamped second derivatives,
+    to roundoff (1e-13 relative), before the floor."""
+    grid = Grid(*dims)
+    params = {} if kind == "plate" else {"t": 0.3}
+    asm = make_assembly(grid, Immersion(kind, grid.L1, grid.L2, params), material,
+                        ForceDensity.constant(grid, 0.5, -0.3, 1.0))
+    ref = kron_ops(grid)
+    a00 = asm.geometry.a_inv[..., 0, 0]
+    amean = float(np.mean((material.bulk_factor + 4.0 * material.mu) * a00 * a00))
+    cw = (grid.cell_weight * asm.cell_geom.sqrt_a).ravel()
+    memb = sum(ref["cell_d1", axis].power(2).T @ cw for axis in (1, 2))
+    memb *= material.eps * amean
+    wsa = asm.wsa.ravel()
+    bend = sum(mult * (ref["bend", key].power(2).T @ wsa)
+               for key, mult in (((1, 1), 1.0), ((2, 2), 1.0), ((1, 2), 2.0)))
+    bend *= (material.eps**3 / 3.0) * amean
+    d = asm.hessian_diagonal_estimate()
+    for got, expected in zip(d.components(), (memb, memb, memb + bend)):
+        expected = np.maximum(expected, 1e-12 * max(float(np.max(memb + bend)), 1.0))
+        assert relative(got.ravel(), expected) <= 1e-13
+
+
 # -- the component kernel against the 16-component reference ---------------------
 
 
@@ -344,42 +370,43 @@ def test_assembly_holds_no_full_tensor(shell_assembly):
     assert held and max(a.ndim for a in held) <= 3
 
 
-def _count_products(monkeypatch, evaluate):
-    """Sparse products of one call, counted at __matmul__ of CSR and CSC and
-    at the compiled matvec kernels, which must agree: no product may bypass
-    __matmul__.  Returns (CSR products, CSC products)."""
-    formats, kernels = [], []
-    for cls in (sp.csr_matrix, sp.csc_matrix):
-        def counting(op, other, matmul=cls.__matmul__):
-            formats.append(op.format)
-            return matmul(op, other)
+def _count_applications(monkeypatch, evaluate):
+    """Stencil applications of one call, counted at Stencil.__call__ and
+    Stencil.adjoint and at the slicing kernels of the strain stacks, which
+    must agree: no application may bypass the two entry points.  Returns
+    (forward applications, adjoint applications)."""
+    calls, kernels = [], []
+    for name in ("__call__", "adjoint"):
+        def counting(op, arg, fn=getattr(ss_grid.Stencil, name), name=name):
+            calls.append(name)
+            return fn(op, arg)
 
-        monkeypatch.setattr(cls, "__matmul__", counting)
-    for name in ("csr_matvec", "csr_matvecs", "csc_matvec", "csc_matvecs"):
-        def kernel(*args, fn=getattr(_sparsetools, name)):
-            kernels.append(fn)
-            return fn(*args)
+        monkeypatch.setattr(ss_grid.Stencil, name, counting)
+    for cls in (ss_grid._CellStencil, ss_grid._BendingStencil):
+        for name in ("_apply", "_adjoint"):
+            def kernel(op, arg, fn=getattr(cls, name)):
+                kernels.append(fn)
+                return fn(op, arg)
 
-        monkeypatch.setattr(_sparsetools, name, kernel)
+            monkeypatch.setattr(cls, name, kernel)
     evaluate()
     monkeypatch.undo()
-    assert len(kernels) == len(formats)
-    return formats.count("csr"), formats.count("csc")
+    assert len(kernels) == len(calls)
+    return calls.count("__call__"), calls.count("adjoint")
 
 
-def test_sparse_products_per_evaluation_with_transposes(monkeypatch, material, general_force,
-                                                        grid17, rng):
-    """One product per stack and direction: the membrane and bending stacks
-    for the strains (CSR), their transposes for the gradient (CSC); the
-    energy alone makes the two forward products.  The same on a curved
-    shell and on a flat assembly."""
+def test_stencil_applications_per_evaluation(monkeypatch, material, general_force,
+                                             grid17, rng):
+    """One application per stack and direction: the membrane and bending
+    stacks for the strains, their adjoints for the gradient; the energy
+    alone applies the two stacks forward.  The same on a curved shell and on
+    a flat assembly."""
     force = general_force(grid17)
     u = random_clamped_displacement(grid17, rng)
     for imm in (Immersion("paraboloid", params={"t": 0.1}), Immersion("plate")):
         asm = make_assembly(grid17, imm, material, force)
-        asm.full_evaluation(u)  # builds every lazy operator first
-        assert _count_products(monkeypatch, lambda: asm.full_evaluation(u)) == (2, 2)
-        assert _count_products(monkeypatch, lambda: asm.energy(u)) == (2, 0)
+        assert _count_applications(monkeypatch, lambda: asm.full_evaluation(u)) == (2, 2)
+        assert _count_applications(monkeypatch, lambda: asm.energy(u)) == (2, 0)
 
 
 def test_evaluation_memory_peaks(material):

@@ -358,6 +358,24 @@ def test_immersion_error_messages(monkeypatch):
                               "at node (3, 2)")
 
 
+def test_singular_metric_names_its_node(monkeypatch):
+    """Tangents (1, 0, 0) and (1, 2e-12, 0) at node (3, 2) of a 9 x 9 grid
+    pass the cross-product test but round det(a) to 0: the error names the
+    node all the same."""
+    planes = Immersion._planes
+    grid = Grid(1.0, 1.0, 9, 9)
+
+    def singular(self, y1, y2):
+        value, grad, hess = planes(self, y1, y2)
+        bad = (y1 == grid.y1[3, 2]) & (y2 == grid.y2[3, 2])
+        return value, (grad[0], (np.where(bad, 1.0, 0.0), np.where(bad, 2e-12, 1.0), 0.0)), hess
+
+    monkeypatch.setattr(Immersion, "_planes", singular)
+    with pytest.raises(ImmersionError) as exc:
+        geometry_field(Immersion("plate"), grid)
+    assert str(exc.value) == "singular metric: det(a) not positive at node (3, 2)"
+
+
 def _as_planes(x, depth: int):
     """The trailing `depth` axes of x as nested tuples of planes, as
     Immersion._planes holds them (views; the Hessian's (1, 0) entry is its

@@ -11,6 +11,8 @@ import scipy.sparse as sp
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
 import shallowshell
+from shallowshell import lapack
+from kron_reference import band_to_dense, dense_to_band, kron, kron_ops, relative
 
 from shallowshell import (
     Displacement,
@@ -34,9 +36,9 @@ from shallowshell.solver import (
     SolveDiagnostics,
     _MEMBRANE_ROWS,
     _banded_cholesky,
-    _bending_matrix,
+    _bending_band,
     _dot,
-    _membrane_matrix,
+    _membrane_band,
     _plate_hessian_blocks,
     _plate_hessian_solve,
     _weighted_residual,
@@ -336,7 +338,7 @@ def test_rigidity_zero_set_trivial(grid):
     d1c, d2c = grid.cell_d1_ops
     rows = []
     for op in (d1c, d2c):
-        rows.append(op.toarray())
+        rows.append(op @ np.eye(grid.num_nodes))
     stacked = np.vstack(rows)
     cols = np.flatnonzero(grid.interior.ravel())
     sv = np.linalg.svd(stacked[:, cols], compute_uv=False)
@@ -354,9 +356,9 @@ def test_sweep_factorizes_the_plate_hessian_once(grid9, material, general_force,
     factored = []
     factor = shallowshell.solver._banded_cholesky
 
-    def counting_factor(K):
-        factored.append(K.shape[0])
-        return factor(K)
+    def counting_factor(ab):
+        factored.append(ab.shape[1])
+        return factor(ab)
 
     monkeypatch.setattr("shallowshell.solver._banded_cholesky", counting_factor)
     steps = homotopy_solve(
@@ -387,9 +389,9 @@ def test_sweep_frees_the_bending_factor_before_the_warm_steps(grid17, material,
     solves, warm = [], []
     factor = shallowshell.solver._banded_cholesky
 
-    def tracking_factor(K):
-        solve = factor(K)
-        solves.append((K.shape[0], weakref.ref(solve)))
+    def tracking_factor(ab):
+        solve = factor(ab)
+        solves.append((ab.shape[1], weakref.ref(solve)))
         return solve
 
     def checking_minimize(asm, u0, cfg, h0_solve=None):
@@ -431,69 +433,80 @@ def test_plate_hessian_blocks_match_the_tensor_sum(dims):
     mat = Material(lam=1.3, mu=0.7, eps=0.1)
     a0 = flat_tensor(mat)
     idx = np.flatnonzero(grid.interior.ravel())
-    ops = grid.clamped_d2_ops
-    bend = {(a, b): ops[(a + 1, b + 1)][:, idx] for a in range(2) for b in range(2)}
-    d = [op[:, idx] for op in grid.cell_d1_ops]
+    ref = kron_ops(grid)
+    bend = {(a, b): ref["bend", (min(a, b) + 1, max(a, b) + 1)][:, idx]
+            for a in range(2) for b in range(2)}
+    d = [ref["cell_d1", axis][:, idx] for axis in (1, 2)]
     comp = (np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]))
     grad = {(a, b): sp.kron(d[a], comp[b], "csr") for a in range(2) for b in range(2)}
     memb = {(a, b): 0.5 * (grad[a, b] + grad[b, a]) for a in range(2) for b in range(2)}
     expected = (
-        (_bending_matrix(grid, mat),
+        (_bending_band(grid, mat),
          _pair_stiffness(a0, bend, (mat.eps**3 / 3.0) * grid.weights.ravel())),
-        (_membrane_matrix(grid, mat),
+        (_membrane_band(grid, mat),
          _pair_stiffness(a0, memb, np.full(grid.num_cells, mat.eps * grid.cell_weight))),
     )
     for got, ref in expected:
-        assert got.shape == ref.shape
-        assert abs(got - ref).max() <= 1e-14 * abs(ref).max()
+        ref = ref.toarray()
+        assert got.shape[1] == ref.shape[0]
+        assert np.abs(band_to_dense(got) - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def _strain_maps(grid):
-    """The interior-column strain maps of H0 as built from column slices of
-    the stencils, sp.kron and a sparse sum: the reference for kron_stack."""
+    """The interior-column strain maps of H0, from column slices of the
+    sp.kron-built stencils and a sparse sum."""
     idx = np.flatnonzero(grid.interior.ravel())
-    bend = grid.leading_rows("bending", 3)[0][:, idx]
-    memb = sum(sp.kron(op[:, idx], b) for op, b in zip(grid.cell_d1_ops, _MEMBRANE_ROWS))
+    ref = kron_ops(grid)
+    bend = sp.vstack([ref["bend", key] for key in ((1, 1), (2, 2), (1, 2))], format="csr")[:, idx]
+    memb = sum(kron(ref["cell_d1", axis][:, idx], b)
+               for axis, b in zip((1, 2), _MEMBRANE_ROWS))
     return bend, memb
 
 
-@pytest.mark.parametrize("dims", [(2.0, 1.0, 9, 5), (1.3, 0.7, 17, 33)])
-def test_plate_hessian_blocks_hold_the_bytes_of_the_kron_build(dims):
-    """Both H0 blocks, E^T (C (x) W) E with E from kron_stack, hold the CSR
-    arrays of the same products with E from column slices and sp.kron."""
-    grid = Grid(*dims)
-    mat = Material(lam=1.3, mu=0.7, eps=0.1)
+def _reference_bands(grid, mat):
+    """Both H0 blocks E^T (C (x) W) E of the sp.kron strain maps, SpGEMM
+    products in lower band storage, with their bandwidths."""
     bend, memb = _strain_maps(grid)
     shear = np.array([1.0, 1.0, 2.0])
     c = np.outer(shear, shear) * flat_voigt(mat)
     w_bend = sp.diags((mat.eps**3 / 3.0) * grid.weights.ravel())
     w_memb = sp.diags(np.full(grid.num_cells, mat.eps * grid.cell_weight))
-    expected = (
-        (_bending_matrix(grid, mat), (bend.T @ sp.kron(c, w_bend) @ bend).tocsr()),
-        (_membrane_matrix(grid, mat), (memb.T @ sp.kron(w_memb, flat_voigt(mat)) @ memb).tocsr()),
-    )
-    for got, ref in expected:
-        assert got.shape == ref.shape
-        for name in ("data", "indices", "indptr"):
-            a, b = getattr(got, name), getattr(ref, name)
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    out = []
+    for k in (bend.T @ sp.kron(c, w_bend) @ bend,
+              memb.T @ sp.kron(w_memb, flat_voigt(mat)) @ memb):
+        lower = sp.tril(k).tocoo()
+        kd = int((lower.row - lower.col).max())
+        out.append(dense_to_band(k.toarray(), kd))
+    return out
+
+
+@pytest.mark.parametrize("dims", [(2.0, 1.0, 9, 5), (1.3, 0.7, 17, 33)])
+def test_plate_hessian_bands_are_the_reference_products(dims):
+    """Both H0 blocks, assembled cell by cell and node by node into band
+    storage, are the SpGEMM products E^T (C (x) W) E of the sp.kron strain
+    maps in band form: the same bandwidth, the same entries to roundoff
+    (1e-14 of the largest)."""
+    grid = Grid(*dims)
+    mat = Material(lam=1.3, mu=0.7, eps=0.1)
+    for got, ref in zip((_bending_band(grid, mat), _membrane_band(grid, mat)),
+                        _reference_bands(grid, mat)):
+        assert got.shape == ref.shape and got.flags.f_contiguous
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("dims", [(2.0, 1.0, 9, 5), (1.3, 0.7, 17, 33)])
 def test_plate_hessian_solves_are_those_of_cho_solve_banded(dims, rng):
-    """The direct dpbtrs solves give the bytes of scipy's cho_solve_banded on
-    the same factor, for both blocks."""
+    """The factor and the solves of numpy's OpenBLAS give the bytes of
+    scipy's cholesky_banded and cho_solve_banded on the same band, for both
+    blocks."""
     grid = Grid(*dims)
     mat = Material(lam=1.3, mu=0.7, eps=0.1)
-    for K in (_membrane_matrix(grid, mat), _bending_matrix(grid, mat)):
-        lower = sp.tril(K).tocoo()
-        band = lower.row - lower.col
-        ab = np.zeros((int(band.max()) + 1, K.shape[0]))
-        ab[band, lower.col] = lower.data
+    for ab in (_membrane_band(grid, mat), _bending_band(grid, mat)):
         factor = (cholesky_banded(ab, lower=True), True)
-        solve = _banded_cholesky(K)
+        solve = _banded_cholesky(ab)
+        assert ab.tobytes() == factor[0].tobytes()
         for _ in range(3):
-            b = rng.standard_normal(K.shape[0])
+            b = rng.standard_normal(ab.shape[1])
             b[::9] = -0.0
             before = b.copy()
             got = solve(b)
@@ -524,6 +537,79 @@ def test_import_does_not_load_sparse_linalg():
     assert run.stdout.strip() == "False"
 
 
+_NO_SCIPY = """
+import sys
+from shallowshell.cli import main
+out = sys.argv[1]
+assert main(["study", "--grid", "17x17", "--out", out]) == 0
+assert main(["verify"]) == 0
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_study_and_verify_load_no_scipy(tmp_path):
+    """`import shallowshell.cli`, a 17 x 17 study and the verify gate run on
+    numpy and ctypes alone: no scipy module is ever imported."""
+    src = str(Path(shallowshell.__file__).parents[1])
+    run = subprocess.run([sys.executable, "-c", _NO_SCIPY, str(tmp_path)],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=300, check=True)
+    assert run.stdout.strip().splitlines()[-1] == "[]"
+    assert lapack.LAPACK.name == "numpy-openblas"
+
+
+def test_scipy_fallback_factors_and_solves_alike(monkeypatch, rng):
+    """Where numpy exports no dpbtrf symbol the loader falls back to
+    scipy.linalg.lapack: its factors and solves of both H0 blocks are those
+    of numpy's OpenBLAS to 1e-13, and an indefinite matrix fails at the same
+    minor."""
+    monkeypatch.setattr(lapack, "SYMBOLS", ("no_such_dpbtrf_",) + lapack.SYMBOLS[1:])
+    fallback = lapack.load()
+    assert fallback.name == "scipy"
+    grid, mat = Grid(1.3, 0.7, 17, 33), Material(lam=1.3, mu=0.7, eps=0.1)
+    for ab in (_membrane_band(grid, mat), _bending_band(grid, mat)):
+        other = ab.copy(order="F")
+        assert lapack.LAPACK.factor(ab) == 0 and fallback.factor(other) == 0
+        assert relative(other, ab) <= 1e-13
+        b = rng.standard_normal(ab.shape[1])
+        assert relative(fallback.solver(other)(b), lapack.LAPACK.solver(ab)(b)) <= 1e-13
+    k = np.diag([4.0, 3.0, -1.0, 2.0]) + np.eye(4, k=1) + np.eye(4, k=-1)
+    minors = []
+    for backend in (lapack.LAPACK, fallback):
+        monkeypatch.setattr(lapack, "LAPACK", backend)
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            _banded_cholesky(np.asfortranarray(dense_to_band(k, 1)))
+        minors.append(err.value.minor)
+    assert minors == [3, 3]
+
+
+_FACTOR_BYTES = """
+import hashlib
+from shallowshell import Grid, Material, lapack
+from shallowshell.solver import _bending_band, _membrane_band
+grid, mat = Grid(1.0, 1.0, 129, 129), Material(1.0, 1.0, 0.1)
+for band in (_membrane_band(grid, mat), _bending_band(grid, mat)):
+    assert lapack.LAPACK.factor(band) == 0
+    print(hashlib.sha256(band.tobytes()).hexdigest())
+print(lapack.LAPACK.name, lapack.LAPACK._get_threads())
+"""
+
+
+def test_plate_hessian_factors_do_not_depend_on_blas_threads():
+    """The 129^2 factors of both H0 blocks, where threaded blocked updates
+    would change their last bits, are the same bytes under one and two
+    OpenBLAS threads; the caller's thread count is restored afterwards."""
+    src = str(Path(shallowshell.__file__).parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        run = subprocess.run([sys.executable, "-c", _FACTOR_BYTES], env=env,
+                             capture_output=True, text=True, timeout=300, check=True)
+        outputs.append(run.stdout.splitlines())
+    assert outputs[0][:2] == outputs[1][:2]
+    assert outputs[0][2] == "numpy-openblas 1" and outputs[1][2] == "numpy-openblas 2"
+
+
 # -- the plate Hessian at the plate minimizer: blocks and warm steps ---------------
 
 
@@ -534,9 +620,9 @@ def _dense_hessian(grid, mat, u):
     n = (grid.n1 - 2) * (grid.n2 - 2)
     order = np.concatenate([np.arange(0, 2 * n, 2), np.arange(1, 2 * n, 2)])
     k33, k3t = _plate_hessian_blocks(grid, mat, u)
-    ktt = _membrane_matrix(grid, mat).toarray()[np.ix_(order, order)]
-    k3t = k3t.toarray()[:, order]
-    return np.block([[ktt, k3t.T], [k3t, k33.toarray()]])
+    ktt = band_to_dense(_membrane_band(grid, mat))[np.ix_(order, order)]
+    k3t = np.column_stack([k3t @ e for e in np.eye(2 * n)])[:, order]
+    return np.block([[ktt, k3t.T], [k3t, band_to_dense(k33)]])
 
 
 def _fd_hessian(asm, x, eps):
@@ -603,27 +689,25 @@ def test_minimizer_solve_inverts_the_block_gauss_seidel_matrix(n, material, gene
 @pytest.mark.parametrize("n", [9, 17])
 def test_plate_hessian_blocks_at_zero_are_the_bending_matrix(n, material):
     """At u = 0, given as None or as the zero displacement, the blocks
-    decouple: there is no K_3t, and K_33 holds the bytes of _bending_matrix."""
+    decouple: there is no K_3t, and K_33 holds the bytes of _bending_band."""
     grid = Grid(1.0, 1.0, n, n)
-    bending = _bending_matrix(grid, material)
+    bending = _bending_band(grid, material)
     for u in (None, Displacement.zeros(grid)):
         k33, k3t = _plate_hessian_blocks(grid, material, u)
         assert k3t is None
-        for name in ("data", "indices", "indptr"):
-            a, b = getattr(k33, name), getattr(bending, name)
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert k33.shape == bending.shape and k33.tobytes() == bending.tobytes()
 
 
 @pytest.mark.parametrize("dims", [(2.0, 1.0, 9, 5), (1.3, 0.7, 17, 33)])
 def test_plate_solve_at_zero_is_the_two_block_solves(dims, rng):
     """H0^{-1} at u = 0 gives the bytes of direct solves by the factors of
-    _membrane_matrix, on (u1, u2) interleaved, and of _bending_matrix."""
+    _membrane_band, on (u1, u2) interleaved, and of _bending_band."""
     grid = Grid(*dims)
     mat = Material(lam=1.3, mu=0.7, eps=0.1)
     solve = _plate_hessian_solve(grid, mat)
     assert solve.name == "plate" and solve.k3t is None
-    membrane = _banded_cholesky(_membrane_matrix(grid, mat))
-    bending = _banded_cholesky(_bending_matrix(grid, mat))
+    membrane = _banded_cholesky(_membrane_band(grid, mat))
+    bending = _banded_cholesky(_bending_band(grid, mat))
     n = (grid.n1 - 2) * (grid.n2 - 2)
     for _ in range(3):
         g = rng.standard_normal(3 * n)
@@ -633,9 +717,9 @@ def test_plate_solve_at_zero_is_the_two_block_solves(dims, rng):
 
 
 def test_banded_cholesky_names_the_failing_minor():
-    k = sp.diags([4.0, 3.0, -1.0, 2.0]).tocsr() + sp.eye(4, k=1) + sp.eye(4, k=-1)
+    k = np.diag([4.0, 3.0, -1.0, 2.0]) + np.eye(4, k=1) + np.eye(4, k=-1)
     with pytest.raises(NotPositiveDefiniteError) as err:
-        _banded_cholesky(k.tocsr())
+        _banded_cholesky(np.asfortranarray(dense_to_band(k, 1)))
     assert err.value.minor == 3
     assert isinstance(err.value, np.linalg.LinAlgError)
 
