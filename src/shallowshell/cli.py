@@ -124,7 +124,7 @@ def _cmd_study(cfg: StudyConfig) -> int:
     print("t, c2_distance, v_norm_err, iterations:")
     for r in report.rows:
         print(f"  {r.t:g}\t{r.c2_distance:.6g}\t{r.v_norm_err:.6g}\t{r.iterations}")
-    print(f"boundedness certificate: {report.boundedness:.6g}")
+    print(f"largest v_norm over the rows: {report.boundedness:.6g}")
     return EXIT_OK
 
 

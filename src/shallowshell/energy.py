@@ -27,11 +27,13 @@ An evaluation makes four stencil applications, two for the energy alone:
 the grid's stacked membrane stencil (cell d1, d2 and average) applied to
 the (3, n1, n2) block of u, the stacked bending stencil (clamped d11, d22,
 d12 and interior d1, d2) applied to u3, and for the gradient the adjoint of
-each stack applied to the block of stresses its rows meet.  The stencils
-are shifted-slice sums, stresses and geometry pulls single np.einsum
-contractions (optimize=False: fixed summation order, no BLAS) and the
-quadratic forms pairwise np.sum reductions, so the bytes of an evaluation
-do not depend on the BLAS thread count.
+each stack applied to the block of stresses its rows meet.  A flat
+reference applies only the derivative rows, grid.cell_d1_ops and
+grid.clamped_d2_ops.  The stencils are shifted-slice sums, stresses and
+geometry pulls single np.einsum contractions (optimize=False: fixed
+summation order, no BLAS) and the quadratic forms pairwise np.sum
+reductions, so the bytes of an evaluation do not depend on the BLAS
+thread count.
 """
 
 from __future__ import annotations
@@ -206,7 +208,7 @@ def _bending(op, pull, u3: np.ndarray):
 def plate_membrane_strain(grid: Grid, u: Displacement) -> np.ndarray:
     """Membrane strain of the flat reference: symmetric gradient plus the
     quadratic transverse term, with no curvature couplings."""
-    g = grid.membrane_stencil.leading(2)(np.stack(u.components())).reshape(2, 3, -1)
+    g = grid.cell_d1_ops(np.stack(u.components())).reshape(2, 3, -1)
     return _as_matrix(_membrane_strain(g, None).reshape((3,) + grid.cell_shape))
 
 
@@ -220,12 +222,13 @@ class EnergyAssembly:
     Immutable after construction.  An evaluation reads u and the fields
     built here.  memb_ops and bend_ops are the grid's stacked strain
     stencils: on a curved reference the whole membrane_stencil and
-    bending_stencil, on a flat one only their derivative rows.  memb and
-    bend are the (3, 3, points) Voigt matrices at cell midpoints and at
-    nodes, with the thickness factor, the quadrature weight and the area
-    density folded in; memb_pull and bend_pull are _pull's fields, None on
-    a flat reference; load is the weighted load as a (3, n1, n2) block, and
-    wsa the nodal weight times sqrt(a).
+    bending_stencil, on a flat one their derivative rows cell_d1_ops and
+    clamped_d2_ops.  memb and bend are the (3, 3, points) Voigt matrices
+    at cell midpoints and at nodes, with the thickness factor, the
+    quadrature weight and the area density folded in; memb_pull and
+    bend_pull are _pull's fields, None on a flat reference; load is the
+    weighted load as a (3, n1, n2) block, and wsa the nodal weight times
+    sqrt(a).
     """
 
     grid: Grid
@@ -250,8 +253,8 @@ class EnergyAssembly:
         self.bend = _voigt_matrices(self.geometry.a_inv, mat, mat.eps**3 / 3.0 * self.wsa)
         self.memb_pull, self.bend_pull = _pull(self.cell_geom, 3), _pull(self.geometry, 2)
         # the averages and the first derivatives only where the geometry pulls on them
-        self.memb_ops = grid.membrane_stencil.leading(2 if self.memb_pull is None else 3)
-        self.bend_ops = grid.bending_stencil.leading(3 if self.bend_pull is None else 5)
+        self.memb_ops = grid.cell_d1_ops if self.memb_pull is None else grid.membrane_stencil
+        self.bend_ops = grid.clamped_d2_ops if self.bend_pull is None else grid.bending_stencil
         self.load = np.stack([self.wsa * p for p in self.force.components()])
 
     # -- strain fields ------------------------------------------------------
@@ -364,9 +367,9 @@ class EnergyAssembly:
         a00 = self.geometry.a_inv[..., 0, 0]
         amean = float(np.mean((mat.bulk_factor + 4.0 * mat.mu) * a00 * a00))  # A^{0000}
         cw = grid.cell_weight * self.cell_geom.sqrt_a
-        memb = _squared_adjoint(grid.membrane_stencil.leading(2), cw)
+        memb = _squared_adjoint(grid.cell_d1_ops, cw)
         memb *= mat.eps * amean
-        bend = _squared_adjoint(grid.bending_stencil.leading(3),
+        bend = _squared_adjoint(grid.clamped_d2_ops,
                                 np.array([1.0, 1.0, 2.0])[:, None, None] * self.wsa)
         bend *= (mat.eps**3 / 3.0) * amean
         d = Displacement(memb.copy(), memb.copy(), memb + bend)

@@ -5,28 +5,25 @@ u3 in H2_0, built from second-order centered finite differences, mirror-ghost
 closure of the clamped condition for u3, and tensor-product trapezoidal
 quadrature.
 
-Every difference operator is a Stencil: a linear map between grid fields
-applied by shifted-slice sums over (..., n1, n2) arrays, with an adjoint
-written the same way, so that energy gradients are formed by exact stencil
-transposition.  A stencil holds only the grid's spacings and the rows it
-computes, so it costs nothing to build and nothing to keep.  On flattened
-vectors (node (i, j) is entry i * n2 + j) `op @ x` and `op.T @ y` act as
-the sparse matrices of the same stencils would, row blocks stacked in order.
+The strain operators are two Stencils, stacks of row blocks applied by
+shifted-slice sums over (..., n1, n2) arrays, each with an adjoint written
+the same way, so that energy gradients are formed by exact stencil
+transposition: membrane_stencil computes the cell rows [d1; d2; average]
+and bending_stencil the nodal rows [clamped d11; d22; d12; interior d1;
+d2].  cell_d1_ops, cell_avg_op, clamped_d2_ops and interior_d1_ops are
+views of consecutive row blocks (Stencil.rows).  A stencil holds only the
+grid's spacings and the rows it computes, so it costs nothing to build and
+nothing to keep.  Stencil.local_weights reads a stack's weights off its
+support, so the solver assembles its banded plate Hessian from the same
+stencils the energy applies.
 
-The strain stencils are stored once, stacked by collocation set:
-membrane_stencil computes the cell rows [d1; d2; average] and
-bending_stencil the nodal rows [clamped d11; d22; d12; interior d1; d2].
-The per-stencil operators (cell_d1_ops, cell_avg_op, clamped_d2_ops,
-interior_d1_ops) compute single row blocks of the same code, and
-transposed_ops holds their adjoints.  Stencil.local_weights reads each
-stencil's weights off its support, so the solver assembles its banded
-plate Hessian from the same stencils the energy applies.
+The norms take their derivatives from d1_ops and d2_ops, forward-only
+node-centred stencils with one-sided edge rows.
 """
 
 from __future__ import annotations
 
 import copy
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -102,7 +99,7 @@ class Grid:
         Maps (..., n1, n2) fields to (3, ..., n1 - 1, n2 - 1) cell values;
         cell_d1_ops and cell_avg_op are its row blocks.
         """
-        return _CellStencil(self, (0, 1, 2))
+        return _CellStencil(self)
 
     @cached_property
     def bending_stencil(self) -> "Stencil":
@@ -112,10 +109,10 @@ class Grid:
         Maps (..., n1, n2) fields to (5, ..., n1, n2) nodal values;
         clamped_d2_ops and interior_d1_ops are its row blocks.
         """
-        return _BendingStencil(self, (0, 1, 2, 3, 4))
+        return _BendingStencil(self)
 
     @cached_property
-    def d1_ops(self) -> tuple["Stencil", "Stencil"]:
+    def d1_ops(self) -> tuple["_AxisStencil", "_AxisStencil"]:
         """First-derivative operators (axis 1, axis 2) defined at all nodes.
 
         Centered three-point stencils where the node has two neighbours along
@@ -124,15 +121,18 @@ class Grid:
         return tuple(_AxisStencil(self, axis, _D1_ONE_SIDED) for axis in (1, 2))
 
     @cached_property
-    def d2_ops(self) -> dict[tuple[int, int], "Stencil"]:
+    def d2_ops(self) -> dict:
         """Generic second-derivative operators for arbitrary smooth fields.
 
-        The mixed derivative is the composition of the two first derivative
-        operators, one object for both index orders, hence symmetric in the
-        index pair by construction.
+        The mixed derivative is the axis-1 derivative of the axis-2 one,
+        one callable for both index orders, hence symmetric in the index
+        pair by construction.
         """
-        d1, d2 = self.d1_ops
-        mixed = _Product(d1, d2)
+        along1, along2 = self.d1_ops
+
+        def mixed(f):
+            return along1(along2(f))
+
         return {
             (1, 1): _AxisStencil(self, 1, _D2_ONE_SIDED),
             (2, 2): _AxisStencil(self, 2, _D2_ONE_SIDED),
@@ -160,35 +160,37 @@ class Grid:
         return np.outer(c1, np.ones(self.n2 - 1)), np.outer(np.ones(self.n1 - 1), c2)
 
     @cached_property
-    def cell_d1_ops(self) -> tuple["Stencil", "Stencil"]:
-        """First derivatives at cell centers from the four corner values.
+    def cell_d1_ops(self) -> "Stencil":
+        """First derivatives at cell centers from the four corner values,
+        stacked: [cell d1; cell d2], row blocks 0-1 of membrane_stencil.
 
         Second-order at the cell midpoint and free of the sublattice null
         modes that plague node-collocated centered differences; this is what
         makes the membrane energy coercive on the discrete clamped space.
-        Row blocks 0 and 1 of membrane_stencil.
         """
-        return _CellStencil(self, (0,), False), _CellStencil(self, (1,), False)
+        return self.membrane_stencil.rows(0, 2)
 
     @cached_property
     def cell_avg_op(self) -> "Stencil":
         """Four-corner average onto cell centers (second order); row block 2
         of membrane_stencil."""
-        return _CellStencil(self, (2,), False)
+        return self.membrane_stencil.rows(2, 3)
 
     @cached_property
-    def interior_d1_ops(self) -> tuple["Stencil", "Stencil"]:
-        """Centered first derivatives with rows only at interior nodes.
+    def interior_d1_ops(self) -> "Stencil":
+        """Centered first derivatives with rows only at interior nodes,
+        stacked: [interior d1; interior d2], row blocks 3-4 of
+        bending_stencil.
 
         These are the strain stencils: strain fields are collocated at
-        interior nodes and taken to vanish on the boundary ring.  Row blocks
-        3 and 4 of bending_stencil.
+        interior nodes and taken to vanish on the boundary ring.
         """
-        return _BendingStencil(self, (3,), False), _BendingStencil(self, (4,), False)
+        return self.bending_stencil.rows(3, 5)
 
     @cached_property
-    def clamped_d2_ops(self) -> dict[tuple[int, int], "Stencil"]:
-        """Second-derivative operators for fields clamped in the H2_0 sense.
+    def clamped_d2_ops(self) -> "Stencil":
+        """Second derivatives of fields clamped in the H2_0 sense, stacked:
+        [d11; d22; d12], row blocks 0-2 of bending_stencil.
 
         Rows at interior nodes carry the usual centered stencils.  Rows on
         the two edges normal to the derivative direction carry the
@@ -197,92 +199,64 @@ class Grid:
         the second derivative at an edge node reduces to 2*f(first interior)
         / h^2.  All other edge rows evaluate to zero on clamped fields and
         are left empty; the mixed derivative likewise vanishes on the whole
-        boundary ring under the ghost closure.  Row blocks 0-2 of
-        bending_stencil.
+        boundary ring under the ghost closure.
         """
-        mixed = _BendingStencil(self, (2,), False)
-        return {
-            (1, 1): _BendingStencil(self, (0,), False),
-            (2, 2): _BendingStencil(self, (1,), False),
-            (1, 2): mixed,
-            (2, 1): mixed,
-        }
+        return self.bending_stencil.rows(0, 3)
 
     @cached_property
-    def transposed_ops(self) -> dict:
-        """The adjoints of the strain stencils, keyed by stencil."""
-        d1i = self.interior_d1_ops
-        bend = self.clamped_d2_ops
-        cell = self.cell_d1_ops
-        out = {
-            ("int_d1", 1): d1i[0].T,
-            ("int_d1", 2): d1i[1].T,
-            ("cell_d1", 1): cell[0].T,
-            ("cell_d1", 2): cell[1].T,
-            "cell_avg": self.cell_avg_op.T,
-        }
-        for key in ((1, 1), (2, 2), (1, 2)):
-            out[("bend", key)] = bend[key].T
-        return out
-
-    def apply(self, op: "Stencil", f: np.ndarray) -> np.ndarray:
-        return (op @ f.ravel()).reshape(self.shape)
-
-    def to_cells(self, op: "Stencil", f: np.ndarray) -> np.ndarray:
-        return (op @ f.ravel()).reshape(self.cell_shape)
+    def transposed_ops(self) -> tuple:
+        """The adjoints of the two strain stacks, membrane then bending."""
+        return self.membrane_stencil.adjoint, self.bending_stencil.adjoint
 
 
 # -- stencils ------------------------------------------------------------------
 
 
 class Stencil:
-    """A linear map between grid fields, applied by shifted-slice sums.
+    """A stack of row blocks, applied by shifted-slice sums.
 
-    It maps fields of shape `source` to row blocks of shape `target`: called
-    on an array (..., *source) it returns (blocks, ..., *target), or
-    (..., *target) for an unstacked stencil (blocks = None), and `adjoint`
-    maps such an array back to (..., *source).  `op @ x` applies it to a
-    flattened field, or to the columns of an (op.shape[1], k) block, with
-    the row blocks stacked in order, as a sparse matrix would; `op.T` is the
-    adjoint, itself a Stencil.
+    Called on an array (..., *source) it returns (k, ..., *target), its k
+    row blocks in order, and `adjoint` maps such an array back to
+    (..., *source).  rows(lo, hi) is the stencil of row blocks lo .. hi - 1.
+    A kernel computes a prefix of the stack, the shortest of `prefixes`
+    that holds the rows asked for: rows() slices its output and zero-pads
+    the adjoint's input.
 
     A stencil's row blocks reach the source points target + support[a]
     only; local_weights() reads its weights off that support.
     """
 
     support: tuple = ()
+    prefixes: tuple = ()
 
-    def __init__(self, source, target, blocks=None):
-        self.source, self.target, self.blocks = source, target, blocks
+    def __init__(self, source, target):
+        self.source, self.target = source, target
+        self.lo = 0
+        self.hi = self.prefix = self.prefixes[-1]
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return ((self.blocks or 1) * math.prod(self.target), math.prod(self.source))
+    def rows(self, lo: int, hi: int) -> "Stencil":
+        """The stencil of row blocks lo .. hi - 1 of this one."""
+        if not 0 <= lo < hi <= self.hi - self.lo:
+            raise ValueError(f"no row blocks {lo}:{hi} in a stack of {self.hi - self.lo}")
+        op = copy.copy(self)
+        op.lo, op.hi = self.lo + lo, self.lo + hi
+        op.prefix = min(k for k in self.prefixes if k >= op.hi)
+        return op
 
     def __call__(self, f: np.ndarray) -> np.ndarray:
-        out = self._apply(f)
-        return out if self.blocks else out[0]
+        return self._apply(f)[self.lo : self.hi]
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
-        return self._adjoint(y if self.blocks else y[None])
-
-    @property
-    def T(self) -> "Stencil":
-        return _Adjoint(self)
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return _flat(self, self.__call__, x, (None, self.source), (self.blocks, self.target))
-
-    def leading(self, blocks: int) -> "Stencil":
-        """The stacked stencil of the first `blocks` row blocks."""
-        op = copy.copy(self)
-        op.rows, op.blocks = self.rows[:blocks], blocks
-        return op
+        if (self.lo, self.hi) != (0, self.prefix):
+            padded = np.zeros((self.prefix,) + y.shape[1:])
+            padded[self.lo : self.hi] = y
+            y = padded
+        return self._adjoint(y)
 
     def local_weights(self) -> np.ndarray:
         """w[r, a] at every target point p: the weight that row block r
         gives the source point p + support[a] (0 where that point lies off
-        the grid), a (blocks, len(support), *target) array.
+        the grid), a (k, len(support), *target) array.
 
         Read off by colour probing: source points are coloured by their
         indices modulo the support's extent, so that the support of every
@@ -294,54 +268,13 @@ class Stencil:
         i1, i2 = np.ogrid[: self.source[0], : self.source[1]]
         colour = (i1 % p1) * p2 + i2 % p2
         probes = (colour == np.arange(p1 * p2)[:, None, None]).astype(float)
-        out = self._apply(probes)
+        out = self(probes)
         j1, j2 = np.ogrid[: self.target[0], : self.target[1]]
         w = np.empty((out.shape[0], len(offsets)) + self.target)
         for a, (o1, o2) in enumerate(offsets):
             at = ((j1 + o1) % p1) * p2 + (j2 + o2) % p2
             w[:, a] = np.take_along_axis(out, at[None, None], axis=1)[:, 0]
         return w
-
-
-class _Adjoint(Stencil):
-    def __init__(self, op: Stencil):
-        super().__init__(op.target, op.source, op.blocks)
-        self.op = op
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.op.shape[::-1]
-
-    def __call__(self, y):
-        return self.op.adjoint(y)
-
-    def adjoint(self, f):
-        return self.op(f)
-
-    @property
-    def T(self) -> Stencil:
-        return self.op
-
-    def __matmul__(self, y):
-        return _flat(self, self.op.adjoint, y, (self.blocks, self.source), (None, self.target))
-
-
-def _flat(op: Stencil, fn, x: np.ndarray, layout_in, layout_out) -> np.ndarray:
-    """fn applied to a flattened field x, or to the columns of x, with the
-    fields' layouts given as (blocks, shape); the result flattened alike."""
-    if x.shape[0] != op.shape[1]:
-        raise ValueError(f"operand of {x.shape[0]} rows for an operator of shape {op.shape}")
-    cols = x.shape[1:]
-    (blocks_in, shape_in), (blocks_out, _) = layout_in, layout_out
-    f = x.reshape((blocks_in or 1,) + shape_in + cols)
-    if cols:
-        f = np.moveaxis(f, -1, 1)
-    g = fn(f if blocks_in else f[0])
-    if not blocks_out:
-        g = g[None]
-    if cols:
-        g = np.moveaxis(g, 1, -1)
-    return g.reshape((-1,) + cols)
 
 
 def _parts(axis: int) -> tuple:
@@ -372,58 +305,48 @@ def _spread(left: np.ndarray, right: np.ndarray, axis: int) -> np.ndarray:
 class _CellStencil(Stencil):
     """Rows of [cell d1; cell d2; cell average]: each cell's four corners,
     d1 = q1 ((f10 + f11) - (f00 + f01)), d2 = q2 ((f01 - f00) + (f11 - f10))
-    and the average (f00 + f01 + f10 + f11) / 4, with q = 1 / (2 h)."""
+    and the average (f00 + f01 + f10 + f11) / 4, with q = 1 / (2 h).  The
+    kernels compute the two derivative rows, or all three."""
 
     support = ((0, 0), (0, 1), (1, 0), (1, 1))
+    prefixes = (2, 3)
 
-    def __init__(self, grid: Grid, rows: tuple, stacked: bool = True):
-        super().__init__(grid.shape, grid.cell_shape, len(rows) if stacked else None)
-        self.rows, self.q = rows, (0.5 / grid.h1, 0.5 / grid.h2)
+    def __init__(self, grid: Grid):
+        super().__init__(grid.shape, grid.cell_shape)
+        self.q = (0.5 / grid.h1, 0.5 / grid.h2)
 
     def _apply(self, f):
-        out = np.empty((len(self.rows),) + f.shape[:-2] + self.target)
-        if 1 in self.rows:  # d2: the steps along axis 2, summed along axis 1
-            o = out[self.rows.index(1)]
-            step = f[..., 1:] - f[..., :-1]
-            np.add(step[..., 1:, :], step[..., :-1, :], out=o)
-            o *= self.q[1]
-            del step
-        if set(self.rows) - {1}:  # d1 and the average: the sums along axis 2
-            pair_sum = f[..., 1:] + f[..., :-1]
-            for o, r in zip(out, self.rows):
-                if r == 0:
-                    np.subtract(pair_sum[..., 1:, :], pair_sum[..., :-1, :], out=o)
-                    o *= self.q[0]
-                elif r == 2:
-                    np.add(pair_sum[..., 1:, :], pair_sum[..., :-1, :], out=o)
-                    o *= 0.25
+        (q1, q2), out = self.q, np.empty((self.prefix,) + f.shape[:-2] + self.target)
+        # d2: the steps along axis 2, summed along axis 1
+        step = f[..., 1:] - f[..., :-1]
+        np.add(step[..., 1:, :], step[..., :-1, :], out=out[1])
+        out[1] *= q2
+        del step
+        # d1 and the average: the sums along axis 2, differenced or summed along axis 1
+        pair_sum = f[..., 1:] + f[..., :-1]
+        np.subtract(pair_sum[..., 1:, :], pair_sum[..., :-1, :], out=out[0])
+        out[0] *= q1
+        if self.prefix > 2:
+            np.add(pair_sum[..., 1:, :], pair_sum[..., :-1, :], out=out[2])
+            out[2] *= 0.25
         return out
 
     def _adjoint(self, y):
         # x = spread2(A - B, A + B): A the axis-1 spread of the rows that sum
         # along axis 2 (d1: -q1, +q1; average: 1/4, 1/4), B that of d2 (q2, q2)
-        (q1, q2), rows = self.q, self.rows
-        left = right = None
-        if 0 in rows:
-            right = q1 * y[rows.index(0)]
-            left = -right
-        if 2 in rows:
-            avg = 0.25 * y[rows.index(2)]
-            if left is None:
-                left, right = avg, avg
-            else:
-                left += avg
-                right += avg
+        q1, q2 = self.q
+        right = q1 * y[0]
+        left = -right
+        if self.prefix > 2:
+            avg = 0.25 * y[2]
+            left += avg
+            right += avg
             del avg
-        across = None if left is None else _spread(left, right, -2)
+        across = _spread(left, right, -2)
         del left, right
-        if 1 not in rows:
-            return _spread(across, across, -1)
-        w = q2 * y[rows.index(1)]
+        w = q2 * y[1]
         step = _spread(w, w, -2)
         del w
-        if across is None:
-            return _spread(-step, step, -1)
         plus = across + step
         across -= step
         del step
@@ -435,14 +358,16 @@ class _BendingStencil(Stencil):
 
     At interior nodes the centered stencils; the clamped d11 (d22) also has
     the mirror-ghost rows 2 f(first interior) / h^2 on the two edges normal
-    to its axis, corners included; every other boundary row is zero.
+    to its axis, corners included; every other boundary row is zero.  The
+    kernels compute the three second-derivative rows, or all five.
     """
 
     support = tuple((o1, o2) for o1 in (-1, 0, 1) for o2 in (-1, 0, 1))
+    prefixes = (3, 5)
 
-    def __init__(self, grid: Grid, rows: tuple, stacked: bool = True):
-        super().__init__(grid.shape, grid.shape, len(rows) if stacked else None)
-        self.rows, self.h = rows, (grid.h1, grid.h2)
+    def __init__(self, grid: Grid):
+        super().__init__(grid.shape, grid.shape)
+        self.h = (grid.h1, grid.h2)
         n1, n2 = grid.shape
         # the two edges normal to axis 1 and 2, and the nodes their ghost rows read
         self.edges = ((Ellipsis, slice(None, None, n1 - 1), slice(None)),
@@ -455,94 +380,70 @@ class _BendingStencil(Stencil):
         # every row is computed from shifted contiguous slices over the
         # nodes n2 + 1 .. N - n2 - 2 (all interior nodes and some boundary
         # ones), then the boundary rows are cleared and the ghost rows set
-        (h1, h2), rows = self.h, self.rows
+        h1, h2 = self.h
         n1, n2 = self.source
         size, lead = n1 * n2, f.shape[:-2]
         flat = f.reshape(lead + (size,))
-        out = np.zeros((len(rows),) + lead + (size,))
-        band = (Ellipsis, slice(n2 + 1, size - n2 - 1))
+        out = np.zeros((self.prefix,) + lead + (size,))
+        rows = [o[..., n2 + 1 : size - n2 - 1] for o in out]
         up, down = flat[..., 2 * n2 + 1 : size - 1], flat[..., 1 : size - 2 * n2 - 1]
-        if {0, 1} & set(rows):
-            twice = 2.0 * flat[band]
-        if {2, 4} & set(rows):
-            across = flat[..., 2:] - flat[..., :-2]  # centered steps along axis 2, from node 1
-        for o, r in zip(out, rows):
-            ob = o[band]
-            if r == 0:
-                np.add(down, up, out=ob)
-                ob -= twice
-                ob *= 1.0 / h1**2
-            elif r == 1:
-                np.add(flat[..., n2 : size - n2 - 2], flat[..., n2 + 2 : size - n2], out=ob)
-                ob -= twice
-                ob *= 1.0 / h2**2
-            elif r == 2:
-                np.subtract(across[..., 2 * n2 : size - 2], across[..., : size - 2 * n2 - 2],
-                            out=ob)
-                ob *= 0.25 / (h1 * h2)
-            elif r == 3:
-                np.subtract(up, down, out=ob)
-                ob *= 0.5 / h1
-            else:
-                np.multiply(across[..., n2 : size - n2 - 2], 0.5 / h2, out=ob)
+        twice = 2.0 * flat[..., n2 + 1 : size - n2 - 1]
+        across = flat[..., 2:] - flat[..., :-2]  # centered steps along axis 2, from node 1
+        np.add(down, up, out=rows[0])
+        rows[0] -= twice
+        rows[0] *= 1.0 / h1**2
+        np.add(flat[..., n2 : size - n2 - 2], flat[..., n2 + 2 : size - n2], out=rows[1])
+        rows[1] -= twice
+        rows[1] *= 1.0 / h2**2
+        np.subtract(across[..., 2 * n2 : size - 2], across[..., : size - 2 * n2 - 2],
+                    out=rows[2])
+        rows[2] *= 0.25 / (h1 * h2)
+        if self.prefix > 3:
+            np.subtract(up, down, out=rows[3])
+            rows[3] *= 0.5 / h1
+            np.multiply(across[..., n2 : size - n2 - 2], 0.5 / h2, out=rows[4])
         out = out.reshape(out.shape[:-1] + self.source)
         out[..., 1:-1, :: n2 - 1] = 0.0
-        for o, r in zip(out, rows):
-            if r < 2:
-                h = self.h[r]
-                np.multiply(f[self.ghosts[r]], 2.0 / h**2, out=o[self.edges[r]])
+        for r in (0, 1):
+            np.multiply(f[self.ghosts[r]], 2.0 / self.h[r] ** 2, out=out[r][self.edges[r]])
         return out
-
-    def _scale(self) -> np.ndarray:
-        """The factor of each row's centered stencil."""
-        h1, h2 = self.h
-        return np.array([(1.0 / h1**2, 1.0 / h2**2, 0.25 / (h1 * h2), 0.5 / h1, 0.5 / h2)[r]
-                         for r in self.rows])
 
     def _adjoint(self, y):
         # the interior rows, scaled and cleared on the boundary nodes, spread
         # onto their neighbours by shifted slices of the flattened nodes, as
         # in _apply; then the ghost rows
-        rows = self.rows
+        h1, h2 = self.h
         n1, n2 = self.source
         size = n1 * n2
+        scale = np.array((1.0 / h1**2, 1.0 / h2**2, 0.25 / (h1 * h2), 0.5 / h1, 0.5 / h2))
         flat = y.reshape(y.shape[:-2] + (size,))[..., n2 + 1 : size - n2 - 1]
-        flat = flat * self._scale().reshape((-1,) + (1,) * (flat.ndim - 1))
+        flat = flat * scale[: self.prefix].reshape((-1,) + (1,) * (flat.ndim - 1))
         flat[..., n2 - 2 :: n2] = 0.0
         flat[..., n2 - 1 :: n2] = 0.0
-        part = dict(zip(rows, flat))
         x = np.zeros(y.shape[1:-2] + (size,))
         # d11 and d1 along axis 1, d22 and d2 along axis 2: the weights of
         # the neighbours at +1 and -1
-        for second, first, step in ((0, 3, n2), (1, 4, 1)):
-            curv, slope = part.get(second), part.get(first)
-            if curv is None and slope is None:
-                continue
+        for second, step in ((0, n2), (1, 1)):
+            curv = flat[second]
             up = x[..., n2 + 1 + step : size - n2 - 1 + step]
             down = x[..., n2 + 1 - step : size - n2 - 1 - step]
-            if curv is None:
-                up += slope
-                down -= slope
-            elif slope is None:
-                up += curv
-                down += curv
-            else:
+            if self.prefix > 3:
+                slope = flat[second + 3]
                 up += curv + slope
                 down += curv - slope
+            else:
+                up += curv
+                down += curv
         # and of the node itself
-        if 0 in part or 1 in part:
-            center = part[0] + part[1] if 0 in part and 1 in part else part.get(0, part.get(1))
-            x[..., n2 + 1 : size - n2 - 1] -= 2.0 * center
-        if 2 in part:
-            twist = part[2]
-            x[..., 2 * n2 + 2 :] += twist
-            x[..., : size - 2 * n2 - 2] += twist
-            x[..., 2 * n2 : size - 2] -= twist
-            x[..., 2 : size - 2 * n2] -= twist
+        x[..., n2 + 1 : size - n2 - 1] -= 2.0 * (flat[0] + flat[1])
+        twist = flat[2]
+        x[..., 2 * n2 + 2 :] += twist
+        x[..., : size - 2 * n2 - 2] += twist
+        x[..., 2 * n2 : size - 2] -= twist
+        x[..., 2 : size - 2 * n2] -= twist
         x = x.reshape(y.shape[1:])
-        for r, p in zip(rows, y):
-            if r < 2:
-                x[self.ghosts[r]] += (2.0 / self.h[r] ** 2) * p[self.edges[r]]
+        for r in (0, 1):
+            x[self.ghosts[r]] += (2.0 / self.h[r] ** 2) * y[r][self.edges[r]]
         return x
 
 
@@ -553,12 +454,11 @@ _D1_ONE_SIDED = (1, (-0.5, 0.0, 0.5), (-1.5, 2.0, -0.5))
 _D2_ONE_SIDED = (2, (1.0, -2.0, 1.0), (2.0, -5.0, 4.0, -1.0))
 
 
-class _AxisStencil(Stencil):
+class _AxisStencil:
     """A 1-D derivative along one axis at every node, with one-sided rows on
-    the two edges normal to it."""
+    the two edges normal to it; maps (..., n1, n2) fields to (..., n1, n2)."""
 
     def __init__(self, grid: Grid, axis: int, stencil):
-        super().__init__(grid.shape, grid.shape)
         order, centered, edge = stencil
         h = grid.h1 if axis == 1 else grid.h2
         scale = 1.0 / h**order
@@ -567,13 +467,10 @@ class _AxisStencil(Stencil):
         self.first = [e * scale for e in edge]
         self.last = [(-1) ** order * e * scale for e in edge[::-1]]
 
-    def _lines(self, a):
-        """a with the stencil's axis first."""
-        return np.moveaxis(a, self.axis, 0)
-
-    def _apply(self, f):
+    def __call__(self, f):
         out = np.empty(f.shape)
-        g, o = self._lines(f), self._lines(out)
+        # the stencil's axis first
+        g, o = np.moveaxis(f, self.axis, 0), np.moveaxis(out, self.axis, 0)
         lo, mid, hi = self.centered
         np.multiply(g[:-2], lo, out=o[1:-1])
         if mid:
@@ -582,36 +479,7 @@ class _AxisStencil(Stencil):
         k = len(self.first)
         o[0] = sum(c * g[i] for i, c in enumerate(self.first))
         o[-1] = sum(c * g[i - k] for i, c in enumerate(self.last))
-        return out[None]
-
-    def _adjoint(self, y):
-        x = np.zeros(y.shape[1:])
-        g, o = self._lines(y[0]), self._lines(x)
-        lo, mid, hi = self.centered
-        o[:-2] += lo * g[1:-1]
-        if mid:
-            o[1:-1] += mid * g[1:-1]
-        o[2:] += hi * g[1:-1]
-        k = len(self.first)
-        for i, c in enumerate(self.first):
-            o[i] += c * g[0]
-        for i, c in enumerate(self.last):
-            o[i - k] += c * g[-1]
-        return x
-
-
-class _Product(Stencil):
-    """The composition outer(inner(f)) of two unstacked stencils."""
-
-    def __init__(self, outer: Stencil, inner: Stencil):
-        super().__init__(inner.source, outer.target)
-        self.outer, self.inner = outer, inner
-
-    def _apply(self, f):
-        return self.outer._apply(self.inner(f))
-
-    def _adjoint(self, y):
-        return self.inner.adjoint(self.outer._adjoint(y))
+        return out
 
 
 # -- public difference / quadrature operations -----------------------------
@@ -621,7 +489,7 @@ def d1(grid: Grid, f: np.ndarray, axis: int) -> np.ndarray:
     """First partial derivative along axis 1 or 2 (centered interior)."""
     if axis not in (1, 2):
         raise ValueError("axis must be 1 or 2")
-    return grid.apply(grid.d1_ops[axis - 1], f)
+    return grid.d1_ops[axis - 1](f)
 
 
 def d2(grid: Grid, f: np.ndarray, a: int, b: int, clamped: bool = False) -> np.ndarray:
@@ -632,8 +500,9 @@ def d2(grid: Grid, f: np.ndarray, a: int, b: int, clamped: bool = False) -> np.n
     """
     if a not in (1, 2) or b not in (1, 2):
         raise ValueError("derivative indices must be 1 or 2")
-    ops = grid.clamped_d2_ops if clamped else grid.d2_ops
-    return grid.apply(ops[(a, b)], f)
+    if clamped:
+        return grid.clamped_d2_ops(f)[a - 1 if a == b else 2]
+    return grid.d2_ops[(a, b)](f)
 
 
 def integrate(grid: Grid, f: np.ndarray, weight: np.ndarray | None = None) -> float:

@@ -99,7 +99,7 @@ def read_displacement_csv(path, grid: Grid):
     if malformed:
         # The first row decides whether the coordinate columns are compared:
         # the benchmark's fields257 load writes numpy reprs such as
-        # `np.float64(0.5)` there (ROADMAP item 3).
+        # `np.float64(0.5)` there (ROADMAP item 4).
         compare = _holds_numbers(_data_row(path, 0))
         with open(path) as fh:
             lines = _data_lines(fh)

@@ -18,9 +18,10 @@ Optimization, 2nd ed., section 7.2):
 
 One builder, _plate_hessian_solve(grid, mat, u), makes both; nothing is
 cached, so a minimize call given no H0 factors its own.  Its blocks are
-assembled from the grid's stencils straight into LAPACK band storage, and
-the coupling block K_3t is never stored: its products run through the same
-stencils.
+assembled from the local weights of the grid's stencils (grid.cell_d1_ops,
+grid.clamped_d2_ops) straight into LAPACK band storage, and the coupling
+block K_3t is never stored: its products apply the cell stencils and their
+adjoint.
 
 Results repeat bitwise for a given configuration seed.  The solver's
 reductions are numpy sums in a fixed order, not BLAS dot products, so they
@@ -362,7 +363,7 @@ def _bending_band(grid: Grid, mat: Material) -> np.ndarray:
     column doubled (to act on d12 rather than 2 d12), times the trapezoidal
     weight and eps^3 / 3: 9 x 9 local matrices, one per node.
     """
-    stencil = grid.bending_stencil.leading(3)
+    stencil = grid.clamped_d2_ops
     shear = np.array([1.0, 1.0, 2.0])
     c = (np.outer(shear, shear) * flat_voigt(mat))[..., None, None] \
         * ((mat.eps**3 / 3.0) * grid.weights)
@@ -385,7 +386,7 @@ def _membrane_band(grid: Grid, mat: Material) -> np.ndarray:
     linearized membrane strain from the cell-derivative rows of
     membrane_stencil, c the weighted Voigt matrix: 8 x 8 local matrices,
     one per cell, over its four corners' (u1, u2)."""
-    stencil = grid.membrane_stencil.leading(2)
+    stencil = grid.cell_d1_ops
     cell = stencil.local_weights()
     weights = np.einsum("avb,as...->vsb...", np.array(_MEMBRANE_ROWS), cell)
     weights = weights.reshape((3, 8) + grid.cell_shape)
@@ -432,7 +433,7 @@ def _plate_hessian_blocks(grid: Grid, mat: Material, u: Displacement | None = No
     the bending band and None."""
     if u is None or not any(c.any() for c in u.components()):
         return _bending_band(grid, mat), None
-    cells = grid.membrane_stencil.leading(2)
+    cells = grid.cell_d1_ops
     g = cells(np.stack(u.components()))  # g[a, k]: D_a of component k
     du = g[:, 2]
     strain = np.stack((g[0, 0] + 0.5 * du[0] ** 2, g[1, 1] + 0.5 * du[1] ** 2,
@@ -454,25 +455,25 @@ class _Coupling:
     """K_3t = D^T (P^T W C) E_t on the interior unknowns, applied through the
     grid's cell stencils: the membrane strain of (u1, u2), then the per-cell
     3 -> 2 map pwc = P^T W C, then the adjoint of the cell derivatives.  Its
-    transpose K_t3 runs the same steps backwards.  Never stored."""
+    adjoint, K_t3, runs the same steps backwards.  Never stored."""
 
-    def __init__(self, cells, pwc: np.ndarray, transposed: bool = False):
-        self.cells, self.pwc, self.transposed = cells, pwc, transposed
+    def __init__(self, cells, pwc: np.ndarray):
+        self.cells, self.pwc = cells, pwc
         self.inner = (cells.source[0] - 2, cells.source[1] - 2)
 
-    @property
-    def T(self) -> "_Coupling":
-        return _Coupling(self.cells, self.pwc, not self.transposed)
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """K_3t x: (u1, u2) interleaved -> u3."""
         cells, (m1, m2) = self.cells, self.inner
-        if not self.transposed:  # (u1, u2) interleaved -> u3
-            ut = np.zeros((2,) + cells.source)
-            ut[:, 1:-1, 1:-1] = np.moveaxis(x.reshape(m1, m2, 2), -1, 0)
-            g = cells(ut)
-            e = np.stack((g[0, 0], g[1, 1], g[1, 0] + g[0, 1]))
-            y = np.einsum("av...,v...->a...", self.pwc, e)
-            return cells.adjoint(y)[1:-1, 1:-1].ravel()
+        ut = np.zeros((2,) + cells.source)
+        ut[:, 1:-1, 1:-1] = np.moveaxis(x.reshape(m1, m2, 2), -1, 0)
+        g = cells(ut)
+        e = np.stack((g[0, 0], g[1, 1], g[1, 0] + g[0, 1]))
+        y = np.einsum("av...,v...->a...", self.pwc, e)
+        return cells.adjoint(y)[1:-1, 1:-1].ravel()
+
+    def adjoint(self, x: np.ndarray) -> np.ndarray:
+        """K_t3 x: u3 -> (u1, u2) interleaved."""
+        cells, (m1, m2) = self.cells, self.inner
         u3 = np.zeros(cells.source)
         u3[1:-1, 1:-1] = x.reshape(m1, m2)
         s = np.einsum("av...,a...->v...", self.pwc, cells(u3))
@@ -499,15 +500,14 @@ class _PlateSolve:
 
     def __init__(self, name: str, membrane, k33, k3t: _Coupling | None):
         self.name, self.membrane, self.k33, self.k3t = name, membrane, k33, k3t
-        self.kt3 = None if k3t is None else k3t.T
 
     def __call__(self, g: np.ndarray) -> np.ndarray:
         n = g.size // 3
         gt = _interleave(g[: 2 * n])
         if self.k3t is None:
             return np.concatenate((_deinterleave(self.membrane(gt)), self.k33(g[2 * n :])))
-        x3 = self.k33(g[2 * n :] - self.k3t @ self.membrane(gt))
-        xt = self.membrane(gt - self.kt3 @ x3)
+        x3 = self.k33(g[2 * n :] - self.k3t(self.membrane(gt)))
+        xt = self.membrane(gt - self.k3t.adjoint(x3))
         return np.concatenate((_deinterleave(xt), x3))
 
 

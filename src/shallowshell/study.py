@@ -37,7 +37,7 @@ class StudyRow:
 @dataclass
 class StudyReport:
     rows: list[StudyRow]
-    boundedness: float
+    boundedness: float  # the largest v_norm over the rows
     meta: str
     steps: list[HomotopyStep]
 

@@ -4,8 +4,11 @@ Every operator is built as the Kronecker product of dense 1-D stencils
 (node (i, j) is entry i * n2 + j, so the axis-1 factor is the outer one),
 the way the program built them before its stencils were written as
 shifted-slice sums.  The tests compare the slicing stencils, their
-adjoints, their local weights and the banded plate Hessian with these.
+adjoints, their local weights and the banded plate Hessian with these;
+dense() gives a stencil's own matrices for the comparison.
 """
+
+import math
 
 import numpy as np
 import scipy.sparse as sp
@@ -68,9 +71,9 @@ def kron(a, b):
 
 
 def kron_ops(grid):
-    """Every stencil of the grid as a CSR matrix, keyed as transposed_ops
-    keys the strain stencils, plus ("d1", axis) and ("d2", (a, b)) for the
-    one-sided family."""
+    """Every stencil of the grid as a CSR matrix: the strain rows keyed
+    ("cell_d1", axis), "cell_avg", ("bend", (a, b)) and ("int_d1", axis),
+    and ("d1", axis) and ("d2", (a, b)) for the one-sided family."""
     n1, n2, h1, h2 = grid.n1, grid.n2, grid.h1, grid.h2
     q1, q2 = 0.5 / h1, 0.5 / h2
     both1, both2 = cell(n1, 1.0, 1.0), cell(n2, 1.0, 1.0)
@@ -102,6 +105,23 @@ def kron_stacks(grid):
     bending = sp.vstack([ops["bend", (1, 1)], ops["bend", (2, 2)], ops["bend", (1, 2)],
                          ops["int_d1", 1], ops["int_d1", 2]], format="csr")
     return membrane, bending
+
+
+def dense(op, shape=None):
+    """The dense matrices of a grid stencil, built by applying it to the
+    identity, each column the image of one unit field (fields flattened
+    with node (i, j) at entry i * n2 + j, row blocks stacked in order):
+    (forward, adjoint) for a Stencil, and the forward matrix alone for a
+    forward-only callable on fields of `shape` (d1_ops, d2_ops)."""
+    source = op.source if shape is None else shape
+    n = math.prod(source)
+    out = op(np.eye(n).reshape((n,) + source))
+    if shape is not None:
+        return out.reshape(n, -1).T
+    forward = np.moveaxis(out, 1, -1).reshape(-1, n)
+    m = forward.shape[0]
+    units = np.moveaxis(np.eye(m).reshape((m, out.shape[0]) + out.shape[2:]), 0, 1)
+    return forward, op.adjoint(units).reshape(m, n).T
 
 
 def relative(got, ref):

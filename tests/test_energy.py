@@ -73,8 +73,7 @@ def test_membrane_strain_tangential_only(grid9):
     u = Displacement.zeros(grid9)
     u.u1[:] = grid9.y1 * (1 - grid9.y1) * grid9.y2 * (1 - grid9.y2)
     E = plate_membrane_strain(grid9, u)
-    d1c, _ = grid9.cell_d1_ops
-    assert np.array_equal(E[..., 0, 0], grid9.to_cells(d1c, u.u1))
+    assert np.array_equal(E[..., 0, 0], grid9.cell_d1_ops(u.u1)[0])
     assert np.all(E[..., 1, 1] == 0.0)
 
 
@@ -82,9 +81,7 @@ def test_membrane_strain_pure_transverse(grid9, rng):
     u = Displacement.zeros(grid9)
     u.u3[1:-1, 1:-1] = 0.3 * rng.standard_normal((grid9.n1 - 2, grid9.n2 - 2))
     E = plate_membrane_strain(grid9, u)
-    d1c, d2c = grid9.cell_d1_ops
-    g1 = grid9.to_cells(d1c, u.u3)
-    g2 = grid9.to_cells(d2c, u.u3)
+    g1, g2 = grid9.cell_d1_ops(u.u3)
     assert np.allclose(E[..., 0, 0], 0.5 * g1 * g1, atol=0)
     assert np.allclose(E[..., 0, 1], 0.5 * g1 * g2, atol=0)
     assert np.min(E[..., 0, 0]) >= 0.0  # squares
@@ -94,9 +91,9 @@ def test_bending_strain_plate_is_plain_second_derivative(grid9, material, rng):
     asm = make_assembly(grid9, Immersion("plate"), material, ForceDensity.zero(grid9))
     u3 = random_clamped_displacement(grid9, rng).u3
     F = asm.bending_strain(u3)
-    ops = grid9.clamped_d2_ops
-    assert np.array_equal(F[..., 0, 0], grid9.apply(ops[(1, 1)], u3))
-    assert np.array_equal(F[..., 0, 1], grid9.apply(ops[(1, 2)], u3))
+    d11, _, d12 = grid9.clamped_d2_ops(u3)
+    assert np.array_equal(F[..., 0, 0], d11)
+    assert np.array_equal(F[..., 0, 1], d12)
     assert np.all(asm.bending_strain(np.zeros(grid9.shape)) == 0.0)
 
 
@@ -263,17 +260,21 @@ def test_hessian_diagonal_estimate_is_the_squared_stencil_sum(dims, kind, materi
 def _reference_evaluation(asm, u):
     """Energy, energy scale, gradient and strains at u from the full tensor
     of build_tensor contracted with einsum, one sparse product per field and
-    stencil, and strains as (..., 2, 2) matrices."""
+    stencil (the sp.kron builds), and strains as (..., 2, 2) matrices."""
     grid, cg, ng, mat = asm.grid, asm.cell_geom, asm.geometry, asm.material
-    cells = grid.to_cells
+    ops = kron_ops(grid)
 
-    def back(op_t, c):
-        return (op_t @ c.ravel()).reshape(grid.shape)
-    d1c, d2c = grid.cell_d1_ops
-    avg = grid.cell_avg_op
+    def cells(key, f):
+        return (ops[key] @ f.ravel()).reshape(grid.cell_shape)
+
+    def nodes(key, f):
+        return (ops[key] @ f.ravel()).reshape(grid.shape)
+
+    def back(key, c):
+        return (ops[key].T @ c.ravel()).reshape(grid.shape)
 
     def cgrad(f):
-        return np.stack([cells(d1c, f), cells(d2c, f)])
+        return np.stack([cells(("cell_d1", 1), f), cells(("cell_d1", 2), f)])
 
     gu = [cgrad(u.u1), cgrad(u.u2)]
     du = cgrad(u.u3)
@@ -281,16 +282,15 @@ def _reference_evaluation(asm, u):
     for a in range(2):
         for b in range(2):
             E[..., a, b] = 0.5 * (gu[a][b] + gu[b][a]) + 0.5 * du[a] * du[b]
-    tang = np.stack([cells(avg, u.u1), cells(avg, u.u2)])
+    tang = np.stack([cells("cell_avg", u.u1), cells("cell_avg", u.u2)])
     E -= np.einsum("xysab,sxy->xyab", cg.gamma, tang)
-    E -= cg.b * cells(avg, u.u3)[..., None, None]
+    E -= cg.b * cells("cell_avg", u.u3)[..., None, None]
 
-    ops = grid.clamped_d2_ops
     F = np.empty(grid.shape + (2, 2))
     for a in range(2):
         for b in range(2):
-            F[..., a, b] = grid.apply(ops[(a + 1, b + 1)], u.u3)
-    dn = np.stack([grid.apply(op, u.u3) for op in grid.interior_d1_ops])
+            F[..., a, b] = nodes(("bend", (min(a, b) + 1, max(a, b) + 1)), u.u3)
+    dn = np.stack([nodes(("int_d1", k), u.u3) for k in (1, 2)])
     F -= np.einsum("xysab,sxy->xyab", ng.gamma, dn)
 
     A_cell = build_tensor(cg.a_inv, mat)
@@ -306,8 +306,7 @@ def _reference_evaluation(asm, u):
 
     SE = cw[..., None, None] * np.einsum("xyabst,xyst->xyab", A_cell, E)
     SF = bw[..., None, None] * np.einsum("xyabst,xyst->xyab", A_node, F)
-    tops = grid.transposed_ops
-    t1, t2, tavg = tops[("cell_d1", 1)], tops[("cell_d1", 2)], tops["cell_avg"]
+    t1, t2, tavg = ("cell_d1", 1), ("cell_d1", 2), "cell_avg"
     pulled = np.einsum("xysab,xyab->sxy", cg.gamma, SE)
     g = [back(t1, SE[..., k, 0]) + back(t2, SE[..., k, 1]) - back(tavg, pulled[k])
          for k in range(2)]
@@ -316,9 +315,9 @@ def _reference_evaluation(asm, u):
           - back(tavg, np.einsum("xyab,xyab->xy", cg.b, SE)))
     for a in range(2):
         for b in range(2):
-            g3 += grid.apply(tops[("bend", (min(a, b) + 1, max(a, b) + 1))], SF[..., a, b])
+            g3 += back(("bend", (min(a, b) + 1, max(a, b) + 1)), SF[..., a, b])
     pulled = np.einsum("xysab,xyab->sxy", ng.gamma, SF)
-    g3 -= grid.apply(tops[("int_d1", 1)], pulled[0]) + grid.apply(tops[("int_d1", 2)], pulled[1])
+    g3 -= back(("int_d1", 1), pulled[0]) + back(("int_d1", 2), pulled[1])
     grad = []
     for gk, p in zip(g + [g3], asm.force.components()):
         gk = gk - wsa * p

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kron_reference import kron_ops, kron_stacks, relative
+from kron_reference import dense, kron_ops, kron_stacks, relative
 from shallowshell import Displacement, Grid, d1, d2, integrate, v_norm
 from shallowshell.grid import (
     h2_seminorm,
@@ -143,20 +143,19 @@ def test_cell_gradient_kernel_trivial():
     node-centered stencils fail it (sublattice combs), so guard it.
     """
     grid = Grid(1.0, 1.0, 9, 9)
-    d1c, d2c = grid.cell_d1_ops
     # the odd-odd comb is invisible to interior centered differences ...
     comb = np.zeros(grid.shape)
     comb[1:-1:2, 1:-1:2] = 1.0
-    p1, p2 = grid.interior_d1_ops
+    p1, p2 = grid.interior_d1_ops(comb)
     deep = np.zeros(grid.shape, dtype=bool)
     deep[3:-3, 3:-3] = True
-    assert np.max(np.abs(grid.apply(p1, comb)[deep])) == 0.0
-    assert np.max(np.abs(grid.apply(p2, comb)[deep])) == 0.0
+    assert np.max(np.abs(p1[deep])) == 0.0
+    assert np.max(np.abs(p2[deep])) == 0.0
     # ... but the cell stencils see it at full strength
-    cells = np.abs(grid.to_cells(d1c, comb))
+    cells = np.abs(grid.cell_d1_ops(comb)[0])
     assert np.max(cells) >= 1.0 / (2 * grid.h1)
     # and their joint kernel over clamped fields is trivial
-    stacked = np.vstack([d1c @ np.eye(grid.num_nodes), d2c @ np.eye(grid.num_nodes)])
+    stacked = dense(grid.cell_d1_ops)[0]
     interior_cols = np.flatnonzero(grid.interior.ravel())
     sub = stacked[:, interior_cols]
     sv = np.linalg.svd(sub, compute_uv=False)
@@ -164,13 +163,13 @@ def test_cell_gradient_kernel_trivial():
 
 
 def test_cell_ops_exact_on_linears(grid9):
-    d1c, d2c = grid9.cell_d1_ops
     f = 2.0 * grid9.y1 - 0.7 * grid9.y2
-    assert np.max(np.abs(grid9.to_cells(d1c, f) - 2.0)) < 1e-13
-    assert np.max(np.abs(grid9.to_cells(d2c, f) + 0.7)) < 1e-13
-    avg = grid9.cell_avg_op
+    g1, g2 = grid9.cell_d1_ops(f)
+    assert np.max(np.abs(g1 - 2.0)) < 1e-13
+    assert np.max(np.abs(g2 + 0.7)) < 1e-13
+    (avg,) = grid9.cell_avg_op(f)
     c1, c2 = grid9.cell_centers
-    assert np.max(np.abs(grid9.to_cells(avg, f) - (2.0 * c1 - 0.7 * c2))) < 1e-13
+    assert np.max(np.abs(avg - (2.0 * c1 - 0.7 * c2))) < 1e-13
 
 
 def test_displacement_clamping_helpers(grid9):
@@ -201,6 +200,7 @@ def test_operators_exact_along_each_axis_on_non_square_grids(dims):
     inner = grid.interior
     p = grid.interior_d1_ops
     cell = grid.cell_d1_ops
+    avg = grid.cell_avg_op
 
     def close(a, b):
         return np.allclose(a, b, rtol=0.0, atol=1e-9)
@@ -223,110 +223,103 @@ def test_operators_exact_along_each_axis_on_non_square_grids(dims):
             assert close(clamped[:, 0], 2.0 * quad[:, 1] / h[2] ** 2)
             assert close(clamped[:, -1], 2.0 * quad[:, -2] / h[2] ** 2)
             assert np.all(clamped[0, 1:-1] == 0.0) and np.all(clamped[-1, 1:-1] == 0.0)
-        assert close(grid.apply(p[a - 1], quad)[inner], 2.0 * y[a][inner])
-        assert close(grid.apply(p[b - 1], quad), 0.0)
-        assert np.all(grid.apply(p[a - 1], quad)[~inner] == 0.0)
-        assert close(grid.to_cells(cell[a - 1], quad), 2.0 * c[a])
-        assert close(grid.to_cells(cell[b - 1], quad), 0.0)
-        assert close(grid.to_cells(grid.cell_avg_op, lin), c[a])
+        assert close(p(quad)[a - 1][inner], 2.0 * y[a][inner])
+        assert close(p(quad)[b - 1], 0.0)
+        assert np.all(p(quad)[a - 1][~inner] == 0.0)
+        assert close(cell(quad)[a - 1], 2.0 * c[a])
+        assert close(cell(quad)[b - 1], 0.0)
+        assert close(avg(lin)[0], c[a])
     bilinear = grid.y1 * grid.y2
     assert close(d2(grid, bilinear, 1, 2), 1.0)
     assert close(d2(grid, bilinear, 1, 2, clamped=True)[inner], 1.0)
-    assert close(grid.to_cells(cell[0], bilinear), c[2])
-    assert close(grid.to_cells(cell[1], bilinear), c[1])
-    assert close(grid.to_cells(grid.cell_avg_op, bilinear), c[1] * c[2])
+    assert close(cell(bilinear)[0], c[2])
+    assert close(cell(bilinear)[1], c[1])
+    assert close(avg(bilinear)[0], c[1] * c[2])
 
 
-def _forward_ops(grid):
-    """The operator behind each transposed_ops key and each kron_ops key."""
-    ops = {"cell_avg": grid.cell_avg_op}
-    for axis in (1, 2):
-        ops[("int_d1", axis)] = grid.interior_d1_ops[axis - 1]
-        ops[("cell_d1", axis)] = grid.cell_d1_ops[axis - 1]
-        ops[("d1", axis)] = grid.d1_ops[axis - 1]
-    for key in ((1, 1), (2, 2), (1, 2)):
-        ops[("bend", key)] = grid.clamped_d2_ops[key]
-        ops[("d2", key)] = grid.d2_ops[key]
-    return ops
-
-
-def _operands(rng, n):
-    """A vector with signed zeros and a 3-column block, of n rows."""
-    x = rng.standard_normal(n)
-    x[::7] = -0.0
-    return x, np.column_stack([x, rng.standard_normal(n), -x])
+def _views(grid):
+    """Each named row-block view of the strain stacks: (view, stack, lo, hi,
+    the kron_ops keys of its rows)."""
+    membrane, bending = grid.membrane_stencil, grid.bending_stencil
+    return (
+        (grid.cell_d1_ops, membrane, 0, 2, [("cell_d1", 1), ("cell_d1", 2)]),
+        (grid.cell_avg_op, membrane, 2, 3, ["cell_avg"]),
+        (grid.clamped_d2_ops, bending, 0, 3, [("bend", (1, 1)), ("bend", (2, 2)),
+                                              ("bend", (1, 2))]),
+        (grid.interior_d1_ops, bending, 3, 5, [("int_d1", 1), ("int_d1", 2)]),
+    )
 
 
 _DIMS = [(2.0, 1.0, 9, 5), (1.3, 0.7, 17, 33)]
 
 
 @pytest.mark.parametrize("dims", _DIMS)
-def test_transposed_ops_are_the_adjoints_of_the_kron_builds(dims, rng):
-    """Every transpose is the adjoint of its forward stencil: its vector and
-    3-column block products are those of the transposed sp.kron build to
-    roundoff (1e-13 relative), and its transpose is the forward stencil."""
+def test_transposed_ops_are_the_adjoints_of_the_kron_builds(dims):
+    """transposed_ops holds the adjoints of the two stacks, and each is the
+    transposed sp.kron build to roundoff (1e-13 relative), entry by entry."""
     grid = Grid(*dims)
-    forward, reference = _forward_ops(grid), kron_ops(grid)
-    assert set(grid.transposed_ops) == {k for k in forward if k[0] not in ("d1", "d2")}
-    for key, op_t in grid.transposed_ops.items():
-        ref_t = reference[key].T.tocsr()
-        assert op_t.shape == ref_t.shape == forward[key].shape[::-1]
-        assert op_t.T is forward[key]
-        for v in _operands(rng, op_t.shape[1]):
-            assert relative(op_t @ v, ref_t @ v) <= 1e-13, key
+    stacks = (grid.membrane_stencil, grid.bending_stencil)
+    assert grid.transposed_ops == tuple(stack.adjoint for stack in stacks)
+    for stack, ref in zip(stacks, kron_stacks(grid)):
+        assert relative(dense(stack)[1], ref.T.toarray()) <= 1e-13
 
 
 @pytest.mark.parametrize("dims", _DIMS)
-def test_stencils_are_row_blocks_of_the_stacks(dims, rng):
-    """Every per-stencil operator and every leading-row stack matches the
-    Kronecker-built operator, forward and adjoint, to roundoff; the
-    per-stencil products are the stacks' row blocks byte for byte; and no
-    operator holds an array."""
+def test_stencils_are_row_blocks_of_the_stacks(dims):
+    """Both stacks and every named view of their row blocks match the
+    Kronecker-built operators, forward and adjoint, to roundoff (1e-13
+    relative, entry by entry); no operator holds an array."""
     grid = Grid(*dims)
-    forward, reference = _forward_ops(grid), kron_ops(grid)
-    for key, op in forward.items():
-        ref = reference[key]
-        assert op.shape == ref.shape
-        for v in _operands(rng, op.shape[1]):
-            assert relative(op @ v, ref @ v) <= 1e-13, key
-        for v in _operands(rng, op.shape[0]):
-            assert relative(op.T @ v, ref.T @ v) <= 1e-13, key
-        assert not any(isinstance(a, np.ndarray) for a in vars(op).values()), key
-    membrane, bending = grid.membrane_stencil, grid.bending_stencil
-    assert membrane.shape == (3 * grid.num_cells, grid.num_nodes)
-    assert bending.shape == (5 * grid.num_nodes, grid.num_nodes)
-    x = rng.standard_normal(grid.num_nodes)
-    for stack, ref, keys in (
-        (membrane, kron_stacks(grid)[0], [("cell_d1", 1), ("cell_d1", 2), "cell_avg"]),
-        (bending, kron_stacks(grid)[1], [("bend", (1, 1)), ("bend", (2, 2)), ("bend", (1, 2)),
-                                        ("int_d1", 1), ("int_d1", 2)]),
-    ):
-        rows = stack @ x
-        size = rows.size // len(keys)
-        for k, key in enumerate(keys):
-            assert (forward[key] @ x).tobytes() == rows[k * size : (k + 1) * size].tobytes()
-        for count in range(1, len(keys) + 1):
-            lead = stack.leading(count)
-            assert lead.shape == (count * size, grid.num_nodes)
-            assert (lead @ x).tobytes() == rows[: count * size].tobytes()
-            for v in _operands(rng, count * size):
-                assert relative(lead.T @ v, ref[: count * size].T @ v) <= 1e-13
+    reference = kron_ops(grid)
+    for stack, ref in zip((grid.membrane_stencil, grid.bending_stencil), kron_stacks(grid)):
+        forward, adjoint = dense(stack)
+        assert relative(forward, ref.toarray()) <= 1e-13
+        assert relative(adjoint, ref.T.toarray()) <= 1e-13
+    for view, _, _, _, keys in _views(grid):
+        ref = np.vstack([reference[key].toarray() for key in keys])
+        forward, adjoint = dense(view)
+        assert relative(forward, ref) <= 1e-13, keys
+        assert relative(adjoint, ref.T) <= 1e-13, keys
+        assert not any(isinstance(a, np.ndarray) for a in vars(view).values()), keys
 
 
 @pytest.mark.parametrize("dims", _DIMS)
-def test_d1_and_d2_ops_are_the_kron_builds(dims, rng):
+def test_row_views_are_the_row_blocks_of_the_stacks(dims, rng):
+    """Every rows(lo, hi) view of a stack, and every named one, computes the
+    stack's row blocks lo .. hi - 1 byte for byte, on a batch of fields; its
+    adjoint is the stack's adjoint of the block zero-padded to the stack's
+    rows, and its local weights the stack's rows of them, byte for byte."""
+    grid = Grid(*dims)
+    x = rng.standard_normal((2,) + grid.shape)
+    views = [(stack.rows(lo, hi), stack, lo, hi)
+             for stack, k in ((grid.membrane_stencil, 3), (grid.bending_stencil, 5))
+             for lo in range(k) for hi in range(lo + 1, k + 1)]
+    views += [(view, stack, lo, hi) for view, stack, lo, hi, _ in _views(grid)]
+    for view, stack, lo, hi in views:
+        rows = stack(x)
+        assert view(x).tobytes() == rows[lo:hi].tobytes(), (lo, hi)
+        assert view.rows(0, 1)(x).tobytes() == rows[lo : lo + 1].tobytes(), (lo, hi)
+        y = rng.standard_normal((hi - lo,) + rows.shape[1:])
+        padded = np.zeros_like(rows)
+        padded[lo:hi] = y
+        assert view.adjoint(y).tobytes() == stack.adjoint(padded).tobytes(), (lo, hi)
+        assert view.local_weights().tobytes() == stack.local_weights()[lo:hi].tobytes()
+        with pytest.raises(ValueError, match="no row blocks"):
+            view.rows(0, hi - lo + 1)
+
+
+@pytest.mark.parametrize("dims", _DIMS)
+def test_d1_and_d2_ops_are_the_kron_builds(dims):
     """The generic derivatives behind every study row's v_norm_err are their
-    sp.kron builds to roundoff, forward and adjoint; the mixed derivative is
-    one object for both index orders."""
+    sp.kron builds to roundoff, entry by entry; the mixed derivative is one
+    callable for both index orders."""
     grid = Grid(*dims)
     reference = kron_ops(grid)
     ops = {("d1", axis): grid.d1_ops[axis - 1] for axis in (1, 2)}
     ops.update({("d2", key): grid.d2_ops[key] for key in ((1, 1), (2, 2), (1, 2))})
     assert grid.d2_ops[(1, 2)] is grid.d2_ops[(2, 1)]
     for key, op in ops.items():
-        for v in _operands(rng, grid.num_nodes):
-            assert relative(op @ v, reference[key] @ v) <= 1e-13, key
-            assert relative(op.T @ v, reference[key].T @ v) <= 1e-13, key
+        assert relative(dense(op, grid.shape), reference[key].toarray()) <= 1e-13, key
 
 
 @pytest.mark.parametrize("dims", _DIMS)
@@ -337,14 +330,15 @@ def test_local_weights_are_the_kron_entries(dims):
     grid = Grid(*dims)
     for stack, ref in zip((grid.membrane_stencil, grid.bending_stencil), kron_stacks(grid)):
         w = stack.local_weights()
-        dense = ref.toarray().reshape((stack.blocks,) + stack.target + grid.shape)
-        assert w.shape == (stack.blocks, len(stack.support)) + stack.target
+        blocks = ref.shape[0] // (stack.target[0] * stack.target[1])
+        matrix = ref.toarray().reshape((blocks,) + stack.target + grid.shape)
+        assert w.shape == (blocks, len(stack.support)) + stack.target
         expected = np.zeros_like(w)
         t1, t2 = np.meshgrid(*(np.arange(t) for t in stack.target), indexing="ij")
         for a, (o1, o2) in enumerate(stack.support):
             s1, s2 = t1 + o1, t2 + o2
             on = (s1 >= 0) & (s1 < grid.n1) & (s2 >= 0) & (s2 < grid.n2)
-            expected[:, a][:, on] = dense[:, t1[on], t2[on], s1[on], s2[on]]
+            expected[:, a][:, on] = matrix[:, t1[on], t2[on], s1[on], s2[on]]
         assert w.tobytes() == expected.tobytes()
         # the support holds every stored entry of the reference
         assert np.count_nonzero(w) == ref.count_nonzero()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from shallowshell import Displacement, ForceDensity, Grid, Immersion, energy, geometry_field
+from shallowshell import grid as ss_grid
 from shallowshell.cli import main
 from shallowshell.config import ConfigError, default_config, parse_config, parse_config_text
 from shallowshell.grid import random_clamped_displacement
@@ -14,7 +15,12 @@ from shallowshell.io import (
     write_geometry_csv,
 )
 from shallowshell.study import NonconvergenceError, run_convergence_study
-from shallowshell.verification import check_gradient, check_plate_path, run_verification
+from shallowshell.verification import (
+    check_gradient,
+    check_mixed_symmetry,
+    check_plate_path,
+    run_verification,
+)
 
 MINIMAL = """\
 [material]
@@ -397,6 +403,32 @@ def test_plate_closed_form_catches_a_broken_twist_weight(monkeypatch):
     assert check_gradient().passed
 
 
+def test_mixed_symmetry_catches_a_broken_interior_d1_weight(monkeypatch):
+    """An interior d1 weight of 0.6 / h1 in place of 0.5 / h1, forward and
+    adjoint alike, passes every other check; the twist-row identity sees a
+    twist weight of 0.25 against 0.6 * 0.5 = 0.3, a residual of 1/6."""
+    apply, adjoint = ss_grid._BendingStencil._apply, ss_grid._BendingStencil._adjoint
+
+    def broken_apply(op, f):
+        out = apply(op, f)
+        if len(out) > 3:
+            out[3] *= 1.2
+        return out
+
+    def broken_adjoint(op, y):
+        if len(y) > 3:
+            y = y.copy()
+            y[3] *= 1.2
+        return adjoint(op, y)
+
+    monkeypatch.setattr(ss_grid._BendingStencil, "_apply", broken_apply)
+    monkeypatch.setattr(ss_grid._BendingStencil, "_adjoint", broken_adjoint)
+    check = check_mixed_symmetry()
+    assert not check.passed and abs(check.observed - 1.0 / 6.0) < 1e-12
+    failed = [r.name for r in run_verification() if not r.passed]
+    assert failed == ["discrete.mixed_derivative_symmetry"]
+
+
 # -- CLI ----------------------------------------------------------------------------
 
 
@@ -441,7 +473,7 @@ def test_cli_solve_and_study(tmp_path, capsys):
 
     assert main(["study", "--config", str(cfgfile)]) == 0
     out = capsys.readouterr().out
-    assert "boundedness certificate" in out
+    assert "largest v_norm over the rows: " in out
 
 
 def test_cli_nonconvergence_exit_code(tmp_path, capsys):

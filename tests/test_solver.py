@@ -12,7 +12,7 @@ from scipy.linalg import cho_solve_banded, cholesky_banded
 
 import shallowshell
 from shallowshell import lapack
-from kron_reference import band_to_dense, dense_to_band, kron, kron_ops, relative
+from kron_reference import band_to_dense, dense, dense_to_band, kron, kron_ops, relative
 
 from shallowshell import (
     Displacement,
@@ -335,11 +335,7 @@ def test_rigidity_zero_set_trivial(grid):
     The cell-difference kernel argument: zero cell strain propagates the
     boundary zeros through the whole lattice; so R > 0 on the sphere.
     """
-    d1c, d2c = grid.cell_d1_ops
-    rows = []
-    for op in (d1c, d2c):
-        rows.append(op @ np.eye(grid.num_nodes))
-    stacked = np.vstack(rows)
+    stacked = dense(grid.cell_d1_ops)[0]  # [cell d1; cell d2]
     cols = np.flatnonzero(grid.interior.ravel())
     sv = np.linalg.svd(stacked[:, cols], compute_uv=False)
     assert sv.min() > 1e-12
@@ -621,7 +617,7 @@ def _dense_hessian(grid, mat, u):
     order = np.concatenate([np.arange(0, 2 * n, 2), np.arange(1, 2 * n, 2)])
     k33, k3t = _plate_hessian_blocks(grid, mat, u)
     ktt = band_to_dense(_membrane_band(grid, mat))[np.ix_(order, order)]
-    k3t = np.column_stack([k3t @ e for e in np.eye(2 * n)])[:, order]
+    k3t = np.column_stack([k3t(e) for e in np.eye(2 * n)])[:, order]
     return np.block([[ktt, k3t.T], [k3t, band_to_dense(k33)]])
 
 
