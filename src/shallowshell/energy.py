@@ -17,6 +17,8 @@ roundoff) and is checkable against central differences of the scalar energy.
 One evaluator, EnergyAssembly, serves every immersion.  The plate energy
 is that of the assembly at Immersion("plate"), whose flat reference skips
 the cell averages and the geometry pulls; there is no separate plate path.
+An assembly keeps the nodal geometry and the fields an evaluation reads;
+the midpoint geometry is folded into the membrane fields, then dropped.
 Strains and stresses are (3, points) arrays of the components (11, 22, 12),
 the shear strain stored doubled (2 E_12), so the quadratic form
 A^{abst} E_st E_ab is e . C e with C the 3x3 Voigt matrix of
@@ -38,7 +40,7 @@ thread count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -227,15 +229,17 @@ class EnergyAssembly:
     at cell midpoints and at nodes, with the thickness factor, the
     quadrature weight and the area density folded in; memb_pull and
     bend_pull are _pull's fields, None on a flat reference; load is the
-    weighted load as a (3, n1, n2) block, and wsa the nodal weight times
-    sqrt(a).
+    weighted load as a (3, n1, n2) block, wsa and cell_wsa the nodal and
+    cell weights times sqrt(a).  Of the geometry it keeps only the nodal
+    one (bending, export); the midpoint one is folded into memb fields.
     """
 
     grid: Grid
-    geometry: SurfaceGeometry            # nodal quantities (bending, export)
-    cell_geom: SurfaceGeometry           # midpoint quantities (membrane)
+    immersion: InitVar[Immersion]
     material: Material
     force: ForceDensity
+    geometry: SurfaceGeometry = field(init=False)  # nodal quantities
+    cell_wsa: np.ndarray = field(init=False)
     wsa: np.ndarray = field(init=False)
     memb_ops: Stencil = field(init=False)
     bend_ops: Stencil = field(init=False)
@@ -245,13 +249,17 @@ class EnergyAssembly:
     bend_pull: np.ndarray | None = field(init=False)
     load: np.ndarray = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, immersion: Immersion):
         mat, grid = self.material, self.grid
+        cells = cell_geometry(immersion, grid)
+        self.cell_wsa = grid.cell_weight * cells.sqrt_a
+        self.memb = _voigt_matrices(cells.a_inv, mat, mat.eps * self.cell_wsa)
+        self.memb_pull = _pull(cells, 3)
+        del cells
+        self.geometry = geometry_field(immersion, grid)
         self.wsa = grid.weights * self.geometry.sqrt_a
-        cw = grid.cell_weight * self.cell_geom.sqrt_a
-        self.memb = _voigt_matrices(self.cell_geom.a_inv, mat, mat.eps * cw)
         self.bend = _voigt_matrices(self.geometry.a_inv, mat, mat.eps**3 / 3.0 * self.wsa)
-        self.memb_pull, self.bend_pull = _pull(self.cell_geom, 3), _pull(self.geometry, 2)
+        self.bend_pull = _pull(self.geometry, 2)
         # the averages and the first derivatives only where the geometry pulls on them
         self.memb_ops = grid.cell_d1_ops if self.memb_pull is None else grid.membrane_stencil
         self.bend_ops = grid.clamped_d2_ops if self.bend_pull is None else grid.bending_stencil
@@ -306,7 +314,7 @@ class EnergyAssembly:
 
         The gradient applies each stack's adjoint once to its stress block:
         rows of g and fb are overwritten with the stress each stencil row
-        meets, so no evaluation holds more than one block per stencil.
+        meets and the adjoint consumes them: one block per stencil at a time.
         """
         grid = self.grid
         x = np.stack(u.components())
@@ -320,22 +328,20 @@ class EnergyAssembly:
         if not with_gradient:
             del g
         s = np.einsum("uvc,vc->uc", self.memb, e)
-        quad = np.sum(s * e)
+        quad = np.sum(np.multiply(e, s, out=e))
         del e
         if with_gradient:
-            stress = s[_STRESS_MATRIX]
-            du_part = np.einsum("klc,lc->kc", stress, g[:2, 2])
-            g[:2, :2] = stress
-            g[:2, 2] = du_part
-            del stress, du_part
+            g[:2, :2] = s[_STRESS_MATRIX]
+            g[:2, 2] = np.einsum("klc,lc->kc", g[:2, :2], g[:2, 2])
             if self.memb_pull is not None:
                 g[2] = np.einsum("vmc,vc->mc", self.memb_pull, s)
+        del s
+        if with_gradient:
             grad = self.memb_ops.adjoint(g.reshape(g.shape[:2] + grid.cell_shape))
             del g
-        del s
         f, fb = _bending(self.bend_ops, self.bend_pull, u.u3)
         sf = np.einsum("uvn,vn->un", self.bend, f)
-        quad = 0.5 * (quad + np.sum(sf * f))
+        quad = 0.5 * (quad + np.sum(np.multiply(f, sf, out=f)))
         energy, scale = float(quad - load), float(quad + load_abs)
         if not with_gradient:
             return energy, scale, None
@@ -343,6 +349,7 @@ class EnergyAssembly:
         np.multiply(sf, _SHEAR, out=fb[:3])
         if self.bend_pull is not None:
             np.einsum("vmn,vn->mn", self.bend_pull, sf, out=fb[3:])
+        del sf
         grad[2] += self.bend_ops.adjoint(fb.reshape((-1,) + grid.shape))
         grad -= self.load
         n1, n2 = grid.shape
@@ -366,8 +373,7 @@ class EnergyAssembly:
         mat = self.material
         a00 = self.geometry.a_inv[..., 0, 0]
         amean = float(np.mean((mat.bulk_factor + 4.0 * mat.mu) * a00 * a00))  # A^{0000}
-        cw = grid.cell_weight * self.cell_geom.sqrt_a
-        memb = _squared_adjoint(grid.cell_d1_ops, cw)
+        memb = _squared_adjoint(grid.cell_d1_ops, self.cell_wsa)
         memb *= mat.eps * amean
         bend = _squared_adjoint(grid.clamped_d2_ops,
                                 np.array([1.0, 1.0, 2.0])[:, None, None] * self.wsa)
@@ -403,10 +409,4 @@ def _squared_adjoint(stencil: Stencil, weight: np.ndarray) -> np.ndarray:
 def make_assembly(
     grid: Grid, immersion: Immersion, material: Material, force: ForceDensity
 ) -> EnergyAssembly:
-    return EnergyAssembly(
-        grid,
-        geometry_field(immersion, grid),
-        cell_geometry(immersion, grid),
-        material,
-        force,
-    )
+    return EnergyAssembly(grid, immersion, material, force)

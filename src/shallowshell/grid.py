@@ -153,8 +153,9 @@ class Grid:
         """Midpoint-rule weight of one grid cell."""
         return self.h1 * self.h2
 
-    @cached_property
+    @property
     def cell_centers(self) -> tuple[np.ndarray, np.ndarray]:
+        """Built on each call, not kept: cell_geometry reads them once per assembly."""
         c1 = np.linspace(0.5 * self.h1, self.L1 - 0.5 * self.h1, self.n1 - 1)
         c2 = np.linspace(0.5 * self.h2, self.L2 - 0.5 * self.h2, self.n2 - 1)
         return np.outer(c1, np.ones(self.n2 - 1)), np.outer(np.ones(self.n1 - 1), c2)
@@ -217,7 +218,8 @@ class Stencil:
 
     Called on an array (..., *source) it returns (k, ..., *target), its k
     row blocks in order, and `adjoint` maps such an array back to
-    (..., *source).  rows(lo, hi) is the stencil of row blocks lo .. hi - 1.
+    (..., *source), consuming it: the kernels scale its rows in place.
+    rows(lo, hi) is the stencil of row blocks lo .. hi - 1.
     A kernel computes a prefix of the stack, the shortest of `prefixes`
     that holds the rows asked for: rows() slices its output and zero-pads
     the adjoint's input.
@@ -335,16 +337,16 @@ class _CellStencil(Stencil):
         # x = spread2(A - B, A + B): A the axis-1 spread of the rows that sum
         # along axis 2 (d1: -q1, +q1; average: 1/4, 1/4), B that of d2 (q2, q2)
         q1, q2 = self.q
-        right = q1 * y[0]
+        right = np.multiply(y[0], q1, out=y[0])
         left = -right
         if self.prefix > 2:
-            avg = 0.25 * y[2]
+            avg = np.multiply(y[2], 0.25, out=y[2])
             left += avg
             right += avg
             del avg
         across = _spread(left, right, -2)
         del left, right
-        w = q2 * y[1]
+        w = np.multiply(y[1], q2, out=y[1])
         step = _spread(w, w, -2)
         del w
         plus = across + step
@@ -416,8 +418,10 @@ class _BendingStencil(Stencil):
         n1, n2 = self.source
         size = n1 * n2
         scale = np.array((1.0 / h1**2, 1.0 / h2**2, 0.25 / (h1 * h2), 0.5 / h1, 0.5 / h2))
+        # the ghost rows read edge nodes that the scaling in place overwrites
+        ghost = [(2.0 / self.h[r] ** 2) * y[r][self.edges[r]] for r in (0, 1)]
         flat = y.reshape(y.shape[:-2] + (size,))[..., n2 + 1 : size - n2 - 1]
-        flat = flat * scale[: self.prefix].reshape((-1,) + (1,) * (flat.ndim - 1))
+        flat *= scale[: self.prefix].reshape((-1,) + (1,) * (flat.ndim - 1))
         flat[..., n2 - 2 :: n2] = 0.0
         flat[..., n2 - 1 :: n2] = 0.0
         x = np.zeros(y.shape[1:-2] + (size,))
@@ -443,7 +447,7 @@ class _BendingStencil(Stencil):
         x[..., 2 : size - 2 * n2] -= twist
         x = x.reshape(y.shape[1:])
         for r in (0, 1):
-            x[self.ghosts[r]] += (2.0 / self.h[r] ** 2) * y[r][self.edges[r]]
+            x[self.ghosts[r]] += ghost[r]
         return x
 
 

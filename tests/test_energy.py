@@ -19,6 +19,7 @@ from shallowshell import (
     plate_membrane_strain,
 )
 from shallowshell.elasticity import build_tensor
+from shallowshell.geometry import SurfaceGeometry, cell_geometry
 from shallowshell import grid as ss_grid
 from shallowshell.grid import random_clamped_displacement
 from shallowshell.solver import _weighted_residual
@@ -236,12 +237,12 @@ def test_hessian_diagonal_estimate_is_the_squared_stencil_sum(dims, kind, materi
     to roundoff (1e-13 relative), before the floor."""
     grid = Grid(*dims)
     params = {} if kind == "plate" else {"t": 0.3}
-    asm = make_assembly(grid, Immersion(kind, grid.L1, grid.L2, params), material,
-                        ForceDensity.constant(grid, 0.5, -0.3, 1.0))
+    imm = Immersion(kind, grid.L1, grid.L2, params)
+    asm = make_assembly(grid, imm, material, ForceDensity.constant(grid, 0.5, -0.3, 1.0))
     ref = kron_ops(grid)
     a00 = asm.geometry.a_inv[..., 0, 0]
     amean = float(np.mean((material.bulk_factor + 4.0 * material.mu) * a00 * a00))
-    cw = (grid.cell_weight * asm.cell_geom.sqrt_a).ravel()
+    cw = (grid.cell_weight * cell_geometry(imm, grid).sqrt_a).ravel()
     memb = sum(ref["cell_d1", axis].power(2).T @ cw for axis in (1, 2))
     memb *= material.eps * amean
     wsa = asm.wsa.ravel()
@@ -257,11 +258,13 @@ def test_hessian_diagonal_estimate_is_the_squared_stencil_sum(dims, kind, materi
 # -- the component kernel against the 16-component reference ---------------------
 
 
-def _reference_evaluation(asm, u):
+def _reference_evaluation(asm, imm, u):
     """Energy, energy scale, gradient and strains at u from the full tensor
     of build_tensor contracted with einsum, one sparse product per field and
-    stencil (the sp.kron builds), and strains as (..., 2, 2) matrices."""
-    grid, cg, ng, mat = asm.grid, asm.cell_geom, asm.geometry, asm.material
+    stencil (the sp.kron builds), and strains as (..., 2, 2) matrices; the
+    midpoint geometry is built afresh, since the assembly does not keep it."""
+    grid, ng, mat = asm.grid, asm.geometry, asm.material
+    cg = cell_geometry(imm, grid)
     ops = kron_ops(grid)
 
     def cells(key, f):
@@ -341,11 +344,12 @@ def test_component_kernel_matches_full_tensor_reference(dims, kind, material):
     params = {} if kind == "plate" else {"t": 0.3}
     force = ForceDensity.polynomial(
         grid, ((0.5, 0.2), (-0.3, 0.0, 0.4), (1.0, 0.1, -0.2, 0.3)))
-    asm = make_assembly(grid, Immersion(kind, grid.L1, grid.L2, params), material, force)
+    imm = Immersion(kind, grid.L1, grid.L2, params)
+    asm = make_assembly(grid, imm, material, force)
     rng = np.random.default_rng(8)
     for _ in range(3):
         u = random_clamped_displacement(grid, rng, amplitude=0.3)
-        energy, scale, grad, E, F = _reference_evaluation(asm, u)
+        energy, scale, grad, E, F = _reference_evaluation(asm, imm, u)
         f, fscale, g = asm.full_evaluation(u)
         assert abs(f - energy) <= 1e-13 * scale
         assert abs(fscale - scale) <= 1e-13 * scale
@@ -426,6 +430,51 @@ def test_evaluation_memory_peaks(material):
             tracemalloc.stop()
         del result
         assert peak <= bound, (evaluate.__name__, peak)
+
+
+def _bump_assembly(grid, material):
+    return make_assembly(grid, Immersion("sinusoidal_bump", params={"t": 0.05, "m2": 2.0}),
+                         material, ForceDensity.constant(grid, 0.5, -0.3, 1.0))
+
+
+def test_assembly_keeps_no_midpoint_geometry_and_peaks_near_what_it_keeps(material):
+    """A 129 x 129 bump assembly keeps the nodal geometry (22 fields), the
+    fields an evaluation reads (38) and its force (3), and no midpoint
+    SurfaceGeometry, which took 21 more (kept 84, peak 87).  The build
+    peaks 10 fields above what it keeps: the midpoint geometry is folded
+    and dropped before the nodal one is built.  Units: one float64 nodal
+    field; tracemalloc, with the grid's lazy state built first."""
+    grid = Grid(1.0, 1.0, 129, 129)
+    _bump_assembly(grid, material)
+    tracemalloc.start()
+    try:
+        asm = _bump_assembly(grid, material)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    field = 8 * grid.num_nodes
+    geometries = [v for v in vars(asm).values() if isinstance(v, SurfaceGeometry)]
+    assert [g.sqrt_a.shape for g in geometries] == [grid.shape]
+    assert kept <= 64 * field, kept / field
+    assert peak <= 75 * field, peak / field
+
+
+def test_full_evaluation_peak_above_its_inputs(material):
+    """One full evaluation at 129 x 129 peaks at most 20.5 nodal fields
+    above its inputs (tracemalloc): the membrane stress block plus the
+    adjoint's three rows, with the stresses freed before the adjoint runs
+    and the adjoints scaling their block in place."""
+    asm = _bump_assembly(Grid(1.0, 1.0, 129, 129), material)
+    u = random_clamped_displacement(asm.grid, np.random.default_rng(3))
+    asm.full_evaluation(u)  # builds every lazy operator first
+    tracemalloc.start()
+    try:
+        result = asm.full_evaluation(u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    del result
+    assert peak <= 20.5 * 8 * asm.grid.num_nodes, peak / (8 * asm.grid.num_nodes)
 
 
 _EVALUATION_BYTES = """

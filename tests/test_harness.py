@@ -19,6 +19,7 @@ from shallowshell.verification import (
     check_gradient,
     check_mixed_symmetry,
     check_plate_path,
+    check_strain_symmetry,
     run_verification,
 )
 
@@ -404,29 +405,55 @@ def test_plate_closed_form_catches_a_broken_twist_weight(monkeypatch):
 
 
 def test_mixed_symmetry_catches_a_broken_interior_d1_weight(monkeypatch):
-    """An interior d1 weight of 0.6 / h1 in place of 0.5 / h1, forward and
-    adjoint alike, passes every other check; the twist-row identity sees a
-    twist weight of 0.25 against 0.6 * 0.5 = 0.3, a residual of 1/6."""
+    """An interior d1 weight of 0.6 / h in place of 0.5 / h on both axes,
+    forward and adjoint alike, passes every other check (on one axis only,
+    strain_symmetry sees it too); the twist-row identity sees a twist
+    weight of 0.25 against 0.6 * 0.6 = 0.36, a residual of 11/36."""
     apply, adjoint = ss_grid._BendingStencil._apply, ss_grid._BendingStencil._adjoint
 
     def broken_apply(op, f):
         out = apply(op, f)
         if len(out) > 3:
-            out[3] *= 1.2
+            out[3:] *= 1.2
         return out
 
     def broken_adjoint(op, y):
         if len(y) > 3:
             y = y.copy()
-            y[3] *= 1.2
+            y[3:] *= 1.2
         return adjoint(op, y)
 
     monkeypatch.setattr(ss_grid._BendingStencil, "_apply", broken_apply)
     monkeypatch.setattr(ss_grid._BendingStencil, "_adjoint", broken_adjoint)
     check = check_mixed_symmetry()
-    assert not check.passed and abs(check.observed - 1.0 / 6.0) < 1e-12
+    assert not check.passed and abs(check.observed - 11.0 / 36.0) < 1e-12
     failed = [r.name for r in run_verification() if not r.passed]
     assert failed == ["discrete.mixed_derivative_symmetry"]
+
+
+def test_strain_symmetry_catches_a_broken_ghost_weight(monkeypatch):
+    """A mirror-ghost weight of 2.2 / h1^2 in place of 2 / h1^2, on the two
+    edges normal to axis 1 only, forward and adjoint alike, passes every
+    other check; swapping the axes moves it onto the clamped d22 rows, so
+    the reflected bending strains differ at the edges."""
+    apply, adjoint = ss_grid._BendingStencil._apply, ss_grid._BendingStencil._adjoint
+
+    def broken_apply(op, f):
+        out = apply(op, f)
+        out[0][op.edges[0]] *= 1.1
+        return out
+
+    def broken_adjoint(op, y):
+        y = y.copy()
+        y[0][op.edges[0]] *= 1.1
+        return adjoint(op, y)
+
+    monkeypatch.setattr(ss_grid._BendingStencil, "_apply", broken_apply)
+    monkeypatch.setattr(ss_grid._BendingStencil, "_adjoint", broken_adjoint)
+    check = check_strain_symmetry()
+    assert not check.passed and check.observed > 1e-3
+    failed = [r.name for r in run_verification() if not r.passed]
+    assert failed == ["energy.strain_symmetry"]
 
 
 # -- CLI ----------------------------------------------------------------------------
