@@ -26,8 +26,6 @@ from .geometry import (
 from .grid import (
     Displacement,
     Grid,
-    d1,
-    d2,
     integrate,
     v_norm,
 )

@@ -74,7 +74,10 @@ class StudyConfig:
         if self.force_kind == "csv":
             from .io import read_displacement_csv
 
-            u1, u2, u3 = read_displacement_csv(self.force_csv, grid)
+            try:
+                u1, u2, u3 = read_displacement_csv(self.force_csv, grid)
+            except ValueError as exc:
+                raise ConfigError(f"[force] path: {exc}") from None
             return ForceDensity(u1, u2, u3)
         return ForceDensity.from_catalog(grid, self.force_kind, self.force_params)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .config import StudyConfig
+from .config import ConfigError, StudyConfig
 from .elasticity import positivity_gap
 from .grid import v_norm
 from .io import meta_line, write_displacement_csv, write_study_csv
@@ -48,7 +48,9 @@ class StudyReport:
 def run_convergence_study(cfg: StudyConfig, write: bool = True) -> StudyReport:
     """Run the warm-started homotopy over cfg.t_list and report per-step rows.
 
-    Raises ValueError before any solve when cfg.t_list lacks the plate t=0.
+    Raises ValueError before any solve when cfg.t_list lacks the plate t=0,
+    and ConfigError when the immersion is the plate and cfg.t_list holds a
+    t > 0: the plate has no family to flatten.
     Raises NonconvergenceError at the first solve that exhausts its
     iteration budget, tagged with that solve's t.  Solve order is the plate
     t=0 first, then t_list from largest to smallest, so a failing plate solve
@@ -57,6 +59,9 @@ def run_convergence_study(cfg: StudyConfig, write: bool = True) -> StudyReport:
     """
     if 0.0 not in cfg.t_list:
         raise ValueError("study parameter list must contain the plate t=0")
+    if cfg.immersion_kind == "plate" and any(cfg.t_list):
+        raise ConfigError("[study] t_list: the plate has no scale parameter; "
+                          "its study takes t_list = 0")
     grid = cfg.make_grid()
     material = cfg.material
     force = cfg.make_force(grid)

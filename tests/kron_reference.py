@@ -36,20 +36,6 @@ def d2_centered(n, h):
     return interior_rows(n, 1.0 / h**2, -2.0 / h**2, 1.0 / h**2)
 
 
-def d1_one_sided(n, h):
-    m = d1_centered(n, h)
-    m[0, :3] = -1.5 / h, 2.0 / h, -0.5 / h
-    m[-1, -3:] = 0.5 / h, -2.0 / h, 1.5 / h
-    return m
-
-
-def d2_one_sided(n, h):
-    m = d2_centered(n, h)
-    m[0, :4] = 2.0 / h**2, -5.0 / h**2, 4.0 / h**2, -1.0 / h**2
-    m[-1, -4:] = -1.0 / h**2, 4.0 / h**2, -5.0 / h**2, 2.0 / h**2
-    return m
-
-
 def ghost(n, h):
     """Mirror-ghost edge rows of the clamped second derivative."""
     m = np.zeros((n, n))
@@ -72,12 +58,10 @@ def kron(a, b):
 
 def kron_ops(grid):
     """Every stencil of the grid as a CSR matrix: the strain rows keyed
-    ("cell_d1", axis), "cell_avg", ("bend", (a, b)) and ("int_d1", axis),
-    and ("d1", axis) and ("d2", (a, b)) for the one-sided family."""
+    ("cell_d1", axis), "cell_avg", ("bend", (a, b)) and ("int_d1", axis)."""
     n1, n2, h1, h2 = grid.n1, grid.n2, grid.h1, grid.h2
     q1, q2 = 0.5 / h1, 0.5 / h2
     both1, both2 = cell(n1, 1.0, 1.0), cell(n2, 1.0, 1.0)
-    d1 = (kron(d1_one_sided(n1, h1), np.eye(n2)), kron(np.eye(n1), d1_one_sided(n2, h2)))
     return {
         ("cell_d1", 1): kron(cell(n1, -q1, q1), both2),
         ("cell_d1", 2): kron(both1, cell(n2, -q2, q2)),
@@ -90,11 +74,6 @@ def kron_ops(grid):
                                                   interior_rows(n2, -1.0, 0.0, 1.0)),
         ("int_d1", 1): kron(d1_centered(n1, h1), interior_mask(n2)),
         ("int_d1", 2): kron(interior_mask(n1), d1_centered(n2, h2)),
-        ("d1", 1): d1[0],
-        ("d1", 2): d1[1],
-        ("d2", (1, 1)): kron(d2_one_sided(n1, h1), np.eye(n2)),
-        ("d2", (2, 2)): kron(np.eye(n1), d2_one_sided(n2, h2)),
-        ("d2", (1, 2)): (d1[0] @ d1[1]).tocsr(),
     }
 
 
@@ -107,17 +86,13 @@ def kron_stacks(grid):
     return membrane, bending
 
 
-def dense(op, shape=None):
-    """The dense matrices of a grid stencil, built by applying it to the
-    identity, each column the image of one unit field (fields flattened
-    with node (i, j) at entry i * n2 + j, row blocks stacked in order):
-    (forward, adjoint) for a Stencil, and the forward matrix alone for a
-    forward-only callable on fields of `shape` (d1_ops, d2_ops)."""
-    source = op.source if shape is None else shape
-    n = math.prod(source)
-    out = op(np.eye(n).reshape((n,) + source))
-    if shape is not None:
-        return out.reshape(n, -1).T
+def dense(op):
+    """The dense matrices (forward, adjoint) of a grid stencil, built by
+    applying it to the identity, each column the image of one unit field
+    (fields flattened with node (i, j) at entry i * n2 + j, row blocks
+    stacked in order)."""
+    n = math.prod(op.source)
+    out = op(np.eye(n).reshape((n,) + op.source))
     forward = np.moveaxis(out, 1, -1).reshape(-1, n)
     m = forward.shape[0]
     units = np.moveaxis(np.eye(m).reshape((m, out.shape[0]) + out.shape[2:]), 0, 1)

@@ -76,3 +76,39 @@ def test_cli_solve_rejects_a_polynomial_load_with_seven_coefficients(tmp_path, c
     captured = capsys.readouterr()
     assert captured.err == f"config error: [force] {key}: at most 6 coefficients\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "study"])
+def test_cli_rejects_a_bad_csv_load_as_a_config_error(tmp_path, capsys, command):
+    """A CSV load with the wrong row count names [force] path and exits 2
+    before anything is written."""
+    (tmp_path / "load.csv").write_text("i,j,y1,y2,u1,u2,u3\n0,0,0,0,0,0,0\n")
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text(CONFIG + "[force]\nkind = csv\npath = load.csv\n")
+    assert main([command, "--config", str(cfgfile), "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("config error: [force] path: "
+                            "displacement CSV holds 1 rows, expected 81\n")
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_plate_study_needs_t_list_zero(tmp_path, capsys, monkeypatch):
+    """The plate has no scale parameter: a plate study with the default
+    t_list is refused before any solve; with t_list = 0 it runs."""
+    def no_solve(*args, **kwargs):
+        raise AssertionError("homotopy_solve called")
+
+    monkeypatch.setattr("shallowshell.study.homotopy_solve", no_solve)
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text(CONFIG + "[immersion]\nkind = plate\n")
+    out = tmp_path / "out"
+    assert main(["study", "--config", str(cfgfile), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("config error: [study] t_list: the plate has no scale "
+                            "parameter; its study takes t_list = 0\n")
+    assert not out.exists()
+    monkeypatch.undo()
+    cfgfile.write_text(CONFIG + "[immersion]\nkind = plate\n[study]\nt_list = 0\n")
+    assert main(["study", "--config", str(cfgfile), "--out", str(out)]) == 0
+    assert (out / "study.csv").exists()

@@ -1,23 +1,27 @@
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from kron_reference import dense, kron_ops, kron_stacks, relative
-from shallowshell import Displacement, Grid, d1, d2, integrate, v_norm
+from shallowshell import Displacement, Grid, integrate, v_norm
 from shallowshell.grid import (
     h2_seminorm,
-    l2_norm,
     h1_seminorm,
+    l2_norm,
     random_clamped_displacement,
     require_clamped,
 )
 
-BUBBLE_H2_SQ = 22.0 / 45.0  # integral of |D^2 (x(1-x)y(1-y))|^2 over the unit square
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+BUBBLE_H2_SQ = 4.0 / 1225.0  # integral of |D^2 (x(1-x)y(1-y))^2|^2 over the unit square
 
 
 def bubble(grid):
-    return grid.y1 * (1 - grid.y1) * grid.y2 * (1 - grid.y2)
+    """An H2_0 member: it and its normal derivative vanish on the boundary."""
+    return (grid.y1 * (1 - grid.y1) * grid.y2 * (1 - grid.y2)) ** 2
 
 
 def test_grid_validation():
@@ -30,59 +34,49 @@ def test_grid_validation():
     assert g.y1[-1, 0] == 2.0 and g.y2[0, -1] == 1.0
 
 
-def test_d1_exact_on_linears(grid9):
-    assert np.all(d1(grid9, np.full(grid9.shape, 3.7), 1)[1:-1, 1:-1] == 0.0)
-    f = grid9.y1.copy()
-    assert np.max(np.abs(d1(grid9, f, 1) - 1.0)) == 0.0  # one-sided edges too
-    f = grid9.y1 * grid9.y2
-    mid = grid9.n1 // 2
-    assert d1(grid9, f, 2)[mid, mid] == 0.5
-
-
 def test_d2_exact_on_quadratics(grid9):
-    f = grid9.y1**2
-    assert np.max(np.abs(d2(grid9, f, 1, 1) - 2.0)) < 1e-12
-    f = grid9.y1 * grid9.y2
-    assert np.max(np.abs(d2(grid9, f, 1, 2)[1:-1, 1:-1] - 1.0)) < 1e-12
-    z = np.zeros(grid9.shape)
-    assert np.all(d2(grid9, z, 1, 1, clamped=True) == 0.0)
-    assert np.all(d2(grid9, z, 1, 2, clamped=True) == 0.0)
+    inner = grid9.interior
+    d11, _, _ = grid9.clamped_d2_ops(grid9.y1**2)
+    assert np.max(np.abs(d11[inner] - 2.0)) < 1e-12
+    _, _, d12 = grid9.clamped_d2_ops(grid9.y1 * grid9.y2)
+    assert np.max(np.abs(d12[inner] - 1.0)) < 1e-12
+    assert np.all(grid9.clamped_d2_ops(np.zeros(grid9.shape)) == 0.0)
 
 
 def test_d2_mixed_symmetry_exact(grid9, rng):
-    f = rng.standard_normal(grid9.shape)
-    assert np.array_equal(d2(grid9, f, 1, 2), d2(grid9, f, 2, 1))
+    """On clamped fields the twist row is the interior d1 of the interior d2
+    and the interior d2 of the interior d1 alike, to roundoff: d12 = d21."""
+    f = random_clamped_displacement(grid9, rng).u3
+    rows = grid9.bending_stencil(f)
+    assert relative(grid9.bending_stencil(rows[4])[3], rows[2]) <= 1e-13
+    assert relative(grid9.bending_stencil(rows[3])[4], rows[2]) <= 1e-13
 
 
 def test_clamped_ghost_rows(grid9):
     """Edge rows of the clamped second derivative encode 2 u(first)/h^2."""
     u = np.zeros(grid9.shape)
     u[1, 4] = 0.3
-    val = d2(grid9, u, 1, 1, clamped=True)
+    val, _, m = grid9.clamped_d2_ops(u)
     assert val[0, 4] == 2.0 * 0.3 / grid9.h1**2
     # mixed derivative vanishes on the whole boundary ring under the closure
-    m = d2(grid9, u, 1, 2, clamped=True)
     assert np.all(m[0, :] == 0.0) and np.all(m[:, 0] == 0.0)
 
 
 def test_operator_linearity(grid9, rng):
-    f = rng.standard_normal(grid9.shape)
-    g = rng.standard_normal(grid9.shape)
     c = -2.4
-    for op in (
-        lambda z: d1(grid9, z, 1),
-        lambda z: d2(grid9, z, 2, 2),
-        lambda z: d2(grid9, z, 1, 1, clamped=True),
-    ):
-        lin = op(f + c * g) - op(f) - c * op(g)
-        assert np.max(np.abs(lin)) <= 1e-14 * max(np.max(np.abs(op(f))), 1.0)
+    for stencil in (grid9.membrane_stencil, grid9.bending_stencil):
+        for op, shape in ((stencil, grid9.shape),
+                          (stencil.adjoint, (stencil.hi,) + stencil.target)):
+            f, g = rng.standard_normal((2,) + shape)
+            lin = op(f + c * g) - op(f.copy()) - c * op(g.copy())
+            assert np.max(np.abs(lin)) <= 1e-14 * max(np.max(np.abs(op(f))), 1.0)
 
 
 def test_integrate_exactness():
     grid = Grid(1.0, 1.0, 9, 9)
     assert integrate(grid, np.ones(grid.shape)) == 1.0
     assert abs(integrate(grid, grid.y1) - 0.5) < 1e-15
-    assert abs(integrate(grid, grid.y1, weight=grid.y2) - 0.25) < 1e-15
+    assert abs(integrate(grid, grid.y1 * grid.y2) - 0.25) < 1e-15
 
 
 def test_integrate_second_order_convergence():
@@ -95,12 +89,16 @@ def test_integrate_second_order_convergence():
 
 
 def test_integration_by_parts_clamped(rng):
+    """The cell product rule: sum_cells |cell| (D_a f A g + A f D_a g) = 0
+    for clamped f, g, along each axis."""
     for n in (9, 17):
         grid = Grid(1.0, 1.0, n, n)
         f = random_clamped_displacement(grid, rng, smooth=0).u1
         g = random_clamped_displacement(grid, rng, smooth=0).u1
-        s = integrate(grid, d1(grid, f, 1) * g) + integrate(grid, f * d1(grid, g, 1))
-        assert abs(s) <= 1e-12 * l2_norm(grid, f) * l2_norm(grid, g)
+        (d1f, d1g), (d2f, d2g), (af, ag) = grid.membrane_stencil(np.stack((f, g)))
+        for df, dg in ((d1f, d1g), (d2f, d2g)):
+            s = grid.cell_weight * np.sum(df * ag + af * dg)
+            assert abs(s) <= 1e-12 * l2_norm(grid, f) * l2_norm(grid, g)
 
 
 def test_v_norm_axioms(grid9, rng):
@@ -113,15 +111,25 @@ def test_v_norm_axioms(grid9, rng):
         assert v_norm(grid9, u + v) <= v_norm(grid9, u) + v_norm(grid9, v) + 1e-12
 
 
-def test_poincare_constant_stable_under_refinement(rng):
+def test_poincare_constant_stable_under_refinement():
+    """The exact discrete Poincare constant max ||f|| / |f|_H1 over clamped
+    f: 1 / sqrt of the smallest generalized eigenvalue of the cell-gradient
+    form (h1_seminorm squared) against the trapezoid mass, on the interior
+    nodes."""
     consts = []
     for n in (9, 17, 33):
         grid = Grid(1.0, 1.0, n, n)
-        best = 0.0
-        for _ in range(30):
-            f = random_clamped_displacement(grid, rng, smooth=1).u3
-            best = max(best, l2_norm(grid, f) / h1_seminorm(grid, f))
-        consts.append(best)
+        inner = np.flatnonzero(grid.interior.ravel())
+        grad = dense(grid.cell_d1_ops)[0][:, inner]
+        scale = 1.0 / np.sqrt(grid.weights.ravel()[inner])
+        form = grid.cell_weight * scale[:, None] * (grad.T @ grad) * scale
+        values, vectors = np.linalg.eigh(form)
+        consts.append(1.0 / np.sqrt(values[0]))
+        # the lowest mode attains it in the norms themselves
+        f = np.zeros(grid.num_nodes)
+        f[inner] = scale * vectors[:, 0]
+        f = f.reshape(grid.shape)
+        assert abs(l2_norm(grid, f) / h1_seminorm(grid, f) - consts[-1]) <= 1e-12
     # continuum constant for the unit square is 1/(pi sqrt(2)) ~ 0.225
     assert all(c < 0.3 for c in consts)
     assert max(consts) - min(consts) < 0.1
@@ -208,12 +216,9 @@ def test_operators_exact_along_each_axis_on_non_square_grids(dims):
     for a in (1, 2):
         b = 3 - a
         lin, quad = y[a], y[a] ** 2
-        assert close(d1(grid, lin, a), 1.0) and close(d1(grid, lin, b), 0.0)
-        assert close(d1(grid, quad, a), 2.0 * y[a]) and close(d1(grid, quad, b), 0.0)
-        assert close(d2(grid, quad, a, a), 2.0) and close(d2(grid, quad, b, b), 0.0)
-        clamped = d2(grid, quad, a, a, clamped=True)
+        clamped = grid.clamped_d2_ops(quad)[a - 1]
         assert close(clamped[inner], 2.0)
-        assert close(d2(grid, quad, b, b, clamped=True)[inner], 0.0)
+        assert close(grid.clamped_d2_ops(quad)[b - 1][inner], 0.0)
         # ghost rows on the two edges normal to axis a, empty rows elsewhere
         if a == 1:
             assert close(clamped[0, :], 2.0 * quad[1, :] / h[1] ** 2)
@@ -230,8 +235,7 @@ def test_operators_exact_along_each_axis_on_non_square_grids(dims):
         assert close(cell(quad)[b - 1], 0.0)
         assert close(avg(lin)[0], c[a])
     bilinear = grid.y1 * grid.y2
-    assert close(d2(grid, bilinear, 1, 2), 1.0)
-    assert close(d2(grid, bilinear, 1, 2, clamped=True)[inner], 1.0)
+    assert close(grid.clamped_d2_ops(bilinear)[2][inner], 1.0)
     assert close(cell(bilinear)[0], c[2])
     assert close(cell(bilinear)[1], c[1])
     assert close(avg(bilinear)[0], c[1] * c[2])
@@ -309,20 +313,6 @@ def test_row_views_are_the_row_blocks_of_the_stacks(dims, rng):
 
 
 @pytest.mark.parametrize("dims", _DIMS)
-def test_d1_and_d2_ops_are_the_kron_builds(dims):
-    """The generic derivatives behind every study row's v_norm_err are their
-    sp.kron builds to roundoff, entry by entry; the mixed derivative is one
-    callable for both index orders."""
-    grid = Grid(*dims)
-    reference = kron_ops(grid)
-    ops = {("d1", axis): grid.d1_ops[axis - 1] for axis in (1, 2)}
-    ops.update({("d2", key): grid.d2_ops[key] for key in ((1, 1), (2, 2), (1, 2))})
-    assert grid.d2_ops[(1, 2)] is grid.d2_ops[(2, 1)]
-    for key, op in ops.items():
-        assert relative(dense(op, grid.shape), reference[key].toarray()) <= 1e-13, key
-
-
-@pytest.mark.parametrize("dims", _DIMS)
 def test_local_weights_are_the_kron_entries(dims):
     """local_weights reads every stack's weights off its support: at each
     target point, the weight of each support point is the sp.kron build's
@@ -344,20 +334,19 @@ def test_local_weights_are_the_kron_entries(dims):
         assert np.count_nonzero(w) == ref.count_nonzero()
 
 
-# Every operator property that perfbench builds (GRID_OPERATORS in
-# perfbench/tracing.py).
-_GRID_OPERATORS = ("d1_ops", "d2_ops", "cell_d1_ops", "cell_avg_op",
-                   "interior_d1_ops", "clamped_d2_ops", "transposed_ops")
+def test_operator_build_peak_stays_near_what_it_keeps(monkeypatch):
+    """Building every operator property that perfbench builds
+    (GRID_OPERATORS in perfbench/tracing.py) at 129 x 129 keeps no
+    field-sized array and allocates none on the way: the stencils hold only
+    the grid's spacings and the rows they compute (a 129 x 129 field takes
+    130 KiB)."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracing import GRID_OPERATORS
 
-
-def test_operator_build_peak_stays_near_what_it_keeps():
-    """Building the operators at 129 x 129 keeps no field-sized array and
-    allocates none on the way: the stencils hold only the grid's spacings
-    and the rows they compute (a 129 x 129 field takes 130 KiB)."""
     grid = Grid(1.0, 1.0, 129, 129)
     tracemalloc.start()
     try:
-        for name in _GRID_OPERATORS:
+        for name in GRID_OPERATORS:
             getattr(grid, name)
         kept, peak = tracemalloc.get_traced_memory()
     finally:

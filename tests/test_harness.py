@@ -17,6 +17,7 @@ from shallowshell.io import (
 from shallowshell.study import NonconvergenceError, run_convergence_study
 from shallowshell.verification import (
     check_gradient,
+    check_integration_by_parts,
     check_mixed_symmetry,
     check_plate_path,
     check_strain_symmetry,
@@ -454,6 +455,33 @@ def test_strain_symmetry_catches_a_broken_ghost_weight(monkeypatch):
     assert not check.passed and check.observed > 1e-3
     failed = [r.name for r in run_verification() if not r.passed]
     assert failed == ["energy.strain_symmetry"]
+
+
+def test_integration_by_parts_catches_a_broken_cell_average_weight(monkeypatch):
+    """A cell average that weighs the (1, 1) corner 0.3 in place of 0.25,
+    forward and adjoint alike, passes every other check; the cell product
+    rule no longer telescopes."""
+    apply, adjoint = ss_grid._CellStencil._apply, ss_grid._CellStencil._adjoint
+
+    def broken_apply(op, f):
+        out = apply(op, f)
+        if len(out) > 2:
+            out[2] += 0.05 * f[..., 1:, 1:]
+        return out
+
+    def broken_adjoint(op, y):
+        extra = 0.05 * y[2] if len(y) > 2 else None
+        x = adjoint(op, y)
+        if extra is not None:
+            x[..., 1:, 1:] += extra
+        return x
+
+    monkeypatch.setattr(ss_grid._CellStencil, "_apply", broken_apply)
+    monkeypatch.setattr(ss_grid._CellStencil, "_adjoint", broken_adjoint)
+    check = check_integration_by_parts()
+    assert not check.passed and abs(check.observed - 0.139) < 1e-3
+    failed = [r.name for r in run_verification() if not r.passed]
+    assert failed == ["discrete.integration_by_parts"]
 
 
 # -- CLI ----------------------------------------------------------------------------
