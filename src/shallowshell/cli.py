@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .config import ConfigError, StudyConfig, default_config, parse_config
 from .energy import make_assembly
-from .geometry import geometry_field
+from .geometry import ImmersionError, geometry_field
 from .grid import Displacement, v_norm
 from .io import meta_line, write_displacement_csv, write_geometry_csv
 from .solver import LineSearchStallError, NonconvergenceError, minimize
@@ -87,6 +87,14 @@ def _load_config(args) -> StudyConfig:
     for flag in UNREAD_FLAGS.get(args.command, ()):
         if getattr(args, flag) is not None:
             raise ConfigError(f"--{flag}: {args.command} does not read it")
+    if "out" not in UNREAD_FLAGS.get(args.command, ()):
+        # the commands that read --out write there after their work: refuse
+        # now, creating nothing, a directory that mkdir could not make
+        out = Path(cfg.out_dir)
+        existing = next(p for p in (out, *out.parents) if p.exists())
+        if not existing.is_dir():
+            where = "--out" if args.out is not None else "[output] directory"
+            raise ConfigError(f"{where}: not a directory: {existing}")
     return cfg
 
 
@@ -147,7 +155,10 @@ def _cmd_solve(cfg: StudyConfig, t: float | None) -> int:
         except ValueError as exc:
             raise ConfigError(f"--t: {exc}") from None
     grid = cfg.make_grid()
-    asm = make_assembly(grid, imm, cfg.material, cfg.make_force(grid))
+    try:
+        asm = make_assembly(grid, imm, cfg.material, cfg.make_force(grid))
+    except ImmersionError as exc:
+        raise ConfigError(f"{'--t:' if t is not None else '[immersion]'} {exc}") from None
     u, diag = minimize(asm, Displacement.zeros(grid), cfg.solver)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -183,7 +194,10 @@ def _cmd_rigidity(cfg: StudyConfig) -> int:
 
 def _cmd_geometry(cfg: StudyConfig) -> int:
     grid = cfg.make_grid()
-    geom = geometry_field(cfg.make_immersion(), grid)
+    try:
+        geom = geometry_field(cfg.make_immersion(), grid)
+    except ImmersionError as exc:
+        raise ConfigError(f"[immersion] {exc}") from None
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{cfg.prefix}_geometry.csv"

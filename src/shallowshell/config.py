@@ -84,7 +84,10 @@ class StudyConfig:
     def with_overrides(self, seed=None, grid=None, out_dir=None) -> "StudyConfig":
         cfg = self
         if seed is not None:
-            cfg = replace(cfg, solver=replace(cfg.solver, seed=int(seed)))
+            try:
+                cfg = replace(cfg, solver=replace(cfg.solver, seed=int(seed)))
+            except ValueError as exc:  # SolverConfig's range check: "seed: ..."
+                raise ConfigError(f"--{exc}") from None
         if grid is not None:
             n1, n2 = int(grid[0]), int(grid[1])
             _require_nodes(min(n1, n2), f"--grid {n1}x{n2}")
@@ -279,6 +282,8 @@ def parse_config_text(text: str, base_dir: str | Path = ".") -> StudyConfig:
     out_dir = out.pop("directory", "out")
     prefix = out.pop("prefix", "study")
     _reject_unknown(out, "output")
+    if Path(prefix).name != prefix:
+        _fail("output", "prefix", f"must be a file name, not a path: {prefix!r}")
 
     return StudyConfig(
         L1=L1, L2=L2, n1=n1, n2=n2,

@@ -1,12 +1,13 @@
 """Energy minimization, homotopy continuation, and the linear bending oracle.
 
-The minimizer is a limited-memory quasi-Newton descent (two-loop recursion)
-with Armijo backtracking: the energy is a smooth quartic in the displacement
-and the gradient is exact, so no curvature line-search condition is needed;
-updates with unusable curvature are simply skipped.  The initial inverse
-Hessian H0 of the recursion is an exact plate Hessian, so the iteration
-count does not grow with the mesh (Nocedal & Wright, Numerical
-Optimization, 2nd ed., section 7.2):
+The minimizer is a limited-memory quasi-Newton descent with Armijo
+backtracking: the energy is a smooth quartic in the displacement and the
+gradient is exact, so no curvature line-search condition is needed.  The
+two-loop recursion runs over the newest `memory` curvature pairs, one
+bounded deque that skips pairs with unusable curvature; every run reports
+through one SolveDiagnostics exit, a stall included.  Its initial inverse
+Hessian H0 is an exact plate Hessian, so the iteration count does not grow
+with the mesh (Nocedal & Wright, Numerical Optimization, 2nd ed., 7.2):
 
 - by default, and for the cold plate solve of a homotopy sweep, the Hessian
   of the plate energy at u = 0, which is block diagonal;
@@ -35,11 +36,12 @@ bits, and with them the last digits of the iterates.
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import lapack
+from . import energy, lapack
 from .elasticity import Material, flat_voigt
 from .energy import EnergyAssembly, ForceDensity, make_assembly
 from .geometry import Immersion, c2_distance
@@ -100,6 +102,7 @@ class SolverConfig:
             ("grad_tol", self.grad_tol > 0, "must be positive"),
             ("max_iter", self.max_iter >= 0, "must be >= 0"),
             ("restarts", self.restarts >= 1, "must be >= 1"),
+            ("seed", self.seed >= 0, "must be >= 0"),
         ):
             if not valid:
                 raise ValueError(f"{key}: {why}")
@@ -165,8 +168,7 @@ def minimize(
     for r in range(cfg.restarts):
         x0 = pack(asm.grid, u0)
         if r > 0:
-            rng = np.random.default_rng([cfg.seed, r])
-            x0 = x0 + 0.01 * rng.standard_normal(x0.size)
+            x0 = x0 + 0.01 * np.random.default_rng([cfg.seed, r]).standard_normal(x0.size)
         runs.append(_descend(asm, x0, cfg, tol, h0_solve))
     # converged runs first, then the lowest energy; the earliest run wins ties
     return min(runs, key=lambda run: (not run[1].converged, run[1].final_energy))
@@ -197,31 +199,28 @@ def _descend(asm, x0, cfg, tol, h0_solve):
         nonlocal evaluations
         evaluations += 1
         u = unpack(grid, x)
-        f, fscale, g = asm.full_evaluation(u)
-        return u, f, fscale, g
+        return (u, *asm.full_evaluation(u))
+
+    def diagnostics(converged):
+        return SolveDiagnostics(iterations, f, resid, backtracks, time.perf_counter() - start,
+                                converged, energies, noise_floor, evaluations, h0_solve.name)
 
     x = x0
     u, f, fscale, gdisp = evaluate(x)
     g = pack(grid, gdisp)
     resid = _weighted_residual(grid, gdisp)
     energies = [f]
-    s_hist: list[np.ndarray] = []
-    y_hist: list[np.ndarray] = []
-    rho: list[float] = []
-    iterations = 0
-    backtracks = 0
+    history = deque(maxlen=cfg.memory)  # the newest curvature pairs (s, y, 1 / s.y)
+    iterations = backtracks = 0
     noise_floor = 0.0
-    converged = resid <= tol
-
-    while not converged and iterations < cfg.max_iter:
-        d = _two_loop_direction(g, s_hist, y_hist, rho, h0_solve)
+    # `not resid <= tol` keeps iterating on a NaN residual, as `resid > tol` would not
+    while not resid <= tol and iterations < cfg.max_iter:
+        d = _two_loop_direction(g, history, h0_solve)
         gd = _dot(g, d)
         if gd >= 0.0:
             # quasi-Newton direction lost descent; forget the history and
             # take the plate-Newton step -H0^{-1} g
-            s_hist.clear()
-            y_hist.clear()
-            rho.clear()
+            history.clear()
             d = -h0_solve(g)
             gd = _dot(g, d)
         # Armijo with an fp-noise allowance: the energy is evaluated by
@@ -239,51 +238,25 @@ def _descend(asm, x0, cfg, tol, h0_solve):
             alpha *= cfg.ls_shrink
             backtracks += 1
             if alpha < STALL_STEP:
-                diag = SolveDiagnostics(
-                    iterations, f, resid, backtracks,
-                    time.perf_counter() - start, False, energies,
-                    evaluations=evaluations, preconditioner=h0_solve.name,
-                )
                 raise LineSearchStallError(
-                    f"line search stalled at step {alpha:.3g} "
-                    f"(iteration {iterations}, residual {resid:.3g})",
-                    diag,
-                )
+                    f"line search stalled at step {alpha:.3g} (iteration {iterations}, "
+                    f"residual {resid:.3g})", diagnostics(False))
         g_new = pack(grid, gdisp_new)
         s = x_new - x
         y = g_new - g
         sy = _dot(s, y)
         if sy > 1e-12 * np.sqrt(_dot(s, s)) * np.sqrt(_dot(y, y)):
-            s_hist.append(s)
-            y_hist.append(y)
-            rho.append(1.0 / sy)
-            if len(s_hist) > cfg.memory:
-                s_hist.pop(0)
-                y_hist.pop(0)
-                rho.pop(0)
+            history.append((s, y, 1.0 / sy))
         x, u, f, fscale, g, gdisp = x_new, u_new, f_new, fscale_new, g_new, gdisp_new
         resid = _weighted_residual(grid, gdisp)
         energies.append(f)
         iterations += 1
-        converged = resid <= tol
 
-    diag = SolveDiagnostics(
-        iterations=iterations,
-        final_energy=f,
-        final_residual=resid,
-        line_search_failures=backtracks,
-        wall_time=time.perf_counter() - start,
-        converged=converged,
-        energy_history=energies,
-        noise_floor=noise_floor,
-        evaluations=evaluations,
-        preconditioner=h0_solve.name,
-    )
-    return u, diag
+    return u, diagnostics(resid <= tol)
 
 
-def _two_loop_direction(g, s_hist, y_hist, rho, h0_solve):
-    """Two-loop recursion with an exact plate Hessian as H0.
+def _two_loop_direction(g, history, h0_solve):
+    """Two-loop recursion over history's pairs (s, y, 1 / s.y) with an exact plate H0.
 
     h0_solve applies H0^{-1}: the plate Hessian at u = 0, or the block
     inverse of the plate Hessian at the plate minimizer.  Either is exact
@@ -292,14 +265,13 @@ def _two_loop_direction(g, s_hist, y_hist, rho, h0_solve):
     """
     q = g.copy()
     alphas = []
-    for s, y, r in zip(reversed(s_hist), reversed(y_hist), reversed(rho)):
-        a = r * _dot(s, q)
+    for s, y, rho in reversed(history):
+        a = rho * _dot(s, q)
         alphas.append(a)
         q -= a * y
     q = h0_solve(q)
-    for (s, y, r), a in zip(zip(s_hist, y_hist, rho), reversed(alphas)):
-        b = r * _dot(y, q)
-        q += (a - b) * s
+    for (s, y, rho), a in zip(history, reversed(alphas)):
+        q += (a - rho * _dot(y, q)) * s
     return -q
 
 
@@ -364,8 +336,7 @@ def _bending_band(grid: Grid, mat: Material) -> np.ndarray:
     weight and eps^3 / 3: 9 x 9 local matrices, one per node.
     """
     stencil = grid.clamped_d2_ops
-    shear = np.array([1.0, 1.0, 2.0])
-    c = (np.outer(shear, shear) * flat_voigt(mat))[..., None, None] \
+    c = (np.outer(energy._SHEAR, energy._SHEAR) * flat_voigt(mat))[..., None, None] \
         * ((mat.eps**3 / 3.0) * grid.weights)
     slots = [(o1, o2, 0) for o1, o2 in stencil.support]
     band = _zero_band(grid, slots, 1)
@@ -444,7 +415,7 @@ def _plate_hessian_blocks(grid: Grid, mat: Material, u: Displacement | None = No
     zero = np.zeros_like(du[0])
     p = np.array([[du[0], zero], [zero, du[1]], [du[1], du[0]]])
     pwc = np.einsum("va...,vw->aw...", p, wc)
-    q = np.einsum("aw...,wb...->ab...", pwc, p) + s[[[0, 2], [2, 1]]]
+    q = np.einsum("aw...,wb...->ab...", pwc, p) + s[energy._STRESS_MATRIX]
     k33 = _bending_band(grid, mat)
     slots = [(o1, o2, 0) for o1, o2 in cells.support]
     _assemble(k33, grid, cells.local_weights(), q, slots, 1)
@@ -477,7 +448,7 @@ class _Coupling:
         u3 = np.zeros(cells.source)
         u3[1:-1, 1:-1] = x.reshape(m1, m2)
         s = np.einsum("av...,a...->v...", self.pwc, cells(u3))
-        y = s[[[0, 2], [2, 1]]]  # y[a, k]: the stress D_a u_k meets
+        y = s[energy._STRESS_MATRIX]  # y[a, k]: the stress D_a u_k meets
         return np.moveaxis(cells.adjoint(y)[:, 1:-1, 1:-1], 0, -1).ravel()
 
 

@@ -13,6 +13,7 @@ from pathlib import Path
 
 from .config import ConfigError, StudyConfig
 from .elasticity import positivity_gap
+from .geometry import ImmersionError, cell_geometry, geometry_field
 from .grid import v_norm
 from .io import meta_line, write_displacement_csv, write_study_csv
 from .solver import (  # NonconvergenceError is re-exported for callers
@@ -50,7 +51,7 @@ def run_convergence_study(cfg: StudyConfig, write: bool = True) -> StudyReport:
 
     Raises ValueError before any solve when cfg.t_list lacks the plate t=0,
     and ConfigError when the immersion is the plate and cfg.t_list holds a
-    t > 0: the plate has no family to flatten.
+    t > 0, or when the family's member at a t is no immersion on the grid.
     Raises NonconvergenceError at the first solve that exhausts its
     iteration budget, tagged with that solve's t.  Solve order is the plate
     t=0 first, then t_list from largest to smallest, so a failing plate solve
@@ -66,6 +67,13 @@ def run_convergence_study(cfg: StudyConfig, write: bool = True) -> StudyReport:
     material = cfg.material
     force = cfg.make_force(grid)
     immersion = cfg.make_immersion()
+    for t in cfg.t_list:
+        try:
+            member = immersion.with_scale(t)
+            geometry_field(member, grid)
+            cell_geometry(member, grid)
+        except ImmersionError as exc:
+            raise ConfigError(f"[study] t_list: t={t:g}: {exc}") from None
 
     steps = homotopy_solve(immersion, cfg.t_list, grid, material, force, cfg.solver)
     u_plate = next(s.u for s in steps if s.t == 0.0)

@@ -112,3 +112,42 @@ def test_cli_plate_study_needs_t_list_zero(tmp_path, capsys, monkeypatch):
     cfgfile.write_text(CONFIG + "[immersion]\nkind = plate\n[study]\nt_list = 0\n")
     assert main(["study", "--config", str(cfgfile), "--out", str(out)]) == 0
     assert (out / "study.csv").exists()
+
+
+SINGULAR = "singular metric: det(a) not positive at node (8, 8)"
+
+
+@pytest.mark.parametrize(
+    "argv, extra, message",
+    [(["solve"], "[solver]\nseed = -1\nrestarts = 2\n", "[solver] seed: must be >= 0"),
+     (["study", "--seed", "-3"], "", "--seed: must be >= 0"),
+     (["solve", "--t", "1e8"], "", f"--t: {SINGULAR}"),
+     (["solve"], "[immersion]\nt = 1e8\n", f"[immersion] {SINGULAR}"),
+     (["geometry"], "[immersion]\nt = 1e8\n", f"[immersion] {SINGULAR}"),
+     (["study"], "[study]\nt_list = 1e8, 0\n", f"[study] t_list: t=1e+08: {SINGULAR}"),
+     (["study"], "[output]\nprefix = sub/run\n",
+      "[output] prefix: must be a file name, not a path: 'sub/run'"),
+     (["study", "--out", "TAKEN"], "", "--out: not a directory: TAKEN"),
+     (["solve", "--out", "TAKEN/sub"], "", "--out: not a directory: TAKEN"),
+     (["study"], "[output]\ndirectory = TAKEN\n", "[output] directory: not a directory: TAKEN")],
+    ids=["seed-key", "seed-flag", "t-flag", "immersion-solve", "immersion-geometry",
+         "t_list", "prefix", "out-file", "out-below-file", "directory-file"],
+)
+def test_cli_refuses_bad_inputs_before_writing(tmp_path, capsys, argv, extra, message):
+    """A negative seed, a family member that is no immersion and an output
+    location that cannot be written are config errors naming their key:
+    exit 2, one line on stderr, nothing written."""
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory\n")
+    argv = [a.replace("TAKEN", str(taken)) for a in argv]
+    if "--out" not in argv and "directory" not in extra:
+        argv += ["--out", str(tmp_path / "out")]
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text(CONFIG + extra.replace("TAKEN", str(taken)))
+    before = sorted(tmp_path.rglob("*"))
+    assert main(argv[:1] + ["--config", str(cfgfile)] + argv[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {message.replace('TAKEN', str(taken))}\n"
+    assert captured.out == ""
+    assert sorted(tmp_path.rglob("*")) == before
+    assert taken.read_text() == "a file, not a directory\n"

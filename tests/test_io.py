@@ -3,6 +3,7 @@ its memory use, and a bitwise round trip."""
 
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import shallowshell
 from shallowshell import Displacement, Grid, Immersion, geometry_field
 from shallowshell.grid import random_clamped_displacement
 from shallowshell.io import (
@@ -175,3 +177,14 @@ def test_displacement_csv_round_trip_is_bitwise(tmp_path_factory, components):
     write_displacement_csv(path, grid, Displacement(*components))
     for read, written in zip(read_displacement_csv(path, grid), components):
         assert np.array_equal(read.view(np.int64), written.view(np.int64))
+
+
+def test_meta_line_version_is_the_project_version():
+    """Every output file's meta line prints shallowshell.__version__, and
+    pyproject.toml's [project] version must say the same.  The file is read
+    by regex, since tomllib needs Python 3.11."""
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    project = re.search(r"^\[project\]\n(.*?)(?=^\[|\Z)", text, re.MULTILINE | re.DOTALL)
+    version = re.search(r'^version\s*=\s*"([^"]*)"', project.group(1), re.MULTILINE)
+    assert version.group(1) == shallowshell.__version__
+    assert meta_line("0" * 16, 0).startswith(f"# shallowshell={version.group(1)} ")

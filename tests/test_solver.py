@@ -19,6 +19,7 @@ from shallowshell import (
     ForceDensity,
     Grid,
     Immersion,
+    LineSearchStallError,
     Material,
     SolverConfig,
     homotopy_solve,
@@ -97,6 +98,21 @@ def test_residual_contract_and_monotone_energy(grid17, material, general_force):
     assert hist[-1] < hist[0]
     # monotone up to the documented fp-noise allowance of the line search
     assert np.max(np.diff(hist)) <= diag.noise_floor
+
+
+def test_stall_diagnostics_carry_the_noise_floor(monkeypatch, grid17, material):
+    """A stalled line search reports the search's fp-noise allowance as a
+    finished run does: on the L3 plate with STALL_STEP = 0.9, the first
+    backtrack of the second iteration stalls."""
+    monkeypatch.setattr("shallowshell.solver.STALL_STEP", 0.9)
+    force = ForceDensity.polynomial(
+        grid17, ((10.8, -9.8, 1.4), (-9.4, 10.8, 6.7), (0.6, -0.4, 0.3)))
+    asm = make_assembly(grid17, Immersion("plate"), material, force)
+    with pytest.raises(LineSearchStallError) as exc:
+        minimize(asm, Displacement.zeros(grid17), SolverConfig())
+    diag = exc.value.diagnostics
+    assert diag.iterations == 1 and not diag.converged
+    assert diag.noise_floor > 0.0
 
 
 def test_minimize_deterministic_bitwise(grid9, material, general_force):
