@@ -45,7 +45,8 @@ SCALE_PARAM = "t"
 
 
 class ImmersionError(Exception):
-    """Raised when a map fails to be an immersion (degenerate tangents)."""
+    """Raised when a map fails to be an immersion on the sampled points:
+    degenerate tangents, a singular metric, or geometry that is not finite."""
 
 
 @dataclass(frozen=True)
@@ -295,50 +296,63 @@ class SurfaceGeometry:
         )
 
 
-def surface_quantities(imm: Immersion, y: np.ndarray):
+def surface_quantities(imm: Immersion, y: np.ndarray, point: str = "node"):
     """All pointwise geometric quantities at an arbitrary point array.
 
     Returns (a, a_inv, b, gamma, sqrt_a, K), each with the leading shape of
-    y; raises ImmersionError naming the first offending point index when the
-    tangents degenerate.
+    y.  Raises ImmersionError naming the first offending `point` index when
+    the tangents degenerate or det(a) is not positive, and else when a
+    quantity is not finite (an overflow).
     """
     y = np.asarray(y, dtype=float)
     imm.check_point(y)
     base = y.shape[:-1]
     _, g, h = imm._planes(y[..., 0], y[..., 1])
-    try:
-        normal, sqrt_a = _normal(g)
-        a = _metric(g)
-        a_inv = _inverse(a)
-    except ImmersionError as exc:
-        # the first point that fails either test: the tangents' cross
-        # product, or det(a), which can round to 0 where the product passes
-        a = _metric(g)
-        det = a[0][0] * a[1][1] - a[0][1] * a[1][0]
-        bad = np.argwhere((np.broadcast_to(_length(_cross(g)), base) < DEGENERACY_THRESHOLD)
-                          | (np.broadcast_to(det, base) <= DEGENERACY_THRESHOLD**2))
-        where = tuple(int(i) for i in bad[0]) if len(bad) else "unknown"
-        raise ImmersionError(f"{exc} at node {where}") from None
-    b = _second_form(normal, h)
-    gamma = _christoffel(g, h, a_inv)
-    K = _curvature(a_inv, b)
-    return tuple(_stack(q, base) for q in (a, a_inv, b, gamma, sqrt_a, K))
+    with np.errstate(all="ignore"):  # an overflow is named below as non-finite geometry
+        try:
+            normal, sqrt_a = _normal(g)
+            a = _metric(g)
+            a_inv = _inverse(a)
+        except ImmersionError as exc:
+            # the first point that fails either test: the tangents' cross
+            # product, or det(a), which can round to 0 where the product passes
+            a = _metric(g)
+            det = a[0][0] * a[1][1] - a[0][1] * a[1][0]
+            bad = ((np.broadcast_to(_length(_cross(g)), base) < DEGENERACY_THRESHOLD)
+                   | (np.broadcast_to(det, base) <= DEGENERACY_THRESHOLD**2))
+            raise ImmersionError(f"{exc} at {point} {_first(bad)}") from None
+        b = _second_form(normal, h)
+        gamma = _christoffel(g, h, a_inv)
+        K = _curvature(a_inv, b)
+    out = tuple(_stack(q, base) for q in (a, a_inv, b, gamma, sqrt_a, K))
+    # min and max propagate NaN and reach any inf, and allocate nothing
+    if not all(np.isfinite(q.min()) and np.isfinite(q.max()) for q in out):
+        finite = [np.isfinite(q).reshape(base + (-1,)).all(axis=-1) for q in out]
+        bad = ~np.logical_and.reduce(finite)
+        raise ImmersionError(f"non-finite geometry at {point} {_first(bad)}")
+    return out
+
+
+def _first(bad: np.ndarray):
+    """The index of the first point where bad holds, as a tuple of ints."""
+    where = np.argwhere(bad)
+    return tuple(int(i) for i in where[0]) if len(where) else "unknown"
 
 
 def geometry_field(imm: Immersion, grid: Grid) -> SurfaceGeometry:
     """Evaluate every geometric quantity of the immersion at the grid nodes."""
-    return _geometry_at(imm, grid, (grid.y1, grid.y2))
+    return _geometry_at(imm, grid, (grid.y1, grid.y2), "node")
 
 
 def cell_geometry(imm: Immersion, grid: Grid) -> SurfaceGeometry:
     """Geometric quantities at the cell midpoints (membrane collocation)."""
-    return _geometry_at(imm, grid, grid.cell_centers)
+    return _geometry_at(imm, grid, grid.cell_centers, "cell")
 
 
-def _geometry_at(imm: Immersion, grid: Grid, coords) -> SurfaceGeometry:
+def _geometry_at(imm: Immersion, grid: Grid, coords, point: str) -> SurfaceGeometry:
     if not (np.isclose(imm.L1, grid.L1) and np.isclose(imm.L2, grid.L2)):
         raise ValueError("grid rectangle does not match the immersion domain")
-    a, a_inv, b, gamma, sqrt_a, K = surface_quantities(imm, np.stack(coords, axis=-1))
+    a, a_inv, b, gamma, sqrt_a, K = surface_quantities(imm, np.stack(coords, axis=-1), point)
     return SurfaceGeometry(grid=grid, a=a, a_inv=a_inv, b=b, gamma=gamma,
                            sqrt_a=sqrt_a, K=K)
 

@@ -25,6 +25,7 @@ seminorm the trapezoid rule over clamped_d2_ops.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -507,24 +508,24 @@ def random_clamped_displacement(
 
 
 def l2_norm(grid: Grid, f: np.ndarray) -> float:
-    return np.sqrt(integrate(grid, f * f))
+    return math.sqrt(integrate(grid, f * f))
 
 
 def h1_seminorm(grid: Grid, f: np.ndarray) -> float:
     """The midpoint rule over the cell derivatives (cell_d1_ops)."""
     g = grid.cell_d1_ops(f)
-    return np.sqrt(grid.cell_weight * np.sum(g * g))
+    return math.sqrt(grid.cell_weight * np.sum(g * g))
 
 
 def h2_seminorm(grid: Grid, f: np.ndarray) -> float:
     """The trapezoid rule over the clamped second derivatives
     (clamped_d2_ops), d12 counted twice: f is taken to lie in H2_0."""
     d11, d22, d12 = grid.clamped_d2_ops(f)
-    return np.sqrt(integrate(grid, d11 * d11 + d22 * d22 + 2.0 * d12 * d12))
+    return math.sqrt(integrate(grid, d11 * d11 + d22 * d22 + 2.0 * d12 * d12))
 
 
 def v_norm(grid: Grid, u: Displacement) -> float:
     """Norm of the displacement space: ||u1||_H1 + ||u2||_H1 + ||u3||_H2."""
-    h1_norms = [np.sqrt(l2_norm(grid, f) ** 2 + h1_seminorm(grid, f) ** 2)
+    h1_norms = [math.sqrt(l2_norm(grid, f) ** 2 + h1_seminorm(grid, f) ** 2)
                 for f in u.components()]
-    return h1_norms[0] + h1_norms[1] + np.sqrt(h1_norms[2] ** 2 + h2_seminorm(grid, u.u3) ** 2)
+    return h1_norms[0] + h1_norms[1] + math.sqrt(h1_norms[2] ** 2 + h2_seminorm(grid, u.u3) ** 2)

@@ -12,12 +12,14 @@ Node files are streamed to the open file one grid line (fixed i) at a time,
 so no copy of the whole table is ever held in memory.  Reads are vectorized:
 one np.loadtxt parses the data lines of the open file, every row check is a
 mask over all rows, and the first faulting row in file order is the one
-reported (its text is read again to quote it).
+reported (its text is read again to quote it).  A study report's header
+is its row dataclass's field names, so a new column is one new field.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -193,17 +195,9 @@ def write_geometry_csv(path, geom: SurfaceGeometry, meta: str | None = None) -> 
     _write_table(path, geom.grid, "i,j,y1,y2,a11,a12,a22,b11,b12,b22,sqrt_a,K", columns, meta)
 
 
-STUDY_COLUMNS = (
-    "t,c2_distance,final_energy,v_norm,v_norm_err,residual,iterations,positivity_gap"
-)
-
-
 def write_study_csv(path, rows, meta: str | None = None) -> None:
-    lines = [meta or meta_line(), STUDY_COLUMNS]
+    """The fields of each row in declaration order: floats by fmt, integers as is."""
+    lines = [meta or meta_line(), ",".join(f.name for f in fields(rows[0]))]
     for r in rows:
-        lines.append(
-            f"{fmt(r.t)},{fmt(r.c2_distance)},{fmt(r.final_energy)},"
-            f"{fmt(r.v_norm)},{fmt(r.v_norm_err)},{fmt(r.residual)},"
-            f"{r.iterations},{fmt(r.positivity_gap)}"
-        )
+        lines.append(",".join(str(v) if isinstance(v, int) else fmt(v) for v in astuple(r)))
     Path(path).write_text("\n".join(lines) + "\n")

@@ -35,6 +35,7 @@ bits, and with them the last digits of the iterates.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -44,7 +45,7 @@ import numpy as np
 from . import energy, lapack
 from .elasticity import Material, flat_voigt
 from .energy import EnergyAssembly, ForceDensity, make_assembly
-from .geometry import Immersion, c2_distance
+from .geometry import Immersion, ImmersionError, c2_distance
 from .grid import Displacement, Grid, require_clamped
 
 STALL_STEP = 1e-16
@@ -146,8 +147,9 @@ def minimize(
     """Minimize the assembled energy from the clamped start u0.
 
     Returns the first iterate whose weighted residual satisfies the relative
-    tolerance.  With restarts > 1, reruns from seeded perturbations of u0 and
-    returns the lowest-energy converged result (deterministic given seed).
+    tolerance; a tolerance that is not finite is never met.  With
+    restarts > 1, reruns from seeded perturbations of u0 and returns the
+    lowest-energy converged result (deterministic given seed).
     When no run converges within max_iter, the lowest-energy run is
     returned, flagged converged=False; a stalled line search raises
     LineSearchStallError with diagnostics attached.
@@ -227,7 +229,7 @@ def _descend(asm, x0, cfg, tol, h0_solve):
         # summing terms of magnitude `fscale`, so decreases smaller than a
         # few ulps of that scale are unreadable; without the allowance the
         # search stalls long before the gradient's own accuracy is exhausted.
-        noise = _NOISE_ULPS * np.finfo(float).eps * fscale
+        noise = _NOISE_ULPS * float(np.finfo(float).eps) * fscale
         noise_floor = max(noise_floor, noise)
         alpha = 1.0
         while True:
@@ -252,7 +254,8 @@ def _descend(asm, x0, cfg, tol, h0_solve):
         energies.append(f)
         iterations += 1
 
-    return u, diagnostics(resid <= tol)
+    # a load whose norm overflows leaves tol = inf, which no residual meets
+    return u, diagnostics(math.isfinite(tol) and resid <= tol)
 
 
 def _two_loop_direction(g, history, h0_solve):
@@ -505,14 +508,17 @@ def homotopy_solve(
 ) -> list[HomotopyStep]:
     """Solve the family along a decreasing parameter list, warm-started.
 
-    The plate problem (t = 0) is always solved first from a cold start,
-    with H0 the plate Hessian at u = 0.  The largest t starts from the plate
-    minimizer u0 and every smaller t on the secant through u0,
-    u0 + (t / t_prev)(u_prev - u0); these warm solves take as H0 the block
-    inverse of the plate Hessian at u0.  When its u3 block is not positive
-    definite there, they start from the previous solution with H0 at u = 0
-    instead.  The plate result fills the t = 0 row when present.  Both H0s
-    share one K_tt factor, and H0's bending factor is freed before K_33(u0)'s.
+    Every member is assembled before any solve: the plate, then each t > 0
+    in solve order.  A member that is no immersion raises its ImmersionError
+    tagged "t=...: ", a plate given a t > 0 raises ValueError.  The plate
+    problem (t = 0) is solved first from a cold start, with H0 the plate
+    Hessian at u = 0.  The largest t starts from the plate minimizer u0 and
+    every smaller t on the secant through u0, u0 + (t / t_prev)(u_prev - u0);
+    these warm solves take as H0 the block inverse of the plate Hessian at
+    u0.  When its u3 block is not positive definite there, they start from
+    the previous solution with H0 at u = 0 instead.  The plate result fills
+    the t = 0 row when present.  Both H0s share one K_tt factor, and H0's
+    bending factor is freed before K_33(u0)'s.
 
     Solves are checked in that order: the first one that exhausts max_iter
     raises NonconvergenceError tagged with its t, and later steps are not
@@ -526,10 +532,18 @@ def homotopy_solve(
 
     plate = immersion.with_scale(0.0)
     asm0 = make_assembly(grid, plate, material, force)
+    members = []
+    for t in ts:
+        if t > 0.0:
+            imm_t = immersion.with_scale(t)
+            try:
+                members.append((t, imm_t, make_assembly(grid, imm_t, material, force)))
+            except ImmersionError as exc:
+                raise ImmersionError(f"t={t:g}: {exc}") from None
     h0 = _plate_hessian_solve(grid, material)
     u_plate, diag0 = _homotopy_step(asm0, Displacement.zeros(grid), cfg, 0.0, h0)
     secant = False
-    if ts and ts[0] > 0.0:
+    if members:
         membrane, h0 = h0.membrane, None  # free H0's bending factor before K_33(u0)'s
         try:
             h0, secant = _plate_hessian_solve(grid, material, u_plate, membrane), True
@@ -538,12 +552,7 @@ def homotopy_solve(
 
     steps: list[HomotopyStep] = []
     prev_t, prev = None, u_plate
-    for t in ts:
-        if t == 0.0:
-            steps.append(HomotopyStep(0.0, plate, asm0, u_plate, diag0, 0.0))
-            continue
-        imm_t = immersion.with_scale(t)
-        asm_t = make_assembly(grid, imm_t, material, force)
+    for t, imm_t, asm_t in members:
         on_secant = secant and prev_t is not None
         start = u_plate + (prev - u_plate) * (t / prev_t) if on_secant else prev
         u_t, diag_t = _homotopy_step(asm_t, start, cfg, t, h0)
@@ -551,6 +560,8 @@ def homotopy_solve(
             HomotopyStep(t, imm_t, asm_t, u_t, diag_t, c2_distance(imm_t, plate, grid))
         )
         prev_t, prev = t, u_t
+    if 0.0 in ts:
+        steps.append(HomotopyStep(0.0, plate, asm0, u_plate, diag0, 0.0))
     return steps
 
 

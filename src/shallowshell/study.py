@@ -3,7 +3,8 @@
 One row per homotopy parameter: geometric distance to the plate, final
 energy, displacement norm, distance to the plate minimizer, solver residual,
 iteration count, and the coercivity gap of the elasticity tensor.  The plate
-row comes last and anchors the error column at exactly zero.
+row comes last and anchors the error column at exactly zero.  Each StudyRow
+field is one CSV column; the homotopy sweep assembles and checks each member.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from pathlib import Path
 
 from .config import ConfigError, StudyConfig
 from .elasticity import positivity_gap
-from .geometry import ImmersionError, cell_geometry, geometry_field
+from .geometry import ImmersionError
 from .grid import v_norm
 from .io import meta_line, write_displacement_csv, write_study_csv
 from .solver import (  # NonconvergenceError is re-exported for callers
@@ -51,12 +52,13 @@ def run_convergence_study(cfg: StudyConfig, write: bool = True) -> StudyReport:
 
     Raises ValueError before any solve when cfg.t_list lacks the plate t=0,
     and ConfigError when the immersion is the plate and cfg.t_list holds a
-    t > 0, or when the family's member at a t is no immersion on the grid.
-    Raises NonconvergenceError at the first solve that exhausts its
-    iteration budget, tagged with that solve's t.  Solve order is the plate
-    t=0 first, then t_list from largest to smallest, so a failing plate solve
-    is reported as t=0 even though its row comes last.  Writes the report CSV
-    and per-step solutions under cfg.out_dir unless write=False.
+    t > 0, or, still before any solve, when the sweep finds the family's
+    member at a t no immersion on the grid.  Raises NonconvergenceError at
+    the first solve that exhausts its iteration budget, tagged with that
+    solve's t.  Solve order is the plate t=0 first, then t_list from largest
+    to smallest, so a failing plate solve is reported as t=0 even though its
+    row comes last.  Writes the report CSV and per-step solutions under
+    cfg.out_dir unless write=False.
     """
     if 0.0 not in cfg.t_list:
         raise ValueError("study parameter list must contain the plate t=0")
@@ -66,16 +68,11 @@ def run_convergence_study(cfg: StudyConfig, write: bool = True) -> StudyReport:
     grid = cfg.make_grid()
     material = cfg.material
     force = cfg.make_force(grid)
-    immersion = cfg.make_immersion()
-    for t in cfg.t_list:
-        try:
-            member = immersion.with_scale(t)
-            geometry_field(member, grid)
-            cell_geometry(member, grid)
-        except ImmersionError as exc:
-            raise ConfigError(f"[study] t_list: t={t:g}: {exc}") from None
-
-    steps = homotopy_solve(immersion, cfg.t_list, grid, material, force, cfg.solver)
+    try:
+        steps = homotopy_solve(cfg.make_immersion(), cfg.t_list, grid, material, force,
+                               cfg.solver)
+    except ImmersionError as exc:  # tagged with the member's t
+        raise ConfigError(f"[study] t_list: {exc}") from None
     u_plate = next(s.u for s in steps if s.t == 0.0)
 
     rows = []

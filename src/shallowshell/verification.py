@@ -372,21 +372,23 @@ def _gradient_setup(n: int, kind: str):
     return grid, make_assembly(grid, Immersion(kind, params=params), mat, force)
 
 
-def gradient_check(n: int, kind: str, pairs: int = 20, tau: float = 1e-6,
-                   seed: int = 11, corrupt: bool = False) -> float:
-    """Worst relative error of the analytic gradient against central
-    finite differences of the energy over seeded random pairs."""
+FD_PAIRS, FD_TAU, FD_SEED = 20, 1e-6, 11
+
+
+def gradient_check(n: int, kind: str, corrupt: bool = False) -> float:
+    """Worst relative error of the analytic gradient against central finite
+    differences of the energy (step FD_TAU) over FD_PAIRS seeded random pairs."""
     grid, asm = _gradient_setup(n, kind)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(FD_SEED)
     worst = 0.0
-    for _ in range(pairs):
+    for _ in range(FD_PAIRS):
         u = random_clamped_displacement(grid, rng)
         v = random_clamped_displacement(grid, rng)
         g = asm.gradient(u)
         if corrupt:
             g = Displacement(g.u1 * (1.0 + 1e-4), g.u2, g.u3)
         gv = sum(float(np.sum(gc * vc)) for gc, vc in zip(g.components(), v.components()))
-        fd = (asm.energy(u + tau * v) - asm.energy(u + (-tau) * v)) / (2.0 * tau)
+        fd = (asm.energy(u + FD_TAU * v) - asm.energy(u + (-FD_TAU) * v)) / (2.0 * FD_TAU)
         worst = max(worst, abs(gv - fd) / max(abs(fd), abs(gv), 1e-30))
     return worst
 

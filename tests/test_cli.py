@@ -151,3 +151,52 @@ def test_cli_refuses_bad_inputs_before_writing(tmp_path, capsys, argv, extra, me
     assert captured.out == ""
     assert sorted(tmp_path.rglob("*")) == before
     assert taken.read_text() == "a file, not a directory\n"
+
+
+BUMP = "[immersion]\nkind = sinusoidal_bump\n"
+NON_FINITE = "non-finite geometry at {} (0, 0)"
+
+
+@pytest.mark.parametrize(
+    "argv, extra, message",
+    [(["geometry"], BUMP + "t = 1e300\n", "[immersion] " + NON_FINITE.format("node")),
+     (["geometry"], "[immersion]\nkind = paraboloid\nt = 1e200\n",
+      "[immersion] " + NON_FINITE.format("node")),
+     (["solve"], BUMP + "t = 1e300\n", "[immersion] " + NON_FINITE.format("cell")),
+     (["solve", "--t", "1e300"], BUMP, "--t: " + NON_FINITE.format("cell")),
+     (["study"], BUMP + "[study]\nt_list = 1e300, 0\n",
+      "[study] t_list: t=1e+300: " + NON_FINITE.format("cell"))],
+    ids=["geometry-bump", "geometry-paraboloid", "solve", "solve-t", "study"],
+)
+def test_cli_rejects_a_member_whose_geometry_overflows(tmp_path, capsys, argv, extra, message):
+    """Geometry that overflows to inf or nan is no immersion: exit 2, one
+    config error line naming the key and the first bad point, nothing
+    written and no numpy warning."""
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text(CONFIG + extra)
+    out = tmp_path / "out"
+    assert main(argv[:1] + ["--config", str(cfgfile), "--out", str(out)] + argv[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {message}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_cli_an_overflowing_load_does_not_converge(tmp_path, capsys):
+    """p3 = 1e300 overflows the load norm and the residual (numpy warns of
+    both): solve reports converged=False and exits 3; study exits 3 and
+    writes nothing."""
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text(CONFIG + "[force]\np3 = 1e300\n")
+    for command in ("solve", "study"):
+        out = tmp_path / command
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert main([command, "--config", str(cfgfile), "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        if command == "solve":
+            assert "residual=inf iterations=0" in captured.out
+            assert "converged=False" in captured.out
+        else:
+            assert captured.err == ("solver failure: solve at t=0 did not converge "
+                                    "(residual inf after 0 iterations)\n")
+            assert not out.exists()

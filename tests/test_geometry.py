@@ -376,6 +376,41 @@ def test_singular_metric_names_its_node(monkeypatch):
     assert str(exc.value) == "singular metric: det(a) not positive at node (3, 2)"
 
 
+def test_cell_geometry_errors_name_the_cell(monkeypatch):
+    """A fault at a cell midpoint is named as a cell, not a node."""
+    planes = Immersion._planes
+    grid = Grid(1.0, 1.0, 9, 9)
+    y1, y2 = (c[3, 2] for c in grid.cell_centers)
+
+    def degenerate(self, p1, p2):
+        value, grad, hess = planes(self, p1, p2)
+        bad = ((p1 == y1) & (p2 == y2)).astype(float)
+        return value, (grad[0], (bad, 1.0 - bad, 0.0)), hess
+
+    monkeypatch.setattr(Immersion, "_planes", degenerate)
+    geometry_field(Immersion("plate"), grid)  # no node sits at a midpoint
+    with pytest.raises(ImmersionError) as exc:
+        cell_geometry(Immersion("plate"), grid)
+    assert str(exc.value) == ("degenerate immersion: |d1 theta x d2 theta| below 1e-12 "
+                              "at cell (3, 2)")
+
+
+@pytest.mark.parametrize("kind, t", [("sinusoidal_bump", 1e300), ("paraboloid", 1e200)])
+def test_overflowing_geometry_is_no_immersion(kind, t):
+    """Tangents and curvatures that overflow leave inf or nan in a, b or K,
+    which pass the degeneracy and det(a) tests: the first point holding one
+    is named, and numpy raises no warning on the way."""
+    grid = Grid(1.0, 1.0, 9, 9)
+    imm = Immersion(kind, params={"t": t})
+    for field, point in ((geometry_field, "node"), (cell_geometry, "cell")):
+        with pytest.raises(ImmersionError) as exc:
+            field(imm, grid)
+        assert str(exc.value) == f"non-finite geometry at {point} (0, 0)"
+    with pytest.raises(ImmersionError, match="^non-finite geometry at node"):
+        surface_quantities(imm, (0.5, 0.5))
+    assert np.isfinite(geometry_field(imm.with_scale(1.0), grid).K).all()
+
+
 def _as_planes(x, depth: int):
     """The trailing `depth` axes of x as nested tuples of planes, as
     Immersion._planes holds them (views; the Hessian's (1, 0) entry is its

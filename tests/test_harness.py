@@ -1,9 +1,11 @@
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from shallowshell import Displacement, ForceDensity, Grid, Immersion, energy, geometry_field
+from shallowshell import geometry as ss_geometry
 from shallowshell import grid as ss_grid
 from shallowshell.cli import main
 from shallowshell.config import ConfigError, default_config, parse_config, parse_config_text
@@ -378,6 +380,37 @@ def test_study_nonconvergence_tagged(tmp_path):
     with pytest.raises(NonconvergenceError) as err:
         run_convergence_study(cfg, write=False)
     assert err.value.t == 0.0  # the cold plate solve runs first
+
+
+def test_default_study_computes_each_members_geometry_once(tmp_path, monkeypatch):
+    """The default study at 9 x 9 has five members; the sweep assembles each
+    once, so surface geometry is computed once at the nodes and once at the
+    cells of each: 10 calls (a pre-pass that repeats the check makes 20)."""
+    calls = []
+    surface_quantities = ss_geometry.surface_quantities
+
+    def counted(imm, y, *args):
+        calls.append(imm.params.get("t", 0.0))
+        return surface_quantities(imm, y, *args)
+
+    monkeypatch.setattr(ss_geometry, "surface_quantities", counted)
+    cfg = default_config().with_overrides(grid=(9, 9), out_dir=str(tmp_path / "out"))
+    run_convergence_study(cfg, write=False)
+    assert len(calls) == 10
+    assert sorted(calls) == sorted(2 * cfg.t_list)
+
+
+def test_study_records_hold_python_numbers(tmp_path):
+    """Rows and the boundedness hold Python floats and ints, so their reprs
+    show plain numbers."""
+    report = run_convergence_study(parse_config_text(TINY_STUDY.format(out=tmp_path)),
+                                   write=False)
+    assert type(report.boundedness) is float
+    for row in report.rows:
+        for f in fields(row):
+            value = getattr(row, f.name)
+            assert type(value) is (int if f.name == "iterations" else float), f.name
+        assert "np." not in repr(row)
 
 
 # -- verification -------------------------------------------------------------------

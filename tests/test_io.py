@@ -3,6 +3,7 @@ its memory use, and a bitwise round trip."""
 
 import re
 import tracemalloc
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,9 @@ from shallowshell.io import (
     read_displacement_csv,
     write_displacement_csv,
     write_geometry_csv,
+    write_study_csv,
 )
+from shallowshell.study import StudyRow
 
 GRIDS = [(2.0, 1.0, 9, 5), (1.3, 0.7, 17, 33)]
 
@@ -188,3 +191,26 @@ def test_meta_line_version_is_the_project_version():
     version = re.search(r'^version\s*=\s*"([^"]*)"', project.group(1), re.MULTILINE)
     assert version.group(1) == shallowshell.__version__
     assert meta_line("0" * 16, 0).startswith(f"# shallowshell={version.group(1)} ")
+
+
+_ROW = dict(t=0.1, c2_distance=0.2, final_energy=-1.0 / 3.0, v_norm=2.5, v_norm_err=5e-324,
+            residual=1e-10, iterations=17, positivity_gap=0.75)
+_LINE = ("0.10000000000000001,0.20000000000000001,-0.33333333333333331,2.5,"
+         "4.9406564584124654e-324,1e-10,17,0.75")
+
+
+def test_study_csv_columns_are_the_row_fields(tmp_path):
+    """The header is the row dataclass's field names; each field follows in
+    declaration order, floats with 17 significant digits, integers as is.
+    A row class with one more field gets one more column, and nothing else
+    changes."""
+    header = "t,c2_distance,final_energy,v_norm,v_norm_err,residual,iterations,positivity_gap"
+    write_study_csv(tmp_path / "a.csv", [StudyRow(**_ROW)] * 2, "# meta")
+    assert (tmp_path / "a.csv").read_text() == f"# meta\n{header}\n{_LINE}\n{_LINE}\n"
+
+    @dataclass
+    class WiderRow(StudyRow):
+        restarts: int = 1
+
+    write_study_csv(tmp_path / "b.csv", [WiderRow(**_ROW, restarts=3)], "# meta")
+    assert (tmp_path / "b.csv").read_text() == f"# meta\n{header},restarts\n{_LINE},3\n"

@@ -19,6 +19,7 @@ from shallowshell import (
     ForceDensity,
     Grid,
     Immersion,
+    ImmersionError,
     LineSearchStallError,
     Material,
     SolverConfig,
@@ -875,3 +876,38 @@ def test_warm_steps_start_on_the_secant_through_the_plate_minimizer(
         assert all(np.array_equal(a, b) for a, b in zip(starts[k][0].components(),
                                                         expected.components()))
     assert all(h0.name == "plate_minimizer" for _, h0 in starts[1:])
+
+
+def test_homotopy_assembles_every_member_before_the_plate_solve(monkeypatch, grid9, material):
+    """A member that is no immersion fails, tagged with its t, before any
+    solve; so does a plate given a t > 0."""
+    def no_minimize(*args, **kwargs):
+        raise AssertionError("minimize called")
+
+    monkeypatch.setattr("shallowshell.solver.minimize", no_minimize)
+    force = ForceDensity.zero(grid9)
+    with pytest.raises(ImmersionError) as exc:
+        homotopy_solve(Immersion("paraboloid"), [1e8, 0.0], grid9, material, force,
+                       SolverConfig())
+    assert str(exc.value) == "t=1e+08: singular metric: det(a) not positive at node (8, 8)"
+    with pytest.raises(ValueError, match="the plate has no scale parameter"):
+        homotopy_solve(Immersion("plate"), [0.1, 0.0], grid9, material, force, SolverConfig())
+
+
+def test_an_overflowing_load_never_converges(grid9, material):
+    """With p3 = 1e300 the load norm overflows, so the tolerance is inf and
+    so is the first residual: the solve stops at once, not converged."""
+    asm = make_assembly(grid9, Immersion("plate"), material,
+                        ForceDensity.constant(grid9, 0.0, 0.0, 1e300))
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        _, diag = minimize(asm, Displacement.zeros(grid9), SolverConfig())
+    assert diag.final_residual == np.inf
+    assert diag.iterations == 0 and diag.converged is False
+
+
+def test_solve_diagnostics_hold_python_floats(shell_assembly):
+    _, diag = minimize(shell_assembly, Displacement.zeros(shell_assembly.grid), SolverConfig())
+    assert diag.converged
+    for name in ("final_energy", "final_residual", "wall_time", "noise_floor"):
+        assert type(getattr(diag, name)) is float, name
+    assert "np." not in repr(diag)
