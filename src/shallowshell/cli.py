@@ -160,18 +160,18 @@ def _cmd_solve(cfg: StudyConfig, t: float | None) -> int:
     except ImmersionError as exc:
         raise ConfigError(f"{'--t:' if t is not None else '[immersion]'} {exc}") from None
     u, diag = minimize(asm, Displacement.zeros(grid), cfg.solver)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / f"{cfg.prefix}_solve.csv"
-    write_displacement_csv(path, grid, u, meta_line(cfg.config_hash(), cfg.solver.seed))
     print(
         f"energy={diag.final_energy:.9g} residual={diag.final_residual:.3g} "
         f"iterations={diag.iterations} v_norm={v_norm(grid, u):.6g} "
         f"converged={diag.converged}"
     )
-    print(f"solution written to {path}")
-    if not diag.converged:
+    if not diag.converged:  # a failed solve writes nothing, as a failed study
         return EXIT_NONCONVERGED
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    path = out / f"{cfg.prefix}_solve.csv"
+    write_displacement_csv(path, grid, u, meta_line(cfg.config_hash(), cfg.solver.seed))
+    print(f"solution written to {path}")
     return EXIT_OK
 
 

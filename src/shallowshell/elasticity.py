@@ -25,11 +25,11 @@ class Material:
 
     def __post_init__(self):
         if self.lam < 0:
-            raise ValueError("lambda must be >= 0")
+            raise ValueError("lambda: must be >= 0")
         if self.mu <= 0:
-            raise ValueError("mu must be > 0")
+            raise ValueError("mu: must be > 0")
         if self.eps <= 0:
-            raise ValueError("half-thickness eps must be > 0")
+            raise ValueError("eps: half-thickness must be > 0")
 
     @property
     def bulk_factor(self) -> float:

@@ -49,12 +49,23 @@ from .geometry import Immersion, SurfaceGeometry, cell_geometry, geometry_field
 from .grid import Displacement, Grid, Stencil
 
 
+# The catalog loads: each kind's keys and their defaults, in the order the
+# kind's constructor takes them, the three per-component keys first.
+_LOADS = {
+    "constant": {"p1": 0.0, "p2": 0.0, "p3": 0.0},
+    "polynomial": {"p1_coeffs": (), "p2_coeffs": (), "p3_coeffs": ()},
+    "gaussian_bump": {"amp1": 0.0, "amp2": 0.0, "amp3": 0.0,
+                      "center1": 0.5, "center2": 0.5, "sigma": 0.1},
+}
+
+
 @dataclass
 class ForceDensity:
     """Applied force per unit area, sampled at the grid nodes.
 
     No smallness or sign restriction applies; in particular the tangential
-    components may be arbitrary.
+    components may be arbitrary.  The catalog kinds and their keys are
+    _LOADS; a rejected load raises ValueError("<key>: <why>").
     """
 
     p1: np.ndarray
@@ -83,51 +94,39 @@ class ForceDensity:
         y1, y2 = grid.y1, grid.y2
         basis = (np.ones(grid.shape), y1, y2, y1 * y1, y1 * y2, y2 * y2)
         fields = []
-        for comp in coeffs:
+        for m, comp in enumerate(coeffs, start=1):
+            if len(comp) > 6:
+                raise ValueError(f"p{m}_coeffs: at most 6 coefficients")
             c = list(comp) + [0.0] * (6 - len(comp))
-            if len(c) > 6:
-                raise ValueError("polynomial force takes at most 6 coefficients")
             fields.append(sum(ci * bi for ci, bi in zip(c, basis)))
         return cls(*fields)
 
     @classmethod
     def gaussian_bump(cls, grid: Grid, amps, center, sigma: float) -> "ForceDensity":
+        """sigma^2 = inf gives the bump 1, sigma^2 = 0 its limit: 1 at a node on
+        the centre, 0 elsewhere (as it already is below sigma^2 ~ h^2/1500)."""
         if sigma <= 0:
-            raise ValueError("gaussian bump width must be positive")
+            raise ValueError("sigma: gaussian bump width must be positive")
         r2 = (grid.y1 - center[0]) ** 2 + (grid.y2 - center[1]) ** 2
-        bump = np.exp(-0.5 * r2 / sigma**2)
+        with np.errstate(over="ignore"):
+            s2 = np.float64(sigma) ** 2
+        bump = np.exp(-0.5 * r2 / s2) if s2 > 0 else (r2 == 0) * 1.0
         return cls(amps[0] * bump, amps[1] * bump, amps[2] * bump)
 
     @classmethod
     def from_catalog(cls, grid: Grid, kind: str, params: dict) -> "ForceDensity":
+        """The _LOADS kind with params, the omitted keys at their defaults."""
+        if kind not in _LOADS:
+            raise ValueError(f"kind: unknown force kind {kind!r}")
+        unknown = sorted(set(params) - set(_LOADS[kind]))
+        if unknown:
+            raise ValueError(f"{unknown[0]}: unknown key for kind {kind!r}")
+        args = [params.get(key, default) for key, default in _LOADS[kind].items()]
         if kind == "constant":
-            return cls.constant(
-                grid,
-                float(params.get("p1", 0.0)),
-                float(params.get("p2", 0.0)),
-                float(params.get("p3", 0.0)),
-            )
+            return cls.constant(grid, *args)
         if kind == "polynomial":
-            return cls.polynomial(
-                grid,
-                (
-                    params.get("p1_coeffs", ()),
-                    params.get("p2_coeffs", ()),
-                    params.get("p3_coeffs", ()),
-                ),
-            )
-        if kind == "gaussian_bump":
-            return cls.gaussian_bump(
-                grid,
-                (
-                    float(params.get("amp1", 0.0)),
-                    float(params.get("amp2", 0.0)),
-                    float(params.get("amp3", 0.0)),
-                ),
-                (float(params.get("center1", 0.5)), float(params.get("center2", 0.5))),
-                float(params.get("sigma", 0.1)),
-            )
-        raise ValueError(f"unknown force kind {kind!r}")
+            return cls.polynomial(grid, args)
+        return cls.gaussian_bump(grid, args[:3], args[3:5], args[5])
 
 
 # -- strains ------------------------------------------------------------------

@@ -1,6 +1,10 @@
+import numpy as np
 import pytest
 
 from shallowshell.cli import main
+from shallowshell.config import parse_config_text
+from shallowshell.grid import Displacement, Grid
+from shallowshell.io import write_displacement_csv
 
 CONFIG = """\
 [domain]
@@ -182,21 +186,91 @@ def test_cli_rejects_a_member_whose_geometry_overflows(tmp_path, capsys, argv, e
     assert not out.exists()
 
 
-def test_cli_an_overflowing_load_does_not_converge(tmp_path, capsys):
-    """p3 = 1e300 overflows the load norm and the residual (numpy warns of
-    both): solve reports converged=False and exits 3; study exits 3 and
-    writes nothing."""
+def test_cli_an_overflowing_load_does_not_converge(tmp_path, capsys, monkeypatch):
+    """p3 = 1e300 overflows the load norm.  It used to reach the solver and
+    fail there (exit 3, numpy overflow warnings, a solve CSV of zeros); now
+    the load is refused before any solve: exit 2, one line, nothing written."""
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solver called")
+
+    monkeypatch.setattr("shallowshell.cli.minimize", no_solve)
+    monkeypatch.setattr("shallowshell.study.homotopy_solve", no_solve)
     cfgfile = tmp_path / "c.ini"
     cfgfile.write_text(CONFIG + "[force]\np3 = 1e300\n")
     for command in ("solve", "study"):
         out = tmp_path / command
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            assert main([command, "--config", str(cfgfile), "--out", str(out)]) == 3
+        assert main([command, "--config", str(cfgfile), "--out", str(out)]) == 2
         captured = capsys.readouterr()
-        if command == "solve":
-            assert "residual=inf iterations=0" in captured.out
-            assert "converged=False" in captured.out
-        else:
-            assert captured.err == ("solver failure: solve at t=0 did not converge "
-                                    "(residual inf after 0 iterations)\n")
-            assert not out.exists()
+        assert captured.err == "config error: [force] p3: load norm not finite on the 9x9 grid\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+
+NON_FINITE_LOADS = {
+    "constant": ("[force]\np3 = 1e300\n", "p3"),
+    "polynomial": ("[force]\nkind = polynomial\np1_coeffs = 1e200, 1e200\n", "p1_coeffs"),
+    "gaussian": ("[force]\nkind = gaussian_bump\namp2 = 1e300\nsigma = 1\n", "amp2"),
+    "csv": ("[force]\nkind = csv\npath = load.csv\n", "path"),
+}
+
+
+@pytest.mark.parametrize("command", ["solve", "study"])
+@pytest.mark.parametrize("extra, key", NON_FINITE_LOADS.values(), ids=NON_FINITE_LOADS.keys())
+def test_cli_rejects_a_load_whose_norm_is_not_finite(tmp_path, capsys, command, extra, key):
+    """A finite load whose weighted square sum overflows on the run's grid
+    is a config error naming the component's key (the CSV's path): exit 2,
+    one line, no numpy warning, nothing written."""
+    p3 = np.zeros((9, 9))
+    p3[4, 4] = 1e300
+    write_displacement_csv(tmp_path / "load.csv", Grid(1.0, 1.0, 9, 9),
+                           Displacement(np.zeros((9, 9)), np.zeros((9, 9)), p3))
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text(CONFIG + extra)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfgfile), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: [force] {key}: load norm not finite on the 9x9 grid\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_cli_solve_writes_nothing_when_it_does_not_converge(tmp_path, capsys):
+    """A solve stopped at max_iter prints its diagnostics and exits 3
+    without creating the output directory, as a failed study does."""
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text(CONFIG + "[solver]\nmax_iter = 2\n")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfgfile), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert "iterations=2 " in captured.out and "converged=False" in captured.out
+    assert "written" not in captured.out
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("lambda", "-1", "must be >= 0"), ("mu", "0", "must be > 0"),
+    ("eps", "0", "half-thickness must be > 0")])
+def test_cli_material_errors_name_their_key(tmp_path, capsys, key, value, message):
+    cfgfile = tmp_path / "c.ini"
+    values = {"lambda": "1.0", "mu": "1.0", "eps": "0.1", key: value}
+    cfgfile.write_text("[material]\n" + "".join(f"{k} = {v}\n" for k, v in values.items()))
+    assert main(["solve", "--config", str(cfgfile), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: [material] {key}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("sigma", ["1e200", "1e-200"])
+def test_cli_extreme_gaussian_widths_solve(tmp_path, capsys, sigma):
+    """sigma^2 overflowing to inf is the constant load amp3; sigma^2
+    underflowing to 0 the spike amp3 at the centre node.  Both solve with
+    no numpy warning (warnings are errors here)."""
+    text = CONFIG + f"[force]\nkind = gaussian_bump\namp3 = 1\nsigma = {sigma}\n"
+    p3 = parse_config_text(text).make_force(Grid(1.0, 1.0, 9, 9)).p3
+    if sigma == "1e200":
+        assert np.all(p3 == 1.0)
+    else:
+        assert p3[4, 4] == 1.0 and np.count_nonzero(p3) == 1
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text(text)
+    assert main(["solve", "--config", str(cfgfile), "--out", str(tmp_path / "out")]) == 0
+    assert "converged=True" in capsys.readouterr().out

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from shallowshell import config
 from shallowshell.config import DEFAULT_CONFIG, ConfigError, default_config, parse_config_text
+from shallowshell.energy import _LOADS, ForceDensity
+from shallowshell.grid import Grid
 from shallowshell.solver import SolverConfig
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -122,6 +124,34 @@ def test_non_finite_value_named_by_section_and_key(where, raw):
     with pytest.raises(ConfigError) as exc:
         parse_config_text(text)
     assert str(exc.value).startswith(f"[{section}] {key}: not finite")
+
+
+LOAD_KEYS = [(kind, key) for kind, keys in _LOADS.items() for key in keys]
+
+
+def _load_value(key: str):
+    """A value every catalog load key accepts, a tuple for *_coeffs."""
+    return (0.25, -0.5) if key.endswith("_coeffs") else 0.25
+
+
+@pytest.mark.parametrize("kind, key", LOAD_KEYS, ids=[f"{k}.{key}" for k, key in LOAD_KEYS])
+def test_every_load_key_is_read_hashed_and_built(kind, key):
+    """Each key of each catalog load kind parses, lands in force_params and
+    canonical(), and gives make_force the bytes of from_catalog; a key of
+    another kind is refused by name.  A kind added to the table is covered
+    with no edit here or in config."""
+    value = _load_value(key)
+    cfg = parse_config_text(_text({**VALID, ("force", key): value}, {"force": kind}))
+    assert cfg.force_params == {key: value}
+    assert f"force.{key}={value!r}" in cfg.canonical().splitlines()
+    grid = Grid(1.0, 1.0, 9, 9)
+    made, built = cfg.make_force(grid), ForceDensity.from_catalog(grid, kind, {key: value})
+    for p, q in zip(made.components(), built.components()):
+        assert p.tobytes() == q.tobytes()
+    other = next(k for keys in _LOADS.values() for k in keys if k not in _LOADS[kind])
+    with pytest.raises(ConfigError) as exc:
+        parse_config_text(_text({**VALID, ("force", other): _load_value(other)}, {"force": kind}))
+    assert str(exc.value) == f"[force] {other}: unknown key for kind {kind!r}"
 
 
 def test_default_config_hash_is_pinned():
