@@ -59,6 +59,9 @@ class StudyConfig:
     out_dir: str
     prefix: str
 
+    def solution_path(self, t: float) -> Path:
+        return Path(self.out_dir) / f"{self.prefix}_solution_t{t:g}.csv"
+
     def make_grid(self) -> Grid:
         return Grid(self.L1, self.L2, self.n1, self.n2)
 
@@ -286,7 +289,7 @@ def parse_config_text(text: str, base_dir: str | Path = ".") -> StudyConfig:
     if Path(prefix).name != prefix:
         _fail("output", "prefix", f"must be a file name, not a path: {prefix!r}")
 
-    return StudyConfig(
+    cfg = StudyConfig(
         L1=L1, L2=L2, n1=n1, n2=n2,
         material=material,
         immersion_kind=kind, immersion_params=params,
@@ -294,6 +297,13 @@ def parse_config_text(text: str, base_dir: str | Path = ".") -> StudyConfig:
         solver=solver, t_list=t_list,
         out_dir=out_dir, prefix=prefix,
     )
+    named = {}  # one solution file per t: its name prints t with "g"
+    for t in t_list:
+        name = cfg.solution_path(t).name
+        if name in named:
+            _fail("study", "t_list", f"t={named[name]!r} and t={t!r} share the file name {name}")
+        named[name] = t
+    return cfg
 
 
 def parse_config(path: str | Path) -> StudyConfig:

@@ -103,14 +103,20 @@ class ForceDensity:
 
     @classmethod
     def gaussian_bump(cls, grid: Grid, amps, center, sigma: float) -> "ForceDensity":
-        """sigma^2 = inf gives the bump 1, sigma^2 = 0 its limit: 1 at a node on
-        the centre, 0 elsewhere (as it already is below sigma^2 ~ h^2/1500)."""
+        """exp(-r^2 / (2 sigma^2)).  Where sigma^2 overflows, (r/sigma)^2 is
+        formed term by term, so a far centre still gives 0, not inf/inf;
+        sigma^2 = 0 takes its limit: 1 at a node on the centre, 0 elsewhere
+        (as it already is below sigma^2 ~ h^2/1500)."""
         if sigma <= 0:
             raise ValueError("sigma: gaussian bump width must be positive")
-        r2 = (grid.y1 - center[0]) ** 2 + (grid.y2 - center[1]) ** 2
+        d1, d2 = grid.y1 - center[0], grid.y2 - center[1]
         with np.errstate(over="ignore"):
             s2 = np.float64(sigma) ** 2
-        bump = np.exp(-0.5 * r2 / s2) if s2 > 0 else (r2 == 0) * 1.0
+            if s2 == np.inf:
+                bump = np.exp(-0.5 * ((d1 / sigma) ** 2 + (d2 / sigma) ** 2))
+            else:
+                r2 = d1 ** 2 + d2 ** 2
+                bump = np.exp(-0.5 * r2 / s2) if s2 > 0 else (r2 == 0) * 1.0
         return cls(amps[0] * bump, amps[1] * bump, amps[2] * bump)
 
     @classmethod

@@ -98,11 +98,8 @@ def run_convergence_study(cfg: StudyConfig, write: bool = True) -> StudyReport:
         steps=steps,
     )
     if write:
-        out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+        Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
         write_study_csv(report.csv_path(cfg), rows, meta)
         for step in steps:
-            write_displacement_csv(
-                out / f"{cfg.prefix}_solution_t{step.t:g}.csv", grid, step.u, meta
-            )
+            write_displacement_csv(cfg.solution_path(step.t), grid, step.u, meta)
     return report

@@ -274,3 +274,32 @@ def test_cli_extreme_gaussian_widths_solve(tmp_path, capsys, sigma):
     cfgfile.write_text(text)
     assert main(["solve", "--config", str(cfgfile), "--out", str(tmp_path / "out")]) == 0
     assert "converged=True" in capsys.readouterr().out
+
+
+def test_cli_study_refuses_two_t_that_share_a_solution_file(tmp_path, capsys):
+    """Each t's solution file is named by t printed with "g"; two t that
+    print alike would overwrite one file, so the t_list is a config error:
+    exit 2, one line naming both t and the file, nothing written."""
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text(CONFIG + "[immersion]\nkind = paraboloid\n"
+                       "[study]\nt_list = 0.10000001, 0.1, 0\n")
+    out = tmp_path / "out"
+    assert main(["study", "--config", str(cfgfile), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("config error: [study] t_list: t=0.10000001 and t=0.1 share "
+                            "the file name study_solution_t0.1.csv\n")
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("center1, sigma, p3", [("1e300", "1e200", 0.0), ("1e300", "1e155", 0.0),
+                                                 ("0.5", "1e200", 1.0), ("0.5", "1e155", 1.0)])
+def test_gaussian_bump_with_an_overflowing_width_is_finite(center1, sigma, p3):
+    """With sigma^2 overflowing, (r/sigma)^2 is formed term by term: a centre
+    whose r^2 overflows too gives the bump 0 (it was inf/inf = nan, refused
+    as a load norm that is not finite), a centre inside the domain the
+    bump 1, as before, with no numpy warning."""
+    text = CONFIG + ("[force]\nkind = gaussian_bump\namp3 = 1\n"
+                     f"center1 = {center1}\nsigma = {sigma}\n")
+    force = parse_config_text(text).make_force(Grid(1.0, 1.0, 9, 9))
+    assert np.all(force.p3 == p3) and not force.p1.any() and not force.p2.any()

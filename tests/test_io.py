@@ -214,3 +214,29 @@ def test_study_csv_columns_are_the_row_fields(tmp_path):
 
     write_study_csv(tmp_path / "b.csv", [WiderRow(**_ROW, restarts=3)], "# meta")
     assert (tmp_path / "b.csv").read_text() == f"# meta\n{header},restarts\n{_LINE},3\n"
+
+
+def _ulp_neighbours(x, k):
+    """x and the k floats on either side of it, for both signs."""
+    bits = np.array([x]).view(np.int64)[0] + np.arange(-k, k + 1)
+    near = bits[(bits >= 0) & (bits < 0x7FF0000000000000)].view(np.float64)
+    return np.concatenate([near, -near])
+
+
+def test_writer_digits_are_format_17g(tmp_path):
+    """The writer's vectorized digits give the bytes of format(v, ".17g"):
+    on random bit patterns (every exponent, subnormals included), signed
+    zeros, infinities and nan, every power of ten with its neighbours within
+    3 ulp, the points where the notation switches, and the edges of the
+    range its double-double product covers, 1e-280 and 1e280."""
+    rng = np.random.default_rng(24)
+    values = np.concatenate(
+        [rng.integers(0, 2 ** 64, 150_000, dtype=np.uint64).view(np.float64),
+         [0.0, -0.0, np.inf, -np.inf, np.nan],
+         *(_ulp_neighbours(float(f"1e{x}"), 3) for x in range(-323, 309)),
+         *(_ulp_neighbours(x, 2000) for x in (1e-5, 1e-4, 1e16, 1e17, 1e-280, 1e280))])
+    grid = Grid(1.0, 1.0, -(-len(values) // 303), 101)
+    fill = np.resize(values, 3 * grid.num_nodes).reshape(3, *grid.shape)
+    path = tmp_path / "u.csv"
+    write_displacement_csv(path, grid, Displacement(*fill), "# meta")
+    assert path.read_bytes() == _reference(grid, "i,j,y1,y2,u1,u2,u3", fill, "# meta")
