@@ -36,7 +36,6 @@ from .solver import (
     SolveDiagnostics,
     SolverConfig,
     homotopy_solve,
-    linear_bending_solve,
     minimize,
 )
 

@@ -26,6 +26,11 @@ from .solver import SolverConfig
 SECTIONS = ("domain", "material", "immersion", "force", "solver", "study", "output")
 
 _DOMAIN_KEYS = {"l1": 1.0, "l2": 1.0, "n1": 17, "n2": 17}
+# The [domain] sides and [material] coefficients lie in this window (lambda
+# down to 0), where the entries of the plate Hessian at u = 0, scaling as
+# eps^3 (lambda + 2 mu) h1 h2 / h^4 and eps (lambda + 2 mu) h1 h2 / h^2, are
+# normal floats on grids up to 10^6 nodes a side: the solver's H0 factors.
+_SCALES = (1e-30, 1e30)
 _DEFAULT_T_LIST = (0.2, 0.1, 0.05, 0.025, 0.0)
 
 DEFAULT_CONFIG = """\
@@ -185,6 +190,11 @@ def _take_int(sec: dict, section: str, key: str, default=None) -> int:
         _fail(section, key, f"not an integer: {raw!r}")
 
 
+def _require_scale(section: str, key: str, value: float, lo: float = _SCALES[0]):
+    if not lo <= value <= _SCALES[1]:
+        _fail(section, key, f"must lie in [{lo:g}, {_SCALES[1]:g}]: {value!r}")
+
+
 def _reject_unknown(sec: dict, section: str, why: str = "unknown key"):
     if sec:
         _fail(section, sorted(sec)[0], why)
@@ -215,6 +225,7 @@ def parse_config_text(text: str, base_dir: str | Path = ".") -> StudyConfig:
     for key, L in (("l1", L1), ("l2", L2)):
         if L <= 0:
             _fail("domain", key, "side lengths must be positive")
+        _require_scale("domain", key, L)
 
     matsec = section("material")
     lam = _take_real(matsec, "material", "lambda")
@@ -225,6 +236,9 @@ def parse_config_text(text: str, base_dir: str | Path = ".") -> StudyConfig:
         material = Material(lam=lam, mu=mu, eps=eps)
     except ValueError as exc:
         raise ConfigError(f"[material] {exc}") from None
+    _require_scale("material", "lambda", lam, lo=0.0)
+    for key, value in (("mu", mu), ("eps", eps)):
+        _require_scale("material", key, value)
 
     imm = section("immersion")
     kind = imm.pop("kind", "paraboloid")

@@ -1,4 +1,4 @@
-"""Energy minimization, homotopy continuation, and the linear bending oracle.
+"""Energy minimization and homotopy continuation.
 
 The minimizer is a limited-memory quasi-Newton descent with Armijo
 backtracking: the energy is a smooth quartic in the displacement and the
@@ -7,22 +7,17 @@ two-loop recursion runs over the newest `memory` curvature pairs, one
 bounded deque that skips pairs with unusable curvature; every run reports
 through one SolveDiagnostics exit, a stall included.  Its initial inverse
 Hessian H0 is an exact plate Hessian, so the iteration count does not grow
-with the mesh (Nocedal & Wright, Numerical Optimization, 2nd ed., 7.2):
+with the mesh (Nocedal & Wright, Numerical Optimization, 2nd ed., 7.2).
+One rule chooses it: H0 is the plate Hessian at the latest iterate where its
+u3 block K_33 factors (it does not at a flat saddle under a purely
+tangential load), rebuilt in place every _REFRESH iterations without
+convergence and, in a homotopy sweep, once at the plate minimizer u0.
 
-- by default, and for the cold plate solve of a homotopy sweep, the Hessian
-  of the plate energy at u = 0, which is block diagonal;
-- for the warm solves of a sweep, the Hessian at the plate minimizer u0,
-  applied as a symmetric block Gauss-Seidel inverse.  Since
-  u_t = u0 + t w + O(t^2), each warm solve also starts on the secant
-  through u0.  Where the u3 block is not positive definite at u0 (a flat
-  saddle under a purely tangential load) the warm solves keep H0 at u = 0.
-
-One builder, _plate_hessian_solve(grid, mat, u), makes both; nothing is
-cached, so a minimize call given no H0 factors its own.  Its blocks are
-assembled from the local weights of the grid's stencils (grid.cell_d1_ops,
-grid.clamped_d2_ops) straight into LAPACK band storage, and the coupling
-block K_3t is never stored: its products apply the cell stencils and their
-adjoint.
+One object, _PlateSolve, holds H0; a minimize call given none builds its
+own at u = 0.  Its blocks are assembled from the local weights of the
+grid's stencils (grid.cell_d1_ops, grid.clamped_d2_ops) straight into LAPACK
+band storage, and the coupling block K_3t is never stored: its products
+apply the cell stencils and their adjoint.
 
 Results repeat bitwise for a given configuration seed.  The solver's
 reductions are numpy sums in a fixed order, not BLAS dot products, so they
@@ -49,6 +44,7 @@ from .geometry import Immersion, ImmersionError, c2_distance
 from .grid import Displacement, Grid, require_clamped
 
 STALL_STEP = 1e-16
+_REFRESH = 30  # iterations without convergence between rebuilds of H0
 
 
 class LineSearchStallError(RuntimeError):
@@ -120,7 +116,8 @@ class SolveDiagnostics:
     energy_history: list = field(default_factory=list, repr=False)
     noise_floor: float = 0.0  # largest fp-noise allowance used by the search
     evaluations: int = 0  # energy+gradient calls, rejected line-search trials included
-    preconditioner: str = "plate"  # the recursion's H0: "plate" or "plate_minimizer"
+    h0_rebuilds: int = 0  # rebuilds of H0 made, over the H0 the solve used (a sweep shares one)
+    h0_refused: int = 0  # rebuilds refused where K_33 did not factor
 
 
 # -- flat packing of the interior unknowns -----------------------------------
@@ -154,18 +151,14 @@ def minimize(
     returned, flagged converged=False; a stalled line search raises
     LineSearchStallError with diagnostics attached.
 
-    h0_solve is the initial inverse Hessian of the two-loop recursion: a
-    callable applying a symmetric positive definite matrix to packed
-    interior vectors, whose `name` the diagnostics report as
-    `preconditioner`.  By default the call factors the plate Hessian at
-    u = 0 of the assembly's grid and material for itself; homotopy_solve
-    passes it to the cold plate solve and the inverse built at the plate
-    minimizer to its warm steps.
+    h0_solve is the initial inverse Hessian of the two-loop recursion, a
+    _PlateSolve, which the run rebuilds at its iterate every _REFRESH
+    iterations; by default the call builds its own at u = 0.
     """
     require_clamped(u0)
     tol = cfg.grad_tol * (1.0 + asm.load_norm())
     if h0_solve is None:
-        h0_solve = _plate_hessian_solve(asm.grid, asm.material)
+        h0_solve = _PlateSolve(asm.grid, asm.material)
     runs: list[tuple[Displacement, SolveDiagnostics]] = []
     for r in range(cfg.restarts):
         x0 = pack(asm.grid, u0)
@@ -205,7 +198,8 @@ def _descend(asm, x0, cfg, tol, h0_solve):
 
     def diagnostics(converged):
         return SolveDiagnostics(iterations, f, resid, backtracks, time.perf_counter() - start,
-                                converged, energies, noise_floor, evaluations, h0_solve.name)
+                                converged, energies, noise_floor, evaluations,
+                                h0_solve.rebuilds, h0_solve.refused)
 
     x = x0
     u, f, fscale, gdisp = evaluate(x)
@@ -217,6 +211,9 @@ def _descend(asm, x0, cfg, tol, h0_solve):
     noise_floor = 0.0
     # `not resid <= tol` keeps iterating on a NaN residual, as `resid > tol` would not
     while not resid <= tol and iterations < cfg.max_iter:
+        if iterations and iterations % _REFRESH == 0:
+            history.clear()  # first: at 129^2 the pairs outweigh a K_33 factor
+            h0_solve.refresh(u)
         d = _two_loop_direction(g, history, h0_solve)
         gd = _dot(g, d)
         if gd >= 0.0:
@@ -261,10 +258,10 @@ def _descend(asm, x0, cfg, tol, h0_solve):
 def _two_loop_direction(g, history, h0_solve):
     """Two-loop recursion over history's pairs (s, y, 1 / s.y) with an exact plate H0.
 
-    h0_solve applies H0^{-1}: the plate Hessian at u = 0, or the block
-    inverse of the plate Hessian at the plate minimizer.  Either is exact
-    for the plate, so it is not rescaled by the newest curvature pair;
-    without history the direction is the plate-Newton step -H0^{-1} g.
+    h0_solve applies H0^{-1}, the inverse of the plate Hessian at u = 0 or
+    its block inverse at a later iterate.  Either is exact for the plate, so
+    it is not rescaled by the newest curvature pair; without history the
+    direction is the plate-Newton step -H0^{-1} g.
     """
     q = g.copy()
     alphas = []
@@ -455,25 +452,39 @@ class _Coupling:
         return np.moveaxis(cells.adjoint(y)[:, 1:-1, 1:-1], 0, -1).ravel()
 
 
-def _plate_hessian_solve(grid: Grid, mat: Material, u: Displacement | None = None,
-                         membrane=None) -> "_PlateSolve":
-    """H0^{-1}: the inverse of the plate Hessian at the clamped u (u = 0 by
-    default).  Factors K_33, raising NotPositiveDefiniteError if it is not
-    positive definite, then K_tt unless `membrane` already solves by it."""
-    k33, k3t = _plate_hessian_blocks(grid, mat, u)
-    k33_solve = _banded_cholesky(k33)
-    membrane = membrane or _banded_cholesky(_membrane_band(grid, mat))
-    return _PlateSolve("plate" if u is None else "plate_minimizer", membrane, k33_solve, k3t)
-
-
 class _PlateSolve:
-    """Applies the inverse of the plate Hessian by solves with K_tt (membrane,
-    on (u1, u2) interleaved) and K_33.  With a K_3t block (L) it is the
-    symmetric block Gauss-Seidel inverse M^{-1}, M = (D + L) D^{-1} (D + L)^T
-    for D = diag(K_tt, K_33); without one (u = 0) the exact inverse."""
+    """H0^{-1}: the inverse of the plate Hessian at `at`, the latest point
+    where its K_33 block factored (None for u = 0, where it is built), by
+    solves with K_tt (membrane, on (u1, u2) interleaved) and K_33.  With a
+    K_3t block (L) it is the symmetric block Gauss-Seidel inverse M^{-1},
+    M = (D + L) D^{-1} (D + L)^T for D = diag(K_tt, K_33); without one
+    (u = 0) the exact inverse.  K_tt is the same at every u, so it is
+    factored once, after the bending matrix; refresh rebuilds the rest."""
 
-    def __init__(self, name: str, membrane, k33, k3t: _Coupling | None):
-        self.name, self.membrane, self.k33, self.k3t = name, membrane, k33, k3t
+    def __init__(self, grid: Grid, mat: Material):
+        self.grid, self.mat, self.at = grid, mat, None
+        self.rebuilds = self.refused = 0
+        self._factor(None)
+        self.membrane = _banded_cholesky(_membrane_band(grid, mat))
+
+    def _factor(self, u: Displacement | None) -> None:
+        k33, k3t = _plate_hessian_blocks(self.grid, self.mat, u)
+        self.k33, self.k3t = _banded_cholesky(k33), k3t
+
+    def refresh(self, u: Displacement) -> None:
+        """Rebuild K_33 and K_3t at u, in place, dropping the old K_33 factor
+        first so that one is alive at a time.  Where K_33(u) is not positive
+        definite the refusal is counted and they are rebuilt at `at`."""
+        self.k33 = self.k3t = None
+        try:
+            self._factor(u)
+        except NotPositiveDefiniteError:
+            self.refused += 1
+        else:
+            self.at = u
+            self.rebuilds += 1
+            return
+        self._factor(self.at)  # past the handler, which holds the refused band
 
     def __call__(self, g: np.ndarray) -> np.ndarray:
         n = g.size // 3
@@ -511,14 +522,13 @@ def homotopy_solve(
     Every member is assembled before any solve: the plate, then each t > 0
     in solve order.  A member that is no immersion raises its ImmersionError
     tagged "t=...: ", a plate given a t > 0 raises ValueError.  The plate
-    problem (t = 0) is solved first from a cold start, with H0 the plate
-    Hessian at u = 0.  The largest t starts from the plate minimizer u0 and
-    every smaller t on the secant through u0, u0 + (t / t_prev)(u_prev - u0);
-    these warm solves take as H0 the block inverse of the plate Hessian at
-    u0.  When its u3 block is not positive definite there, they start from
-    the previous solution with H0 at u = 0 instead.  The plate result fills
-    the t = 0 row when present.  Both H0s share one K_tt factor, and H0's
-    bending factor is freed before K_33(u0)'s.
+    problem (t = 0) is solved first from a cold start.  All solves share one
+    H0, the plate Hessian at the latest iterate where its K_33 block factors:
+    built at u = 0 for the cold solve, it is rebuilt once at the plate
+    minimizer u0 before the warm solves.  The largest t starts from u0 and
+    every smaller t on the secant through u0, u0 + (t / t_prev)(u_prev - u0),
+    since u_t = u0 + t w + O(t^2).  The plate result fills the t = 0 row
+    when present.
 
     Solves are checked in that order: the first one that exhausts max_iter
     raises NonconvergenceError tagged with its t, and later steps are not
@@ -540,21 +550,15 @@ def homotopy_solve(
                 members.append((t, imm_t, make_assembly(grid, imm_t, material, force)))
             except ImmersionError as exc:
                 raise ImmersionError(f"t={t:g}: {exc}") from None
-    h0 = _plate_hessian_solve(grid, material)
+    h0 = _PlateSolve(grid, material)
     u_plate, diag0 = _homotopy_step(asm0, Displacement.zeros(grid), cfg, 0.0, h0)
-    secant = False
     if members:
-        membrane, h0 = h0.membrane, None  # free H0's bending factor before K_33(u0)'s
-        try:
-            h0, secant = _plate_hessian_solve(grid, material, u_plate, membrane), True
-        except NotPositiveDefiniteError:
-            h0 = _plate_hessian_solve(grid, material, membrane=membrane)
+        h0.refresh(u_plate)
 
     steps: list[HomotopyStep] = []
     prev_t, prev = None, u_plate
     for t, imm_t, asm_t in members:
-        on_secant = secant and prev_t is not None
-        start = u_plate + (prev - u_plate) * (t / prev_t) if on_secant else prev
+        start = prev if prev_t is None else u_plate + (prev - u_plate) * (t / prev_t)
         u_t, diag_t = _homotopy_step(asm_t, start, cfg, t, h0)
         steps.append(
             HomotopyStep(t, imm_t, asm_t, u_t, diag_t, c2_distance(imm_t, plate, grid))
@@ -574,23 +578,3 @@ def _homotopy_step(asm, u0, cfg, t, h0_solve):
     if not diag.converged:
         raise NonconvergenceError(t, diag.final_residual, diag.iterations)
     return u, diag
-
-
-# -- independent linear oracle: clamped bending solve --------------------------
-
-
-def linear_bending_solve(grid: Grid, mat: Material, p3: np.ndarray) -> np.ndarray:
-    """Banded Cholesky solve of the flat bending problem (no membrane terms).
-
-    Assembles the quadratic bending form with the same clamped stencils and
-    quadrature as the energy path and solves it for the interior transverse
-    unknowns.  Serves as the small-load oracle for the nonlinear minimizer:
-    it shares the bending matrix with the minimizer's H0, which sets only
-    the minimizer's path, while the minimizer itself converges on the
-    energy gradient.
-    """
-    idx = np.flatnonzero(grid.interior.ravel())
-    rhs = (grid.weights * p3).ravel()[idx]
-    u3 = np.zeros(grid.num_nodes)
-    u3[idx] = _banded_cholesky(_bending_band(grid, mat))(rhs)
-    return u3.reshape(grid.shape)

@@ -3,8 +3,10 @@ import pytest
 
 from shallowshell.cli import main
 from shallowshell.config import parse_config_text
+from shallowshell.energy import make_assembly
 from shallowshell.grid import Displacement, Grid
-from shallowshell.io import write_displacement_csv
+from shallowshell.io import read_displacement_csv, write_displacement_csv
+from shallowshell.solver import _weighted_residual
 
 CONFIG = """\
 [domain]
@@ -259,6 +261,40 @@ def test_cli_material_errors_name_their_key(tmp_path, capsys, key, value, messag
     assert not (tmp_path / "out").exists()
 
 
+EXTREME_SCALES = {
+    "eps_underflows": ("", "eps = 1e-200", "[material] eps: must lie in [1e-30, 1e+30]: 1e-200"),
+    "eps_overflows": ("", "eps = 1e200", "[material] eps: must lie in [1e-30, 1e+30]: 1e+200"),
+    "step_underflows": ("l1 = 1e-200", "eps = 0.1",
+                        "[domain] l1: must lie in [1e-30, 1e+30]: 1e-200"),
+    "step_overflows": ("l1 = 1e200", "eps = 0.1",
+                       "[domain] l1: must lie in [1e-30, 1e+30]: 1e+200"),
+    "voigt_overflows": ("", "eps = 0.1\nlambda = 1e308\nmu = 1e308",
+                        "[material] lambda: must lie in [0, 1e+30]: 1e+308"),
+}
+
+
+@pytest.mark.parametrize("command", ["solve", "study"])
+@pytest.mark.parametrize("domain, material, message", EXTREME_SCALES.values(),
+                         ids=EXTREME_SCALES.keys())
+def test_cli_refuses_extreme_material_and_domain_values(tmp_path, capsys, command, domain,
+                                                         material, message):
+    """Values whose plate Hessian at u = 0 does not exist in floats (eps^3
+    underflowing to a zero bending band, eps^3 or the grid step's 1/h^2
+    overflowing, the Voigt coefficients overflowing) are config errors that
+    name their key: exit 2, one line, nothing written."""
+    values = dict(line.split(" = ") for line in material.split("\n"))
+    values = {"lambda": "1", "mu": "1", **values}
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text(f"[domain]\nn1 = 9\nn2 = 9\n{domain}\n[material]\n"
+                       + "".join(f"{k} = {v}\n" for k, v in values.items()))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfgfile), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {message}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("sigma", ["1e200", "1e-200"])
 def test_cli_extreme_gaussian_widths_solve(tmp_path, capsys, sigma):
     """sigma^2 overflowing to inf is the constant load amp3; sigma^2
@@ -303,3 +339,23 @@ def test_gaussian_bump_with_an_overflowing_width_is_finite(center1, sigma, p3):
                      f"center1 = {center1}\nsigma = {sigma}\n")
     force = parse_config_text(text).make_force(Grid(1.0, 1.0, 9, 9))
     assert np.all(force.p3 == p3) and not force.p1.any() and not force.p2.any()
+
+
+def test_cli_solve_converges_under_the_strong_tangential_load_l3(tmp_path, capsys):
+    """ROADMAP's load L3 on the plate at 17^2: the solve converges (it
+    exhausted max_iter = 5000 with H0 fixed at u = 0), writes its solution,
+    and the solution read back meets the residual tolerance."""
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text(CONFIG + "[force]\nkind = polynomial\np1_coeffs = 10.8, -9.8, 1.4\n"
+                       "p2_coeffs = -9.4, 10.8, 6.7\np3_coeffs = 0.6, -0.4, 0.3\n")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfgfile), "--out", str(out), "--t", "0",
+                 "--grid", "17x17"]) == 0
+    assert "converged=True" in capsys.readouterr().out
+    cfg = parse_config_text(cfgfile.read_text()).with_overrides(grid=(17, 17))
+    grid = cfg.make_grid()
+    u = Displacement(*read_displacement_csv(out / "study_solve.csv", grid))
+    asm = make_assembly(grid, cfg.make_immersion().with_scale(0.0), cfg.material,
+                        cfg.make_force(grid))
+    tol = cfg.solver.grad_tol * (1.0 + asm.load_norm())
+    assert _weighted_residual(grid, asm.gradient(u)) <= tol

@@ -19,8 +19,13 @@ NONNEGATIVE = FINITE.filter(lambda v: v >= 0.0)  # keeps -0.0
 OPEN_UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
 OPEN_HALF = st.floats(min_value=0.0, max_value=0.5, exclude_min=True, exclude_max=True)
 COEFFS = st.lists(FINITE, min_size=1, max_size=6).map(tuple)
+# the window config puts the [domain] sides and [material] coefficients in
+SCALE = st.floats(min_value=config._SCALES[0], max_value=config._SCALES[1])
+LAMBDA = st.one_of(st.just(-0.0), st.floats(min_value=0.0, max_value=config._SCALES[1]))
+# distinct as printed: config refuses two t whose solution files share a name
 T_LISTS = st.tuples(
-    st.lists(POSITIVE, max_size=4, unique=True).map(lambda ts: sorted(ts, reverse=True)),
+    st.lists(POSITIVE, max_size=4, unique_by=lambda t: f"{t:g}").map(
+        lambda ts: sorted(ts, reverse=True)),
     st.sampled_from((0.0, -0.0)),
 ).map(lambda parts: tuple(parts[0]) + (parts[1],))
 
@@ -66,11 +71,11 @@ def _parsed(cfg, section: str, key: str):
 
 
 COMMON = {
-    ("domain", "l1"): POSITIVE,
-    ("domain", "l2"): POSITIVE,
-    ("material", "lambda"): NONNEGATIVE,
-    ("material", "mu"): POSITIVE,
-    ("material", "eps"): POSITIVE,
+    ("domain", "l1"): SCALE,
+    ("domain", "l2"): SCALE,
+    ("material", "lambda"): LAMBDA,
+    ("material", "mu"): SCALE,
+    ("material", "eps"): SCALE,
     ("solver", "grad_tol"): POSITIVE,
     ("solver", "ls_shrink"): OPEN_UNIT,
     ("solver", "ls_c1"): OPEN_HALF,
