@@ -133,6 +133,10 @@ def _cmd_study(cfg: StudyConfig) -> int:
     for r in report.rows:
         print(f"  {r.t:g}\t{r.c2_distance:.6g}\t{r.v_norm_err:.6g}\t{r.iterations}")
     print(f"largest v_norm over the rows: {report.boundedness:.6g}")
+    refused = ", ".join(f"{s.t:g}" for s in report.steps if s.diagnostics.h0_refused)
+    if refused:
+        print(f"warning: t = {refused}: H0 rebuild refused, K_33 did not factor at the plate "
+              "minimizer, which may be a saddle (ROADMAP item 1)", file=sys.stderr)
     return EXIT_OK
 
 

@@ -27,9 +27,10 @@ with a strain variation is a plain sum of componentwise products.
 
 An evaluation makes four stencil applications, two for the energy alone:
 the grid's stacked membrane stencil (cell d1, d2 and average) applied to
-the (3, n1, n2) block of u, the stacked bending stencil (clamped d11, d22,
-d12 and interior d1, d2) applied to u3, and for the gradient the adjoint of
-each stack applied to the block of stresses its rows meet.  A flat
+u.block, the (3, n1, n2) block of u as it is, the stacked bending stencil
+(clamped d11, d22, d12 and interior d1, d2) applied to u3, and for the
+gradient the adjoint of each stack applied to the block of stresses its
+rows meet; the gradient wraps the adjoints' block.  A flat
 reference applies only the derivative rows, grid.cell_d1_ops and
 grid.clamped_d2_ops.  The stencils are shifted-slice sums, stresses and
 geometry pulls single np.einsum contractions (optimize=False: fixed
@@ -215,7 +216,7 @@ def _bending(op, pull, u3: np.ndarray):
 def plate_membrane_strain(grid: Grid, u: Displacement) -> np.ndarray:
     """Membrane strain of the flat reference: symmetric gradient plus the
     quadratic transverse term, with no curvature couplings."""
-    g = grid.cell_d1_ops(np.stack(u.components())).reshape(2, 3, -1)
+    g = grid.cell_d1_ops(u.block).reshape(2, 3, -1)
     return _as_matrix(_membrane_strain(g, None).reshape((3,) + grid.cell_shape))
 
 
@@ -274,7 +275,7 @@ class EnergyAssembly:
 
     def membrane_strain(self, u: Displacement) -> np.ndarray:
         """Nonlinear membrane strain E[..., alpha, beta] at cell midpoints."""
-        g = self.memb_ops(np.stack(u.components())).reshape(-1, 3, self.grid.num_cells)
+        g = self.memb_ops(u.block).reshape(-1, 3, self.grid.num_cells)
         e = _membrane_strain(g, self.memb_pull)
         return _as_matrix(e.reshape((3,) + self.grid.cell_shape))
 
@@ -322,13 +323,11 @@ class EnergyAssembly:
         meets and the adjoint consumes them: one block per stencil at a time.
         """
         grid = self.grid
-        x = np.stack(u.components())
-        prod = self.load * x
+        prod = self.load * u.block
         load = float(prod.sum())
         load_abs = float(np.abs(prod, out=prod).sum())
         del prod
-        g = self.memb_ops(x).reshape(-1, 3, grid.num_cells)
-        del x
+        g = self.memb_ops(u.block).reshape(-1, 3, grid.num_cells)
         e = _membrane_strain(g, self.memb_pull)
         if not with_gradient:
             del g
@@ -360,7 +359,7 @@ class EnergyAssembly:
         n1, n2 = grid.shape
         grad[:, :: n1 - 1] = 0.0
         grad[:, :, :: n2 - 1] = 0.0
-        return energy, scale, Displacement(grad[0], grad[1], grad[2])
+        return energy, scale, Displacement.wrap(grad)
 
     def hessian_diagonal_estimate(self) -> Displacement:
         """Positive per-node curvature scales of the quadratic energy part.
@@ -383,10 +382,9 @@ class EnergyAssembly:
         bend = _squared_adjoint(grid.clamped_d2_ops,
                                 np.array([1.0, 1.0, 2.0])[:, None, None] * self.wsa)
         bend *= (mat.eps**3 / 3.0) * amean
-        d = Displacement(memb.copy(), memb.copy(), memb + bend)
+        d = Displacement(memb, memb, memb + bend)
         floor = 1e-12 * max(float(np.max(d.u3)), 1.0)
-        for comp in d.components():
-            np.maximum(comp, floor, out=comp)
+        np.maximum(d.block, floor, out=d.block)
         return d
 
     def load_norm(self) -> float:

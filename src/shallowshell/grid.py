@@ -20,6 +20,9 @@ stencils the energy applies.
 The norms of the displacement space take their derivatives from the same
 stencils: the H1 seminorm is the midpoint rule over cell_d1_ops, the H2
 seminorm the trapezoid rule over clamped_d2_ops.
+
+A Displacement is one C-contiguous (3, n1, n2) float64 block of (u1, u2,
+u3); the energy, the minimizer and its H0 use it with no packing or stacking.
 """
 
 from __future__ import annotations
@@ -441,45 +444,60 @@ def integrate(grid: Grid, f: np.ndarray) -> float:
     return float(np.sum(grid.weights * f))
 
 
-@dataclass
 class Displacement:
     """Grid samples of a clamped displacement (u1, u2, u3).
 
     u1 and u2 are H1_0 members (zero on the boundary); u3 is an H2_0 member
     (zero boundary values, normal derivative closed by ghost reflection
-    wherever second derivatives are taken).
+    wherever second derivatives are taken).  u1, u2, u3, components() and
+    interior are views of `block`, so writes through them change it.
     """
 
-    u1: np.ndarray
-    u2: np.ndarray
-    u3: np.ndarray
+    def __init__(self, u1: np.ndarray, u2: np.ndarray, u3: np.ndarray):
+        self.block = np.array((u1, u2, u3), dtype=np.float64)  # a copy of the three
+
+    @classmethod
+    def wrap(cls, block: np.ndarray) -> "Displacement":
+        """Wrap `block`, a C-contiguous (3, n1, n2) float64 array, without copying."""
+        u = cls.__new__(cls)
+        u.block = block
+        return u
 
     @classmethod
     def zeros(cls, grid: Grid) -> "Displacement":
-        return cls(*(np.zeros(grid.shape) for _ in range(3)))
+        return cls.wrap(np.zeros((3,) + grid.shape))
+
+    u1 = property(lambda self: self.block[0])
+    u2 = property(lambda self: self.block[1])
+    u3 = property(lambda self: self.block[2])
+
+    @property
+    def interior(self) -> np.ndarray:
+        """The unknowns, (3, n1 - 2, n2 - 2): the block off the boundary."""
+        return self.block[:, 1:-1, 1:-1]
 
     def components(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return (self.u1, self.u2, self.u3)
+        return tuple(self.block)
 
     def copy(self) -> "Displacement":
-        return Displacement(self.u1.copy(), self.u2.copy(), self.u3.copy())
+        return Displacement.wrap(self.block.copy())
 
     def __add__(self, other: "Displacement") -> "Displacement":
-        return Displacement(self.u1 + other.u1, self.u2 + other.u2, self.u3 + other.u3)
+        return Displacement.wrap(self.block + other.block)
 
     def __sub__(self, other: "Displacement") -> "Displacement":
-        return Displacement(self.u1 - other.u1, self.u2 - other.u2, self.u3 - other.u3)
+        return Displacement.wrap(self.block - other.block)
 
     def __mul__(self, c: float) -> "Displacement":
-        return Displacement(c * self.u1, c * self.u2, c * self.u3)
+        return Displacement.wrap(c * self.block)
 
     __rmul__ = __mul__
 
+    def __neg__(self) -> "Displacement":
+        return Displacement.wrap(-self.block)
+
     def is_clamped(self) -> bool:
-        for u in self.components():
-            if np.any(u[0, :]) or np.any(u[-1, :]) or np.any(u[:, 0]) or np.any(u[:, -1]):
-                return False
-        return True
+        return not (self.block[:, [0, -1]].any() or self.block[:, :, [0, -1]].any())
 
 
 def require_clamped(u: Displacement) -> None:
@@ -504,7 +522,7 @@ def random_clamped_displacement(
         u[:, 1:-1, 1:-1] = 0.25 * (
             u[:, :-2, 1:-1] + u[:, 2:, 1:-1] + u[:, 1:-1, :-2] + u[:, 1:-1, 2:]
         )
-    return Displacement(*u)
+    return Displacement.wrap(u)
 
 
 def l2_norm(grid: Grid, f: np.ndarray) -> float:

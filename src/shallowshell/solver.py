@@ -17,7 +17,10 @@ One object, _PlateSolve, holds H0; a minimize call given none builds its
 own at u = 0.  Its blocks are assembled from the local weights of the
 grid's stencils (grid.cell_d1_ops, grid.clamped_d2_ops) straight into LAPACK
 band storage, and the coupling block K_3t is never stored: its products
-apply the cell stencils and their adjoint.
+apply the cell stencils and their adjoint.  The band order, (u1, u2)
+interleaved node by node, is H0's alone: it takes and returns Displacements,
+the one type of every iterate, gradient, direction and curvature pair of
+the descent, whose inner products run over their interiors, the unknowns.
 
 Results repeat bitwise for a given configuration seed.  The solver's
 reductions are numpy sums in a fixed order, not BLAS dot products, so they
@@ -120,21 +123,6 @@ class SolveDiagnostics:
     h0_refused: int = 0  # rebuilds refused where K_33 did not factor
 
 
-# -- flat packing of the interior unknowns -----------------------------------
-
-
-def pack(grid: Grid, u: Displacement) -> np.ndarray:
-    return np.concatenate([c[1:-1, 1:-1].ravel() for c in u.components()])
-
-
-def unpack(grid: Grid, x: np.ndarray) -> Displacement:
-    n = (grid.n1 - 2) * (grid.n2 - 2)
-    u = Displacement.zeros(grid)
-    for k, comp in enumerate(u.components()):
-        comp[1:-1, 1:-1] = x[k * n : (k + 1) * n].reshape(grid.n1 - 2, grid.n2 - 2)
-    return u
-
-
 # -- minimization -------------------------------------------------------------
 
 
@@ -161,10 +149,12 @@ def minimize(
         h0_solve = _PlateSolve(asm.grid, asm.material)
     runs: list[tuple[Displacement, SolveDiagnostics]] = []
     for r in range(cfg.restarts):
-        x0 = pack(asm.grid, u0)
+        u = Displacement.zeros(asm.grid)  # +0.0 on the boundary, whatever the sign of u0's zeros
+        u.interior[...] = u0.interior
         if r > 0:
-            x0 = x0 + 0.01 * np.random.default_rng([cfg.seed, r]).standard_normal(x0.size)
-        runs.append(_descend(asm, x0, cfg, tol, h0_solve))
+            rng = np.random.default_rng([cfg.seed, r])
+            u.interior[...] += 0.01 * rng.standard_normal(u.interior.shape)
+        runs.append(_descend(asm, u, cfg, tol, h0_solve))
     # converged runs first, then the lowest energy; the earliest run wins ties
     return min(runs, key=lambda run: (not run[1].converged, run[1].final_energy))
 
@@ -175,8 +165,10 @@ _NOISE_ULPS = 16.0
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
     """Inner product as a numpy sum: a fixed summation order, unlike BLAS,
     whose result depends on the thread count.  np.add.reduce is the
-    pairwise sum np.sum runs, without its Python dispatch."""
-    return float(np.add.reduce(a * b))
+    pairwise sum np.sum runs, without its Python dispatch.  Given two
+    Displacement interiors it sums their C-contiguous product as one flat
+    vector; boundary zeros would regroup the pairwise sums."""
+    return float(np.add.reduce(a * b, axis=None))
 
 
 def _weighted_residual(grid: Grid, g: Displacement) -> float:
@@ -185,26 +177,18 @@ def _weighted_residual(grid: Grid, g: Displacement) -> float:
     return float(np.sqrt(sum(np.sum(c * c / w) for c in g.components())))
 
 
-def _descend(asm, x0, cfg, tol, h0_solve):
+def _descend(asm, u, cfg, tol, h0_solve):
     grid = asm.grid
     start = time.perf_counter()
-    evaluations = 0
-
-    def evaluate(x):
-        nonlocal evaluations
-        evaluations += 1
-        u = unpack(grid, x)
-        return (u, *asm.full_evaluation(u))
 
     def diagnostics(converged):
         return SolveDiagnostics(iterations, f, resid, backtracks, time.perf_counter() - start,
                                 converged, energies, noise_floor, evaluations,
                                 h0_solve.rebuilds, h0_solve.refused)
 
-    x = x0
-    u, f, fscale, gdisp = evaluate(x)
-    g = pack(grid, gdisp)
-    resid = _weighted_residual(grid, gdisp)
+    f, fscale, g = asm.full_evaluation(u)
+    evaluations = 1
+    resid = _weighted_residual(grid, g)
     energies = [f]
     history = deque(maxlen=cfg.memory)  # the newest curvature pairs (s, y, 1 / s.y)
     iterations = backtracks = 0
@@ -215,13 +199,13 @@ def _descend(asm, x0, cfg, tol, h0_solve):
             history.clear()  # first: at 129^2 the pairs outweigh a K_33 factor
             h0_solve.refresh(u)
         d = _two_loop_direction(g, history, h0_solve)
-        gd = _dot(g, d)
+        gd = _dot(g.interior, d.interior)
         if gd >= 0.0:
             # quasi-Newton direction lost descent; forget the history and
             # take the plate-Newton step -H0^{-1} g
             history.clear()
             d = -h0_solve(g)
-            gd = _dot(g, d)
+            gd = _dot(g.interior, d.interior)
         # Armijo with an fp-noise allowance: the energy is evaluated by
         # summing terms of magnitude `fscale`, so decreases smaller than a
         # few ulps of that scale are unreadable; without the allowance the
@@ -230,8 +214,9 @@ def _descend(asm, x0, cfg, tol, h0_solve):
         noise_floor = max(noise_floor, noise)
         alpha = 1.0
         while True:
-            x_new = x + alpha * d
-            u_new, f_new, fscale_new, gdisp_new = evaluate(x_new)
+            u_new = u + alpha * d  # d's -0.0 boundary gives +0.0 + -0.0 = +0.0
+            f_new, fscale_new, g_new = asm.full_evaluation(u_new)
+            evaluations += 1
             if f_new <= f + cfg.ls_c1 * alpha * gd + noise:
                 break
             alpha *= cfg.ls_shrink
@@ -240,14 +225,13 @@ def _descend(asm, x0, cfg, tol, h0_solve):
                 raise LineSearchStallError(
                     f"line search stalled at step {alpha:.3g} (iteration {iterations}, "
                     f"residual {resid:.3g})", diagnostics(False))
-        g_new = pack(grid, gdisp_new)
-        s = x_new - x
-        y = g_new - g
-        sy = _dot(s, y)
-        if sy > 1e-12 * np.sqrt(_dot(s, s)) * np.sqrt(_dot(y, y)):
+        s, y = u_new - u, g_new - g
+        si, yi = s.interior, y.interior
+        sy = _dot(si, yi)
+        if sy > 1e-12 * np.sqrt(_dot(si, si)) * np.sqrt(_dot(yi, yi)):
             history.append((s, y, 1.0 / sy))
-        x, u, f, fscale, g, gdisp = x_new, u_new, f_new, fscale_new, g_new, gdisp_new
-        resid = _weighted_residual(grid, gdisp)
+        u, f, fscale, g = u_new, f_new, fscale_new, g_new
+        resid = _weighted_residual(grid, g)
         energies.append(f)
         iterations += 1
 
@@ -266,12 +250,12 @@ def _two_loop_direction(g, history, h0_solve):
     q = g.copy()
     alphas = []
     for s, y, rho in reversed(history):
-        a = rho * _dot(s, q)
+        a = rho * _dot(s.interior, q.interior)
         alphas.append(a)
-        q -= a * y
+        q.block -= a * y.block
     q = h0_solve(q)
     for (s, y, rho), a in zip(history, reversed(alphas)):
-        q += (a - rho * _dot(y, q)) * s
+        q.block += (a - rho * _dot(y.interior, q.interior)) * s.block
     return -q
 
 
@@ -380,15 +364,6 @@ def _banded_cholesky(ab: np.ndarray):
     return lapack.LAPACK.solver(ab)
 
 
-def _interleave(x: np.ndarray) -> np.ndarray:
-    """The (u1, u2) part of a packed vector, interleaved node by node."""
-    return x.reshape(2, -1).T.ravel()
-
-
-def _deinterleave(x: np.ndarray) -> np.ndarray:
-    return x.reshape(-1, 2).T.ravel()
-
-
 # -- the plate Hessian at u --------------------------------------------------
 #
 # The plate's membrane strain is e(u) = E_t x_t + 1/2 P(u) D x_3, with D =
@@ -402,10 +377,10 @@ def _plate_hessian_blocks(grid: Grid, mat: Material, u: Displacement | None = No
     nodes: K_33 in band storage and K_3t as a _Coupling, whose columns are
     (u1, u2) interleaved as in _membrane_band.  At u = 0 (or None) they are
     the bending band and None."""
-    if u is None or not any(c.any() for c in u.components()):
+    if u is None or not u.block.any():
         return _bending_band(grid, mat), None
     cells = grid.cell_d1_ops
-    g = cells(np.stack(u.components()))  # g[a, k]: D_a of component k
+    g = cells(u.block)  # g[a, k]: D_a of component k
     du = g[:, 2]
     strain = np.stack((g[0, 0] + 0.5 * du[0] ** 2, g[1, 1] + 0.5 * du[1] ** 2,
                        g[1, 0] + g[0, 1] + du[0] * du[1]))
@@ -486,14 +461,20 @@ class _PlateSolve:
             return
         self._factor(self.at)  # past the handler, which holds the refused band
 
-    def __call__(self, g: np.ndarray) -> np.ndarray:
-        n = g.size // 3
-        gt = _interleave(g[: 2 * n])
+    def __call__(self, g: Displacement) -> Displacement:
+        """H0^{-1} g, zero on the boundary.  The solves run in band order:
+        (u1, u2) interleaved node by node for K_tt, u3 for K_33."""
+        gt = g.interior[:2].transpose(1, 2, 0).ravel()
+        g3 = g.interior[2].ravel()
         if self.k3t is None:
-            return np.concatenate((_deinterleave(self.membrane(gt)), self.k33(g[2 * n :])))
-        x3 = self.k33(g[2 * n :] - self.k3t(self.membrane(gt)))
-        xt = self.membrane(gt - self.k3t.adjoint(x3))
-        return np.concatenate((_deinterleave(xt), x3))
+            xt, x3 = self.membrane(gt), self.k33(g3)
+        else:
+            x3 = self.k33(g3 - self.k3t(self.membrane(gt)))
+            xt = self.membrane(gt - self.k3t.adjoint(x3))
+        x = Displacement.zeros(self.grid)
+        x.interior[:2].transpose(1, 2, 0).flat = xt  # back from band order, as gt went in
+        x.interior[2].flat = x3
+        return x
 
 
 # -- homotopy continuation along a flattening family --------------------------

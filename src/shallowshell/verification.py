@@ -327,7 +327,7 @@ def rigidity_residuals(grid: Grid, fields=None) -> tuple[float, float]:
     korn = trace = 0.0
     for u in fields:
         # g[a, k]: the cell derivative D_a of component k
-        g = grid.cell_d1_ops(np.stack(u.components()))
+        g = grid.cell_d1_ops(u.block)
         (g11, g21, g31), (g12, g22, g32) = g
         # the linearized strain: that of the tangential part alone
         e = plate_membrane_strain(grid, Displacement(u.u1, u.u2, flat))
@@ -466,8 +466,7 @@ def check_plate_path() -> CheckResult:
             i, j = rng.integers(2, grid.n1 - 2), rng.integers(2, grid.n2 - 2)
             a = 0.1 * rng.standard_normal(3)
             u = Displacement.zeros(grid)
-            for c, ak in zip(u.components(), a):
-                c[i, j] = ak
+            u.block[:, i, j] = a
             energy, slope, scale, cells, e = _single_node_plate(grid, mat, force, i, j, a)
             value, _, g = asm.full_evaluation(u)
             pairing = sum(float(np.sum(gc * uc)) for gc, uc in zip(g.components(),
@@ -563,9 +562,8 @@ def check_solver_determinism() -> CheckResult:
     cfg = SolverConfig(seed=7, restarts=2)
     u_a, diag_a = minimize(asm, Displacement.zeros(grid), cfg)
     u_b, diag_b = minimize(asm, Displacement.zeros(grid), cfg)
-    same = all(
-        np.array_equal(x, y) for x, y in zip(u_a.components(), u_b.components())
-    ) and diag_a.final_energy == diag_b.final_energy
+    same = (u_a.block.tobytes() == u_b.block.tobytes()
+            and diag_a.final_energy == diag_b.final_energy)
     return CheckResult("solver.determinism_bitwise", bool(same), 0.0 if same else 1.0, 0.0)
 
 

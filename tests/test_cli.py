@@ -359,3 +359,26 @@ def test_cli_solve_converges_under_the_strong_tangential_load_l3(tmp_path, capsy
                         cfg.make_force(grid))
     tol = cfg.solver.grad_tol * (1.0 + asm.load_norm())
     assert _weighted_residual(grid, asm.gradient(u)) <= tol
+
+
+@pytest.mark.parametrize("force, warned", [
+    ("[force]\nkind = polynomial\np1_coeffs = 4, -8\np2_coeffs = 4, 0, -8\n",
+     "0.2, 0.1, 0.05, 0.025"),
+    ("", None),
+])
+def test_cli_study_names_the_t_whose_h0_rebuild_was_refused(tmp_path, capsys, force, warned):
+    """Under T_8 with p3 = 0 the rebuild of H0 at the plate minimizer is
+    refused (K_33 is indefinite at that flat saddle), and every warm solve
+    reports it: the study says so in one stderr line, its exit code and
+    CSVs as usual.  The default study prints nothing there."""
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text(CONFIG + force)
+    out = tmp_path / "out"
+    assert main(["study", "--config", str(cfgfile), "--out", str(out), "--grid", "17x17"]) == 0
+    err = capsys.readouterr().err
+    if warned is None:
+        assert err == ""
+    else:
+        assert err == (f"warning: t = {warned}: H0 rebuild refused, K_33 did not factor at "
+                       "the plate minimizer, which may be a saddle (ROADMAP item 1)\n")
+    assert (out / "study.csv").exists()

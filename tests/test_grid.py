@@ -197,6 +197,34 @@ def test_displacement_arithmetic(grid9, rng):
     assert w.is_clamped()
 
 
+def test_displacement_is_one_block(grid9, rng):
+    """A displacement is one C-contiguous (3, n1, n2) float64 block: its
+    components and interior are views of it, arithmetic returns new blocks,
+    the three-array constructor copies and wrap does not."""
+    fields = [rng.standard_normal(grid9.shape) for _ in range(3)]
+    u = Displacement(*fields)
+    assert u.block.shape == (3,) + grid9.shape and u.block.dtype == np.float64
+    assert u.block.flags.c_contiguous
+    for k, (comp, field) in enumerate(zip(u.components(), fields)):
+        assert np.shares_memory(comp, u.block) and comp.tobytes() == field.tobytes()
+        assert not np.shares_memory(comp, field)
+        assert getattr(u, f"u{k + 1}").base is u.block
+    assert np.shares_memory(u.interior, u.block) and u.interior.shape == (3, 7, 7)
+    u.u3[1:-1, 1:-1] = 2.0
+    assert np.all(u.block[2, 1:-1, 1:-1] == 2.0) and np.all(u.interior[2] == 2.0)
+    v = Displacement.wrap(rng.standard_normal((3,) + grid9.shape))
+    for w, ref in ((u + v, u.block + v.block), (u - v, u.block - v.block),
+                   (0.5 * u, 0.5 * u.block), (u * 0.5, 0.5 * u.block), (-u, -u.block),
+                   (u.copy(), u.block)):
+        assert isinstance(w, Displacement) and w.block.flags.c_contiguous
+        assert w.block.tobytes() == ref.tobytes()
+        assert not np.shares_memory(w.block, u.block) and not np.shares_memory(w.block, v.block)
+    block = np.zeros((3,) + grid9.shape)
+    assert Displacement.wrap(block).block is block
+    zero = Displacement.zeros(grid9).block
+    assert not zero.any() and not np.signbit(zero).any()
+
+
 @pytest.mark.parametrize("dims", [(2.0, 1.0, 9, 5), (1.3, 0.7, 17, 33)])
 def test_operators_exact_along_each_axis_on_non_square_grids(dims):
     """Linears and quadratics along each axis on grids with n1 != n2 and

@@ -31,6 +31,7 @@ from shallowshell import (
 )
 from shallowshell.config import _SCALES, default_config
 from shallowshell.elasticity import flat_tensor, flat_voigt
+from shallowshell.energy import EnergyAssembly
 from shallowshell.grid import l2_norm, random_clamped_displacement
 from shallowshell.solver import (
     NonconvergenceError,
@@ -45,8 +46,6 @@ from shallowshell.solver import (
     _membrane_band,
     _plate_hessian_blocks,
     _weighted_residual,
-    pack,
-    unpack,
 )
 from shallowshell.verification import IDENTITY_TOL, rigidity_residuals
 
@@ -61,15 +60,6 @@ def test_solver_config_validation():
         SolverConfig(memory=0)
     with pytest.raises(ValueError):
         SolverConfig(restarts=0)
-
-
-def test_pack_unpack_roundtrip(grid9, rng):
-    u = random_clamped_displacement(grid9, rng)
-    x = pack(grid9, u)
-    assert x.size == 3 * (grid9.n1 - 2) * (grid9.n2 - 2)
-    v = unpack(grid9, x)
-    for a, b in zip(u.components(), v.components()):
-        assert np.array_equal(a, b)
 
 
 def test_zero_load_returns_immediately(grid9, material):
@@ -196,9 +186,9 @@ def test_restarts_prefer_converged_runs(grid9, material, general_force, monkeypa
                                         runs, picked, converged):
     script = iter(runs)
 
-    def scripted_descend(asm, x0, cfg, tol, dinv):
+    def scripted_descend(asm, u0, cfg, tol, dinv):
         energy, ok = next(script)
-        return unpack(grid9, x0), SolveDiagnostics(1, energy, 0.0, 0, 0.0, ok)
+        return u0, SolveDiagnostics(1, energy, 0.0, 0, 0.0, ok)
 
     monkeypatch.setattr("shallowshell.solver._descend", scripted_descend)
     asm = make_assembly(grid9, Immersion("plate"), material, general_force(grid9))
@@ -556,7 +546,8 @@ def test_plate_hessian_solves_are_those_of_cho_solve_banded(dims, rng):
 def test_dot_is_the_numpy_sum_bit_for_bit(rng):
     """_dot adds in np.sum's pairwise order, whatever the length (below,
     at and past the 8-wide unrolled blocks and the 128-element pairwise
-    leaves), with signed zeros and mixed signs."""
+    leaves), with signed zeros and mixed signs, and over the interiors of
+    Displacements at 9^2, 33^2 and 129^2."""
     for n in (1, 7, 8, 9, 127, 128, 129, 2883, 3 * 127**2):
         a = rng.standard_normal(n) * np.exp(rng.uniform(-20.0, 20.0, n))
         b = rng.standard_normal(n)
@@ -565,6 +556,43 @@ def test_dot_is_the_numpy_sum_bit_for_bit(rng):
         for x, y in ((a, b), (b, a), (a, a), (-a, b)):
             expected = float(np.sum(x * y))
             assert np.float64(_dot(x, y)).tobytes() == np.float64(expected).tobytes(), n
+    # The solver passes Displacement interiors.  Their product is C-contiguous
+    # in the order of the unknowns packed u1, u2, u3, each row by row, so _dot
+    # is np.sum of the packed product; boundary zeros would regroup its sums.
+    for n in (9, 33, 129):
+        shape = (3, n, n)
+        u, v = (Displacement(*(rng.standard_normal(shape) * np.exp(rng.uniform(-20, 20, shape))))
+                for _ in range(2))
+        x, y = (np.concatenate([c[1:-1, 1:-1].ravel() for c in w.components()]) for w in (u, v))
+        expected = float(np.sum(x * y))
+        got = _dot(u.interior, v.interior)
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes(), n
+
+
+def test_sweep_iterates_keep_positive_boundary_zeros(monkeypatch):
+    """The search direction carries -0.0 on the boundary, and u + alpha d
+    turns it into +0.0 (IEEE: 0.0 + -0.0 = +0.0).  In the default sweep at
+    17^2 no evaluated iterate and no step's u has a boundary entry with its
+    sign bit set, which would print as -0 in a solution CSV; nor has a
+    solve started from -0.0 everywhere."""
+    signed = []
+    evaluate = EnergyAssembly.full_evaluation
+
+    def recorded(asm, u):
+        signed.append(bool(np.signbit(u.block[:, ~asm.grid.interior]).any()))
+        return evaluate(asm, u)
+
+    monkeypatch.setattr(EnergyAssembly, "full_evaluation", recorded)
+    steps = _default_sweep(17, _WARM_TS + [0.0])
+    assert len(signed) == sum(step.diagnostics.evaluations for step in steps)
+    assert not any(signed)
+    for step in steps:
+        assert not np.signbit(step.u.block[:, ~step.assembly.grid.interior]).any(), step.t
+    # a start whose zeros are all -0.0: the run starts from +0.0 on the boundary
+    plate = steps[-1].assembly
+    u, diag = minimize(plate, -Displacement.zeros(plate.grid), SolverConfig())
+    assert diag.converged and not any(signed[-diag.evaluations:])
+    assert not np.signbit(u.block[:, ~plate.grid.interior]).any()
 
 
 def test_import_does_not_load_sparse_linalg():
@@ -652,6 +680,17 @@ def test_plate_hessian_factors_do_not_depend_on_blas_threads():
 # -- the plate Hessian at the plate minimizer: blocks and warm steps ---------------
 
 
+def _pack(u):
+    """The interior unknowns as one vector: u1, u2, then u3, each row by row."""
+    return u.interior.ravel()
+
+
+def _unpack(grid, x):
+    u = Displacement.zeros(grid)
+    u.interior[...] = x.reshape(u.interior.shape)
+    return u
+
+
 def _dense_hessian(grid, mat, u):
     """The plate Hessian at u as one dense matrix in packed order (u1, u2, u3
     blocks), from the assembled blocks; K_tt is _membrane_matrix with its
@@ -671,7 +710,7 @@ def _fd_hessian(asm, x, eps):
     for j in range(x.size):
         e = np.zeros(x.size)
         e[j] = eps
-        plus, minus = (pack(grid, asm.gradient(unpack(grid, x + s * e))) for s in (1.0, -1.0))
+        plus, minus = (_pack(asm.gradient(_unpack(grid, x + s * e))) for s in (1.0, -1.0))
         cols.append((plus - minus) / (2.0 * eps))
     return np.column_stack(cols)
 
@@ -685,7 +724,7 @@ def test_minimizer_blocks_are_central_differences_of_the_gradient(n, material, g
     grid = Grid(1.0, 1.0, n, n)
     asm = make_assembly(grid, Immersion("plate"), material, general_force(grid))
     u = random_clamped_displacement(grid, np.random.default_rng(n), amplitude=0.3)
-    x = pack(grid, u)
+    x = _pack(u)
     hess = _dense_hessian(grid, material, u)
     assert np.abs(hess - hess.T).max() <= 1e-14 * np.abs(hess).max()
     m = 2 * x.size // 3
@@ -721,9 +760,10 @@ def test_minimizer_solve_inverts_the_block_gauss_seidel_matrix(n, material, gene
     rng = np.random.default_rng(n)
     for _ in range(3):
         g, h = rng.standard_normal((2, hess.shape[0]))
-        x = solve(g)
+        x = _pack(solve(_unpack(grid, g)))
         assert np.abs(big_m @ x - g).max() <= 1e-9 * np.abs(g).max()
-        assert abs(_dot(h, x) - _dot(solve(h), g)) <= 1e-12 * np.sqrt(_dot(x, x) * _dot(h, h))
+        assert abs(_dot(h, x) - _dot(_pack(solve(_unpack(grid, h))), g)) \
+            <= 1e-12 * np.sqrt(_dot(x, x) * _dot(h, h))
 
 
 @pytest.mark.parametrize("n", [9, 17])
@@ -753,7 +793,7 @@ def test_plate_solve_at_zero_is_the_two_block_solves(dims, rng):
         g = rng.standard_normal(3 * n)
         tangential = membrane(g[: 2 * n].reshape(2, n).T.ravel()).reshape(n, 2).T.ravel()
         expected = np.concatenate((tangential, bending(g[2 * n :])))
-        assert solve(g).tobytes() == expected.tobytes()
+        assert _pack(solve(_unpack(grid, g))).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("n", [5, 9, 65])
