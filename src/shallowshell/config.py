@@ -87,7 +87,7 @@ class StudyConfig:
                     raise ConfigError(f"[force] path: {exc}") from None
             else:
                 force = ForceDensity.from_catalog(grid, self.force_kind, self.force_params)
-            sums = np.cumsum([np.sum(grid.weights * p * p) for p in force.components()])
+            sums = force.norm_sums(grid)
         if not np.isfinite(sums[-1]):
             keys = ["path"] * 3 if self.force_csv else list(_LOADS[self.force_kind])
             raise ConfigError(f"[force] {keys[np.argmin(np.isfinite(sums))]}: load norm "

@@ -24,6 +24,9 @@ class Material:
     eps: float
 
     def __post_init__(self):
+        for key, value in (("lambda", self.lam), ("mu", self.mu), ("eps", self.eps)):
+            if not np.isfinite(value):
+                raise ValueError(f"{key}: must be finite")
         if self.lam < 0:
             raise ValueError("lambda: must be >= 0")
         if self.mu <= 0:

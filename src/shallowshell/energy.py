@@ -76,6 +76,10 @@ class ForceDensity:
     def components(self):
         return (self.p1, self.p2, self.p3)
 
+    def norm_sums(self, grid: Grid) -> np.ndarray:
+        """Running sums of sum w p^2 over p1, p2, p3: the last is the load norm squared."""
+        return np.cumsum([np.sum(grid.weights * p * p) for p in self.components()])
+
     @classmethod
     def zero(cls, grid: Grid) -> "ForceDensity":
         return cls(*(np.zeros(grid.shape) for _ in range(3)))
@@ -388,11 +392,7 @@ class EnergyAssembly:
         return d
 
     def load_norm(self) -> float:
-        return float(
-            np.sqrt(
-                sum(np.sum(self.grid.weights * p * p) for p in self.force.components())
-            )
-        )
+        return float(np.sqrt(self.force.norm_sums(self.grid)[-1]))
 
 
 def _squared_adjoint(stencil: Stencil, weight: np.ndarray) -> np.ndarray:

@@ -50,8 +50,8 @@ class Grid:
     n2: int
 
     def __post_init__(self):
-        if self.L1 <= 0 or self.L2 <= 0:
-            raise ValueError("grid side lengths must be positive")
+        if not (0 < self.L1 < math.inf and 0 < self.L2 < math.inf):  # NaN fails too
+            raise ValueError("grid side lengths must be positive and finite")
         if self.n1 < 5 or self.n2 < 5:
             raise ValueError("grids need at least 5 nodes per side")
 

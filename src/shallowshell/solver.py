@@ -3,7 +3,7 @@
 The minimizer is a limited-memory quasi-Newton descent with Armijo
 backtracking: the energy is a smooth quartic in the displacement and the
 gradient is exact, so no curvature line-search condition is needed.  The
-two-loop recursion runs over the newest `memory` curvature pairs, one
+two-loop recursion runs over the newest _MEMORY = 10 curvature pairs, one
 bounded deque that skips pairs with unusable curvature; every run reports
 through one SolveDiagnostics exit, a stall included.  Its initial inverse
 Hessian H0 is an exact plate Hessian, so the iteration count does not grow
@@ -48,6 +48,7 @@ from .grid import Displacement, Grid, require_clamped
 
 STALL_STEP = 1e-16
 _REFRESH = 30  # iterations without convergence between rebuilds of H0
+_MEMORY, _ARMIJO_C1, _SHRINK = 10, 1e-4, 0.5  # pairs kept, Armijo c1, backtracking factor
 
 
 class LineSearchStallError(RuntimeError):
@@ -83,22 +84,18 @@ class SolverConfig:
     """Quasi-Newton solver settings.
 
     grad_tol is relative: the run stops once the weighted residual norm
-    drops below grad_tol * (1 + weighted L2 norm of the load).
+    drops below grad_tol * (1 + weighted L2 norm of the load).  _MEMORY,
+    _ARMIJO_C1 and _SHRINK are constants: no caller set other values, and
+    with the exact plate H0 their textbook ones serve every measured load.
     """
 
     grad_tol: float = 1e-9
-    max_iter: int = 5000
-    memory: int = 10
-    ls_shrink: float = 0.5
-    ls_c1: float = 1e-4
+    max_iter: int = 1000  # over 2x the worst measured solve (seeded load 5 at 65^2: 417)
     restarts: int = 1
     seed: int = 0
 
     def __post_init__(self):
         for key, valid, why in (
-            ("ls_shrink", 0.0 < self.ls_shrink < 1.0, "must lie in (0, 1)"),
-            ("ls_c1", 0.0 < self.ls_c1 < 0.5, "must lie in (0, 0.5)"),
-            ("memory", self.memory >= 1, "must be >= 1"),
             ("grad_tol", self.grad_tol > 0, "must be positive"),
             ("max_iter", self.max_iter >= 0, "must be >= 0"),
             ("restarts", self.restarts >= 1, "must be >= 1"),
@@ -190,7 +187,7 @@ def _descend(asm, u, cfg, tol, h0_solve):
     evaluations = 1
     resid = _weighted_residual(grid, g)
     energies = [f]
-    history = deque(maxlen=cfg.memory)  # the newest curvature pairs (s, y, 1 / s.y)
+    history = deque(maxlen=_MEMORY)  # the newest curvature pairs (s, y, 1 / s.y)
     iterations = backtracks = 0
     noise_floor = 0.0
     # `not resid <= tol` keeps iterating on a NaN residual, as `resid > tol` would not
@@ -217,9 +214,9 @@ def _descend(asm, u, cfg, tol, h0_solve):
             u_new = u + alpha * d  # d's -0.0 boundary gives +0.0 + -0.0 = +0.0
             f_new, fscale_new, g_new = asm.full_evaluation(u_new)
             evaluations += 1
-            if f_new <= f + cfg.ls_c1 * alpha * gd + noise:
+            if f_new <= f + _ARMIJO_C1 * alpha * gd + noise:
                 break
-            alpha *= cfg.ls_shrink
+            alpha *= _SHRINK
             backtracks += 1
             if alpha < STALL_STEP:
                 raise LineSearchStallError(

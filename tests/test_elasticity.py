@@ -29,6 +29,17 @@ def test_material_invariants():
         Material(lam=1.0, mu=1.0, eps=0.0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("key", ["lambda", "mu", "eps"])
+def test_material_refuses_a_value_that_is_not_finite(key, value):
+    """NaN passes the `< 0` and `<= 0` tests; the error names the key, as
+    config's messages do, rather than a solve failing later on NaN."""
+    values = {"lambda": 1.0, "mu": 1.0, "eps": 0.1, key: value}
+    with pytest.raises(ValueError) as exc:
+        Material(values["lambda"], values["mu"], values["eps"])
+    assert str(exc.value) == f"{key}: must be finite"
+
+
 def test_flat_tensor_hand_values():
     A = flat_tensor(Material(1.0, 1.0, 0.1))
     assert abs(A[0, 0, 0, 0] - 16.0 / 3.0) < 1e-15

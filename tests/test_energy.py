@@ -1,4 +1,5 @@
 import os
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -18,7 +19,9 @@ from shallowshell import (
     make_assembly,
     plate_membrane_strain,
 )
+from shallowshell.config import parse_config_text
 from shallowshell.elasticity import build_tensor
+from shallowshell.energy import _LOADS
 from shallowshell.geometry import SurfaceGeometry, cell_geometry
 from shallowshell import grid as ss_grid
 from shallowshell.grid import random_clamped_displacement
@@ -49,6 +52,32 @@ def test_force_catalog(grid9):
         ForceDensity.polynomial(grid9, ((1,) * 7, (), ()))
     with pytest.raises(ValueError, match="width"):
         ForceDensity.gaussian_bump(grid9, (1, 0, 0), (0.5, 0.5), 0.0)
+
+
+@pytest.mark.parametrize("kind", sorted(_LOADS))
+def test_one_load_norm_for_the_solver_and_config(kind, material, rng, monkeypatch):
+    """EnergyAssembly.load_norm and config's make_force read one sum,
+    ForceDensity.norm_sums.  Its cumsum adds (a + b) + c as Python's sum
+    over the components does, so the norm is bitwise that sum's root."""
+    calls = []
+    norm_sums = ForceDensity.norm_sums
+    monkeypatch.setattr(ForceDensity, "norm_sums",
+                        lambda force, grid: calls.append(grid) or norm_sums(force, grid))
+    for n1, n2 in ((9, 9), (17, 13), (33, 33)):
+        grid = Grid(1.0, 1.3, n1, n2)
+        values = {key: (3.0 * rng.standard_normal(3)).tolist() if key.endswith("_coeffs")
+                  else [0.05 + rng.random()] if key in ("sigma", "center1", "center2")
+                  else [3.0 * rng.standard_normal()] for key in _LOADS[kind]}
+        text = "[material]\nlambda = 1.0\nmu = 1.0\neps = 0.1\n[force]\nkind = " + kind + "".join(
+            f"\n{key} = {','.join(map(repr, value))}" for key, value in values.items()) + "\n"
+        force = parse_config_text(text).make_force(grid)
+        assert calls == [grid]
+        asm = make_assembly(grid, Immersion("plate", L1=1.0, L2=1.3), material, force)
+        w = grid.weights
+        expected = float(np.sqrt(sum(np.sum(w * p * p) for p in force.components())))
+        assert struct.pack("<d", asm.load_norm()) == struct.pack("<d", expected)
+        assert calls == [grid, grid]
+        calls.clear()
 
 
 # -- strain fields ----------------------------------------------------------------

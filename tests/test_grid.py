@@ -34,6 +34,15 @@ def test_grid_validation():
     assert g.y1[-1, 0] == 2.0 and g.y2[0, -1] == 1.0
 
 
+@pytest.mark.parametrize("side", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("axis", [1, 2])
+def test_grid_refuses_a_side_that_is_not_finite(axis, side):
+    """NaN passes a `<= 0` test and inf is positive: neither is a side."""
+    sides = (side, 1.0) if axis == 1 else (1.0, side)
+    with pytest.raises(ValueError, match="grid side lengths must be positive and finite"):
+        Grid(*sides, 5, 5)
+
+
 def test_d2_exact_on_quadratics(grid9):
     inner = grid9.interior
     d11, _, _ = grid9.clamped_d2_ops(grid9.y1**2)

@@ -66,9 +66,8 @@ def test_minimal_config_defaults():
     assert cfg.material.lam == 1.0 and cfg.material.eps == 0.1
     assert cfg.immersion_kind == "paraboloid"
     assert cfg.t_list == [0.2, 0.1, 0.05, 0.025, 0.0]
-    assert cfg.solver.grad_tol == 1e-9 and cfg.solver.max_iter == 5000
-    assert cfg.solver.memory == 10 and cfg.solver.ls_shrink == 0.5
-    assert cfg.solver.ls_c1 == 1e-4 and cfg.solver.restarts == 1
+    assert cfg.solver.grad_tol == 1e-9 and cfg.solver.max_iter == 1000
+    assert cfg.solver.restarts == 1 and cfg.solver.seed == 0
     assert cfg.out_dir == "out" and cfg.prefix == "study"
     assert cfg.force_kind == "constant"
     assert cfg.force_params == {"p1": 0.5, "p2": -0.3, "p3": 1.0}
@@ -149,16 +148,27 @@ def test_domain_errors_name_the_offending_key(key, value, message):
         ("grad_tol", "0", "must be positive"),
         ("grad_tol", "-1e-9", "must be positive"),
         ("max_iter", "-1", "must be >= 0"),
-        ("memory", "0", "must be >= 1"),
         ("restarts", "0", "must be >= 1"),
-        ("ls_shrink", "1.0", "must lie in (0, 1)"),
-        ("ls_c1", "0.5", "must lie in (0, 0.5)"),
     ],
 )
 def test_solver_errors_name_the_offending_key(key, value, message):
     with pytest.raises(ConfigError) as exc:
         parse_config_text(MINIMAL + f"[solver]\n{key} = {value}\n")
     assert str(exc.value) == f"[solver] {key}: {message}"
+
+
+@pytest.mark.parametrize("key, value", [("memory", "10"), ("ls_shrink", "0.5"), ("ls_c1", "1e-4")])
+def test_removed_solver_key_is_refused_by_name(tmp_path, capsys, key, value):
+    """The descent's memory, Armijo constant and backtracking factor are
+    constants now: a config that sets one, even to its value, is refused by
+    name, and solve writes nothing."""
+    bad = tmp_path / "bad.ini"
+    bad.write_text(MINIMAL + f"[solver]\n{key} = {value}\n")
+    assert main(["solve", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: [solver] {key}: unknown key\n"
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("sigma", ["0", "-0.0", "-1"])
